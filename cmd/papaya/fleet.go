@@ -36,8 +36,6 @@ func runFleet(args []string) {
 	nClients := fs.Int("clients", 64, "concurrent simulated clients (top of the scaling curve)")
 	uploads := fs.Int("uploads", 300, "upload target across the scaling phases")
 	fabricKind := fs.String("fabric", "http", "transport backend: http or tcp")
-	stream := fs.Bool("stream", false, "streamed sessions end to end: client->selector and selector->agent")
-	codec := fs.String("codec", "gob", "wire codec: gob|json|bin")
 	numParams := fs.Int("params", 256, "model size (elements)")
 	goal := fs.Int("goal", 8, "aggregation goal K")
 	concurrency := fs.Int("concurrency", 128, "task concurrency ceiling")
@@ -61,22 +59,15 @@ func runFleet(args []string) {
 	}
 	stopAt := time.Now().Add(*timeout)
 
-	streamArgs := func(base []string) []string {
-		if *stream {
-			return append(base, "-stream")
-		}
-		return base
-	}
-
 	// --- Tier 1: the coordinator, with no in-process aggregators or
 	// selectors — the fleet supplies both tiers as separate processes.
-	coord, err := fleet.Spawn("coord", bin, streamArgs([]string{
+	coord, err := fleet.Spawn("coord", bin, []string{
 		"serve", "-listen", "127.0.0.1:0", "-fabric", *fabricKind,
-		"-codec", *codec, "-aggregators", "0", "-selectors", "0",
+		"-aggregators", "0", "-selectors", "0",
 		"-params", fmt.Sprint(*numParams), "-goal", fmt.Sprint(*goal),
 		"-concurrency", fmt.Sprint(*concurrency),
 		"-obs-listen", "127.0.0.1:0",
-	}), os.Stderr)
+	}, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -131,18 +122,18 @@ func runFleet(args []string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// "papaya serve: listening on URL (codec NAME)"
+	// "papaya serve: listening on URL"
 	coordURL := strings.Fields(line)[4]
 
 	// --- Tier 2: aggregator agents. The coordinator's create-task loop is
 	// blocked until the first one registers.
 	agentProc := make(map[string]*fleet.Proc, *nAgents)
 	spawnAgent := func(name string) (*fleet.Proc, error) {
-		p, err := fleet.Spawn(name, bin, streamArgs([]string{
+		p, err := fleet.Spawn(name, bin, []string{
 			"agent", "-coordinator", coordURL, "-listen", "127.0.0.1:0",
-			"-name", name, "-codec", *codec,
+			"-name", name,
 			"-obs-listen", "127.0.0.1:0",
-		}), os.Stderr)
+		}, os.Stderr)
 		if err != nil {
 			return nil, err
 		}
@@ -171,11 +162,11 @@ func runFleet(args []string) {
 	selProc := make(map[string]*fleet.Proc, *nSels)
 	for i := 0; i < *nSels; i++ {
 		name := fmt.Sprintf("sel-%d", i)
-		p, err := fleet.Spawn(name, bin, streamArgs([]string{
+		p, err := fleet.Spawn(name, bin, []string{
 			"selector", "-coordinator", coordURL, "-listen", "127.0.0.1:0",
-			"-name", name, "-codec", *codec, "-refresh", "250ms",
+			"-name", name, "-refresh", "250ms",
 			"-obs-listen", "127.0.0.1:0",
-		}), os.Stderr)
+		}, os.Stderr)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -190,18 +181,14 @@ func runFleet(args []string) {
 
 	// --- The harness's own fabric: clients ride it into the selector
 	// tier. Route gossip at the coordinator makes every tier member
-	// reachable from one Discover; capabilities still need a direct visit
-	// per base URL, which discoverGossiped does.
-	fab, err := newFabric(fabricSpec{
-		kind: *fabricKind, listen: "127.0.0.1:0", codec: *codec,
-		stream: *stream, ackElide: true, seed: 7,
-	})
+	// reachable from one Discover.
+	fab, err := newFabric(fabricSpec{kind: *fabricKind, listen: "127.0.0.1:0", seed: 7})
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer fab.Close()
 	for {
-		discoverGossiped(fab, coordURL)
+		_, _ = fab.Discover(coordURL)
 		routes := fab.Routes()
 		missing := ""
 		for _, n := range selNames {
@@ -228,8 +215,6 @@ func runFleet(args []string) {
 		Commit:      gitCommit(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Fabric:      *fabricKind,
-		Stream:      *stream,
-		Codec:       *codec,
 		Agents:      *nAgents,
 		Selectors:   *nSels,
 		Clients:     *nClients,
@@ -265,7 +250,7 @@ func runFleet(args []string) {
 		if c < 1 {
 			c = 1
 		}
-		ph := drivePhase(fab, selNames, c, targets[i], *stream, stopAt, nil)
+		ph := drivePhase(fab, selNames, c, targets[i], stopAt, nil)
 		rep.Phases = append(rep.Phases, ph)
 		fmt.Fprintf(os.Stderr, "papaya fleet: phase %d: %d clients -> %.1f uploads/s (p50 %.1fms p99 %.1fms)\n",
 			i, c, ph.UploadsPerSecond, ph.P50Millis, ph.P99Millis)
@@ -277,7 +262,7 @@ func runFleet(args []string) {
 	// keep completing throughout and would fake instant recovery.
 	if *killAgent || *killSelector {
 		var events []fleet.Failover
-		faultPhase := drivePhase(fab, selNames, *nClients, int64(*uploads), *stream, stopAt,
+		faultPhase := drivePhase(fab, selNames, *nClients, int64(*uploads), stopAt,
 			func(completedAt func() int64, waitUploadAfter func(time.Time, map[string]bool) (time.Duration, int64, bool)) {
 				if *killAgent {
 					owner := taskOwner(fab, "default")
@@ -383,7 +368,7 @@ func runFleet(args []string) {
 // session that STARTED after t completes — optionally restricted to a
 // task set — returning elapsed-since-t, uploads-since-t, and ok=false on
 // deadline).
-func drivePhase(fab fabricConn, selectors []string, n int, target int64, stream bool,
+func drivePhase(fab fabricConn, selectors []string, n int, target int64,
 	stopAt time.Time, fault func(func() int64, func(time.Time, map[string]bool) (time.Duration, int64, bool))) fleet.Phase {
 
 	var completed, rejected, terrors atomic.Int64
@@ -420,7 +405,7 @@ func drivePhase(fab fabricConn, selectors []string, n int, target int64, stream 
 				Selectors: sels,
 				State:     client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 				Random:    rand.Reader,
-				Stream:    stream,
+				Stream:    true,
 			}
 			for !stop.Load() && time.Now().Before(stopAt) {
 				sessStart := time.Now()

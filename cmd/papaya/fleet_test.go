@@ -30,7 +30,7 @@ func TestFleetSmoke(t *testing.T) {
 	run := exec.Command(bin, "fleet",
 		"-agents", "2", "-selectors", "2",
 		"-clients", "8", "-uploads", "60",
-		"-tasks", "8", "-stream",
+		"-tasks", "8",
 		"-kill-agent", "-kill-selector",
 		"-max-recovery", "30s", "-timeout", "3m",
 		"-o", report)

@@ -40,13 +40,16 @@ type loadReport struct {
 // accumulates across machines stays interpretable; the bytesRaw/bytesWire
 // pair meters the upload path before and after wire compression.
 type loadRun struct {
-	Label            string `json:"label,omitempty"`
-	Commit           string `json:"commit,omitempty"`
-	GOMAXPROCS       int    `json:"gomaxprocs"`
-	Server           string `json:"server"`
-	Fabric           string `json:"fabric,omitempty"`
-	Stream           bool   `json:"stream,omitempty"`
-	Codec            string `json:"codec"`
+	Label      string `json:"label,omitempty"`
+	Commit     string `json:"commit,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Server     string `json:"server"`
+	Fabric     string `json:"fabric,omitempty"`
+	Stream     bool   `json:"stream,omitempty"`
+	// Codec and AckElide are set only on entries recorded before the wire
+	// collapsed to one generation; they stay so appending to an existing
+	// report does not erase them.
+	Codec            string `json:"codec,omitempty"`
 	AckElide         bool   `json:"ack_elide,omitempty"`
 	Compress         string `json:"compress,omitempty"`
 	Train            bool   `json:"train,omitempty"`
@@ -72,9 +75,10 @@ type loadRun struct {
 	Calls                uint64  `json:"rpc_calls"`
 	BytesSent            uint64  `json:"bytes_sent"`
 	BytesReceived        uint64  `json:"bytes_received"`
-	// AcksElided counts streamed calls whose acknowledgement never crossed
-	// the wire; FramesCoalesced counts stream frames that shipped inside a
-	// multi-frame writev batch. Both are zero on per-call runs.
+	// AcksElided counts calls whose acknowledgement never crossed the wire;
+	// FramesCoalesced counts stream frames that shipped inside a multi-frame
+	// writev batch. Both are zero without -stream: only a participation's
+	// own session sends no-ack chunk trains.
 	AcksElided       uint64  `json:"acks_elided,omitempty"`
 	FramesCoalesced  uint64  `json:"frames_coalesced,omitempty"`
 	BytesRaw         int64   `json:"bytes_raw_upload"`
@@ -172,13 +176,11 @@ func (f fixedDeltaExecutor) Train(params []float32, examples [][]int) ([]float32
 func runLoadtest(args []string) {
 	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
 	serverURL := fs.String("server", "http://127.0.0.1:7070", "base URL of the papaya serve process (a tcp:// URL selects the raw-TCP fabric)")
-	stream := fs.Bool("stream", false, "one streaming connection per session: pipeline check-in through upload over it (negotiated; /v1/ servers degrade to per-call)")
-	ackElide := fs.Bool("ack-elide", true, "with -stream: send non-final upload chunks without per-chunk acknowledgements when the peer negotiated the capability (/v1 and non-stream peers keep per-chunk acks)")
+	stream := fs.Bool("stream", false, "one dedicated connection per participation, with no-ack chunk trains, instead of pooled one-shot calls (client.Runtime.Stream)")
 	task := fs.String("task", "default", "task ID to drive")
 	clients := fs.Int("clients", 16, "concurrent simulated clients")
 	uploads := fs.Int("uploads", 200, "successful upload target (run ends when reached)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "abort if the target is not reached in time")
-	codec := fs.String("codec", "gob", "wire codec: gob|json|bin (bin negotiates the binary fast path with /v2/ servers and falls back to gob otherwise)")
 	compressFlag := fs.String("compress", "", "upload codecs clients offer: empty = all registered, \"none\" = opt out, or one codec name (server picks per task)")
 	train := fs.Bool("train", false, "run real local SGD (internal/nn log-bilinear) instead of a fixed delta, so deltas — and compression ratios — are realistic")
 	vocab := fs.Int("vocab", 16, "with -train: model vocabulary (params = 2*vocab*dim + vocab, must equal the task's -params)")
@@ -218,8 +220,8 @@ func runLoadtest(args []string) {
 	}
 
 	fabric, err := newFabric(fabricSpec{
-		kind: fabricKindForURL(*serverURL), listen: "127.0.0.1:0", codec: *codec,
-		compress: *compressFlag, stream: *stream, ackElide: *ackElide, seed: 2,
+		kind: fabricKindForURL(*serverURL), listen: "127.0.0.1:0",
+		compress: *compressFlag, seed: 2,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -230,12 +232,10 @@ func runLoadtest(args []string) {
 	obsShutdown := startObs("loadtest", *obsListen, fabric, fabricKindForURL(*serverURL))
 	defer obsShutdown()
 
-	// Discover the server's selectors and its capability document; retry
-	// briefly so CI can start serve and loadtest back to back. Selectors
-	// hosted in the serve process appear in its own node list; a standalone
-	// selector tier (`papaya selector`) is reached through the routes the
-	// coordinator gossips — discoverGossiped also visits each routed fabric
-	// so its capability document (stream, bin) is on hand.
+	// Discover the server's selectors; retry briefly so CI can start serve
+	// and loadtest back to back. Selectors hosted in the serve process
+	// appear in its own node list; a standalone selector tier (`papaya
+	// selector`) is reached through the routes the coordinator gossips.
 	var selectors []string
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -248,7 +248,6 @@ func runLoadtest(args []string) {
 					selectors = append(selectors, n)
 				}
 			}
-			discoverGossiped(fabric, *serverURL)
 			for n := range fabric.Routes() {
 				if strings.HasPrefix(n, "sel-") && !seen[n] {
 					seen[n] = true
@@ -540,8 +539,6 @@ func runLoadtest(args []string) {
 		Server:               *serverURL,
 		Fabric:               fabricKindForURL(*serverURL),
 		Stream:               *stream,
-		Codec:                *codec,
-		AckElide:             *ackElide && *stream,
 		Compress:             negotiated,
 		Train:                *train,
 		Task:                 *task,

@@ -76,7 +76,7 @@ func scrapeObs(baseURL string) (map[string]float64, error) {
 func registerTransportGauges(reg *obs.Registry, kind string, stats func() transport.Stats) {
 	labels := []string{"fabric"}
 	reg.GaugeFunc("papaya_transport_calls",
-		"Outbound RPCs issued by this process's fabric (streamed or per-call).",
+		"Outbound RPCs issued by this process's fabric (acknowledged or not).",
 		func() float64 { return float64(stats().Calls) }, labels, kind)
 	reg.GaugeFunc("papaya_transport_bytes_sent",
 		"Request payload bytes written by this process's fabric.",

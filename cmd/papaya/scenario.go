@@ -18,9 +18,7 @@ func runScenario(args []string) {
 	fs := flag.NewFlagSet("scenario", flag.ExitOnError)
 	file := fs.String("file", "", "scenario profile JSON (see examples/scenarios/)")
 	fabricKind := fs.String("fabric", "inmem", "in-process fabric: inmem|http|tcp")
-	stream := fs.Bool("stream", false, "route sessions over streaming connections (http fabric; tcp streams by construction)")
-	codec := fs.String("codec", "gob", "wire codec for http/tcp fabrics: gob|json|bin")
-	compressFlag := fs.String("compress", "", "wire compression for http/tcp fabrics (e.g. streamed)")
+	compressFlag := fs.String("compress", "", "frame compression for http/tcp fabrics (e.g. streamed)")
 	workers := fs.Int("workers", 0, "driver concurrency; 0 = one worker per client")
 	aggregation := fs.String("aggregation", "", "override the profile's aggregation rule: fedavg|fedbuff|fedprox")
 	aggParam := fs.Float64("agg-param", 0, "override the rule parameter (fedbuff exponent, fedprox mu); 0 keeps the rule default")
@@ -54,14 +52,13 @@ func runScenario(args []string) {
 	}
 
 	var fabric transport.Fabric
-	fabricName := *fabricKind
 	switch *fabricKind {
 	case "inmem":
 		fabric = transport.NewNetwork(int64(spec.Seed))
 	case "http", "tcp":
 		f, err := newFabric(fabricSpec{
-			kind: *fabricKind, listen: "127.0.0.1:0", codec: *codec,
-			compress: *compressFlag, stream: *stream, seed: int64(spec.Seed),
+			kind: *fabricKind, listen: "127.0.0.1:0",
+			compress: *compressFlag, seed: int64(spec.Seed),
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "papaya scenario:", err)
@@ -69,9 +66,6 @@ func runScenario(args []string) {
 		}
 		defer f.Close()
 		fabric = f
-		if *stream {
-			fabricName += "-stream"
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "papaya scenario: unknown fabric %q (want inmem|http|tcp)\n", *fabricKind)
 		os.Exit(2)
@@ -79,9 +73,9 @@ func runScenario(args []string) {
 
 	rep, err := scenario.Run(spec, scenario.Options{
 		Fabric:      fabric,
-		FabricName:  fabricName,
+		FabricName:  *fabricKind,
 		Workers:     *workers,
-		Stream:      *stream,
+		Stream:      *fabricKind != "inmem",
 		Aggregators: *aggregators,
 		Selectors:   *selectors,
 	})

@@ -26,12 +26,9 @@ func runSelector(args []string) {
 	listen := fs.String("listen", "127.0.0.1:0", "TCP listen address for this selector")
 	advertise := fs.String("advertise", "", "public base URL peers should use (default http://<listen> or tcp://<listen>)")
 	coordURL := fs.String("coordinator", "", "base URL of the papaya serve process (required; a tcp:// URL selects the raw-TCP fabric)")
-	stream := fs.Bool("stream", false, "route forwarded calls over persistent streaming sessions (http backend; tcp always streams)")
-	ackElide := fs.Bool("ack-elide", true, "send non-final streamed upload chunks without per-chunk acknowledgements toward peers that negotiated the capability (serving elided peers is always on)")
 	coordName := fs.String("coordinator-name", "coordinator", "coordinator node name")
 	name := fs.String("name", "", "selector node name (default selector-<pid>)")
-	codec := fs.String("codec", "gob", "preferred wire codec: gob|json|bin (bin negotiates per peer; gob remains the universal fallback)")
-	compressName := fs.String("compress", "", "wire compression codec for RPC bodies toward /v2/ peers: none|streamed|flate")
+	compressName := fs.String("compress", "", "deflate large frames this process sends: none|streamed|flate")
 	refresh := fs.Duration("refresh", 250*time.Millisecond, "assignment-map and live-agent refresh cadence")
 	obsListen := fs.String("obs-listen", "", "observability listen address (H:P): /metrics, /trace, /debug/vars, /debug/pprof; empty disables")
 	_ = fs.Parse(args)
@@ -46,9 +43,8 @@ func runSelector(args []string) {
 	}
 
 	fabric, err := newFabric(fabricSpec{
-		kind: fabricKindForURL(*coordURL), listen: *listen, codec: *codec,
-		advertise: *advertise, compress: *compressName, stream: *stream,
-		ackElide: *ackElide, seed: 1,
+		kind: fabricKindForURL(*coordURL), listen: *listen,
+		advertise: *advertise, compress: *compressName, seed: 1,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -71,14 +67,12 @@ func runSelector(args []string) {
 		fmt.Fprintf(os.Stderr, "papaya selector: advertising to %s: %v\n", *coordURL, err)
 		os.Exit(1)
 	}
-	// Gossip carries routes, not capabilities: visit each gossiped fabric
-	// once so codec/stream negotiation toward it has a real document.
-	discoverGossiped(fabric, *coordURL)
 
 	// Keep discovery fresh in the background: agents that join after us
 	// reach the coordinator's gossip on their advertise; we pick their
-	// routes (and capability documents) up on the next tick, and the
-	// selector's own list-agents refresh re-pins traffic.
+	// routes up on the next tick, and the selector's own list-agents
+	// refresh re-pins traffic. A dead agent's stale route is harmless:
+	// calls toward it fail fast and the selector re-pins.
 	stopDiscover := make(chan struct{})
 	go func() {
 		ticker := time.NewTicker(*refresh)
@@ -88,7 +82,7 @@ func runSelector(args []string) {
 			case <-stopDiscover:
 				return
 			case <-ticker.C:
-				discoverGossiped(fabric, *coordURL)
+				_, _ = fabric.Discover(*coordURL)
 			}
 		}
 	}()
@@ -108,21 +102,4 @@ func runSelector(args []string) {
 	sel.Stop()
 	_ = fabric.Close()
 	fmt.Println("papaya selector: clean shutdown")
-}
-
-// discoverGossiped refreshes the coordinator's discovery document, then
-// visits every distinct base URL the fabric has routes toward so peer
-// capabilities stay current. Unreachable peers are skipped — a dead
-// agent's stale route is harmless (calls toward it fail fast and the
-// selector re-pins via list-agents).
-func discoverGossiped(fabric fabricConn, coordURL string) {
-	_, _ = fabric.Discover(coordURL)
-	visited := map[string]bool{coordURL: true}
-	for _, base := range fabric.Routes() {
-		if visited[base] {
-			continue
-		}
-		visited[base] = true
-		_, _ = fabric.Discover(base)
-	}
 }

@@ -145,14 +145,13 @@ type Result struct {
 	// session's spans across tiers.
 	TraceID uint64
 	// Traced reports whether the control plane echoed the trace ID at
-	// check-in — false means a /v1 (or untraced) selector handled the
-	// session and server-side spans do not exist for it.
+	// check-in — false means the check-in never reached a selector that
+	// answered, and server-side spans do not exist for it.
 	Traced bool
 	// RetryAfter is the server's back-off hint on a rejected check-in:
 	// how long the aggregator expects before a concurrency slot frees
-	// (derived from its session-close cadence). Zero means no hint — a
-	// /v1 control plane or a rejection with no signal — and the caller
-	// falls back to its own jittered schedule.
+	// (derived from its session-close cadence). Zero means no hint and the
+	// caller falls back to its own jittered schedule.
 	RetryAfter time.Duration
 }
 
@@ -231,10 +230,9 @@ type Runtime struct {
 	// download, report, and every upload chunk pipeline over a single
 	// connection (transport.StreamFabric) instead of one call-scoped
 	// exchange each — the paper's long-lived virtual session realized at
-	// the transport (Section 6.1). Fabrics and peers without the stream
-	// capability degrade to per-call RPC transparently, and a broken
-	// stream falls back to per-call failover through the remaining
-	// selectors, so enabling it is always safe.
+	// the transport (Section 6.1). On the in-memory fabric the session is a
+	// per-call wrapper, and a broken stream falls back to per-call failover
+	// through the remaining selectors, so enabling it is always safe.
 	Stream bool
 	// Dropout, when non-nil, is consulted once per accepted participation
 	// and returns the stage at which this attempt's device dies (DropNone
@@ -500,9 +498,7 @@ func (p *participation) close() {
 // session-long connection the rest of the participation will ride.
 func (r *Runtime) checkin() (*participation, server.CheckinResponse, error) {
 	// Every attempt mints a trace ID (internal/obs): one uint64 on the
-	// cold control messages. A /v1 control plane drops the field and
-	// the session degrades to untraced server-side; client spans are
-	// recorded locally either way.
+	// cold control messages.
 	trace := obs.NextTraceID(r.ClientID)
 	start := time.Now()
 	req := server.CheckinRequest{ClientID: r.ClientID, Capabilities: r.Capabilities, TraceID: trace}
@@ -571,10 +567,10 @@ func (p *participation) routeCall(taskID, method string, payload any) (any, erro
 	return nil, ErrNoSelector
 }
 
-// elider returns the streaming session's ack-elision surface when this
-// participation negotiated it, nil otherwise (no stream, a /v1 peer, or a
-// backend without the capability) — the single gate the upload loops check
-// before switching to the elided chunk train.
+// elider returns the streaming session's ack-elision surface when it has
+// one, nil otherwise (no stream, or the in-memory fabric's per-call
+// session) — the single gate the upload loops check before switching to the
+// elided chunk train.
 func (p *participation) elider() transport.ElidingSession {
 	if es, ok := p.sess.(transport.ElidingSession); ok && es.ElidesAcks() {
 		return es
@@ -583,7 +579,7 @@ func (p *participation) elider() transport.ElidingSession {
 }
 
 // routeNoAck queues an in-session call on the streaming session without
-// waiting for an acknowledgement (negotiated ack elision). An error means
+// waiting for an acknowledgement. An error means
 // the stream broke and the elided train must restart acked; a server-side
 // failure of this call surfaces on the attempt's next acknowledged call.
 func (p *participation) routeNoAck(es transport.ElidingSession, taskID, method string, payload any) error {
@@ -651,8 +647,8 @@ func (p *participation) sendChunk(es transport.ElidingSession, taskID string,
 }
 
 // uploadPlain ships the delta in chunks, each one compressed with the
-// negotiated codec (nil = raw). When the streaming session negotiated ack
-// elision, non-final chunks ride unacknowledged and only the Done chunk
+// negotiated codec (nil = raw). When the streaming session elides acks,
+// non-final chunks ride unacknowledged and only the Done chunk
 // waits for a reply; a broken stream mid-train restarts the upload once in
 // per-chunk-ack mode with the byte meter rolled back. One frame scratch
 // buffer is reused across the session's chunks: the transport encodes the

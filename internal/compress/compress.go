@@ -21,12 +21,11 @@
 // SecAgg uploads move []uint32 masked group vectors (which must stay
 // bit-exact or unmasking breaks, so their codecs are lossless packers).
 //
-// Codec choice is a negotiated capability, not a config constant: clients
+// Codec choice is negotiated per upload, not a config constant: clients
 // offer the codecs they can encode (ReportRequest), the task spec names the
 // server's preference, and Negotiate picks the codec for one upload — a
-// peer that offers nothing (an old /v1/ build whose messages predate the
-// field) degrades to raw uploads automatically. See docs/DEPLOYMENT.md
-// "Wire compression".
+// client that offers nothing uploads raw. See docs/DEPLOYMENT.md "Wire
+// format".
 package compress
 
 import (
@@ -68,8 +67,8 @@ type Codec interface {
 	// ID is the one-byte wire identifier carried in frame headers.
 	ID() byte
 	// Streams reports whether the codec includes a byte-stream (flate)
-	// stage; the HTTP transport uses it to decide whether to also deflate
-	// whole RPC bodies on the /v2/ route.
+	// stage; a networked fabric configured with such a codec also deflates
+	// large wire frames.
 	Streams() bool
 	// AppendFloats appends the payload encoding of src to dst.
 	AppendFloats(dst []byte, src []float32) ([]byte, error)
@@ -122,7 +121,7 @@ func Register(c Codec) {
 }
 
 // ByName returns the codec registered under name (a -compress flag value or
-// a negotiated capability).
+// a negotiated upload codec).
 func ByName(name string) (Codec, error) {
 	regMu.RLock()
 	defer regMu.RUnlock()
@@ -133,8 +132,8 @@ func ByName(name string) (Codec, error) {
 	return c, nil
 }
 
-// Names returns every registered codec name, sorted — the capability set a
-// build advertises at discovery.
+// Names returns every registered codec name, sorted — what a client offers
+// at report time unless told otherwise.
 func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
@@ -145,8 +144,7 @@ func namesLocked() []string { return allNames }
 
 // Negotiate picks the codec for one upload: the server's preferred codec if
 // the client offered it, otherwise "" (raw, uncompressed). A nil or empty
-// offer — an old peer whose messages predate the capability field — always
-// yields "", which is what keeps /v1/ peers interoperating untouched.
+// offer always yields "".
 func Negotiate(preferred string, offered []string) string {
 	if preferred == "" || preferred == "none" {
 		return ""

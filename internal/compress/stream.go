@@ -2,8 +2,8 @@
 // payload. Quantization removes precision; flate then removes redundancy
 // (runs of identical quantized values, repeated byte patterns), which is
 // where the "streaming compression" half of the ROADMAP item lives. Codecs
-// whose Streams() is true also opt the HTTP transport into deflating whole
-// RPC bodies on the /papaya/v2/ route.
+// whose Streams() is true also opt a networked fabric into deflating large
+// wire frames (streamcore.Options.Compress).
 
 package compress
 
@@ -98,7 +98,7 @@ func (s Streamed) DecodeUintsInto(dst []uint32, payload []byte) error {
 }
 
 // DeflateBytes compresses an opaque byte stream (an encoded wire frame)
-// with DEFLATE — the transport-level body stage of the /v2/ route.
+// with DEFLATE — the transport's per-frame stage (wire.StreamFlagDeflate).
 func DeflateBytes(b []byte) ([]byte, error) {
 	out, err := appendDeflated(nil, b)
 	if err != nil {

@@ -170,8 +170,6 @@ type Report struct {
 	Commit      string `json:"commit,omitempty"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	Fabric      string `json:"fabric"`
-	Stream      bool   `json:"stream"`
-	Codec       string `json:"codec"`
 	Agents      int    `json:"agents"`
 	Selectors   int    `json:"selectors"`
 	Clients     int    `json:"clients"`

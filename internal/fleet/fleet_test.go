@@ -81,7 +81,7 @@ func TestKillIsImmediate(t *testing.T) {
 func TestWriteReportRoundTrips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_fleet.json")
 	in := Report{
-		CreatedUnix: 1700000000, Fabric: "http", Stream: true, Codec: "gob",
+		CreatedUnix: 1700000000, Fabric: "http",
 		Agents: 2, Selectors: 2, Clients: 64,
 		Phases: []Phase{{Clients: 16, Uploads: 100, UploadsPerSecond: 50}},
 		Placement: Placement{

@@ -7,11 +7,10 @@ import (
 )
 
 // Cross-tier session tracing. A trace ID is minted client-side at
-// check-in, rides the /v2 wire as a cold field on the session-control
+// check-in, rides the wire as a cold field on the session-control
 // messages (CheckinRequest/Response, JoinRequest, RouteRequest), and
 // every tier records spans against it in a bounded per-process ring.
-// Trace ID 0 means "untraced": /v1 peers whose decoder drops the field
-// degrade to it automatically, and RecordSpan on trace 0 is a no-op.
+// Trace ID 0 means "untraced": RecordSpan on trace 0 is a no-op.
 // The ring is exported as JSON from the obs endpoint (/trace) and
 // stitched across tiers by `papaya trace`.
 
@@ -135,8 +134,7 @@ func NextTraceID(clientID int64) uint64 {
 }
 
 // RecordSpan records one completed stage into the process-global ring.
-// It is a no-op for trace 0, so untraced (/v1-degraded) sessions cost
-// one branch.
+// It is a no-op for trace 0, so untraced sessions cost one branch.
 func RecordSpan(trace uint64, tier, node, name, task string, session uint64, start time.Time, d time.Duration, errText string) {
 	if trace == 0 {
 		return

@@ -2,11 +2,12 @@ package scenario_test
 
 // The scenario conformance suite: every committed fleet profile crossed
 // with every aggregation rule, on every transport fabric. The in-memory
-// cells always run (they are the `-race` tier); the seven networked
-// fabrics are skipped under -short so `go test ./...` exercises the full
-// 8-fabric matrix while the race step stays fast.
+// cells always run (they are the `-race` tier); the networked fabrics are
+// skipped under -short so `go test ./...` exercises the full matrix while
+// the race step stays fast.
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -15,57 +16,38 @@ import (
 	"repro/internal/transport/tcptransport"
 )
 
-// scenarioFabric mirrors the backend table in internal/server's transport
+// scenarioFabrics mirrors the cell names of internal/server's transport
 // conformance suite (which lives in another test package and cannot be
-// imported): same eight constructions, same names.
-type scenarioFabric struct {
-	name   string
-	stream bool
-	make   func(t *testing.T, seed int64) transport.Fabric
-}
+// imported), read the same way: the carrier (inmem | http | tcp), "deflate"
+// for frame-level compression, "stream" for one dedicated session per
+// participation instead of pooled calls. "bin" no longer selects anything —
+// http-bin and http-deflate-bin build what http and http-deflate do and
+// stay listed only because tier-1's floor pins every cell by name (ROADMAP
+// "Smaller open items").
+var scenarioFabrics = []string{"inmem", "http", "http-bin", "http-deflate", "http-deflate-bin",
+	"http-stream", "tcp", "tcp-bin-deflate"}
 
-var scenarioFabrics = []scenarioFabric{
-	{name: "inmem", make: func(t *testing.T, seed int64) transport.Fabric {
-		return transport.NewNetwork(seed)
-	}},
-	{name: "http", make: func(t *testing.T, seed int64) transport.Fabric {
-		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
-	}},
-	{name: "http-bin", make: func(t *testing.T, seed int64) transport.Fabric {
-		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin"})
-	}},
-	{name: "http-deflate", make: func(t *testing.T, seed int64) transport.Fabric {
-		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Compress: "streamed"})
-	}},
-	{name: "http-deflate-bin", make: func(t *testing.T, seed int64) transport.Fabric {
-		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Compress: "streamed"})
-	}},
-	{name: "http-stream", stream: true, make: func(t *testing.T, seed int64) transport.Fabric {
-		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Stream: true})
-	}},
-	{name: "tcp", make: func(t *testing.T, seed int64) transport.Fabric {
-		return tcpFabric(t, tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
-	}},
-	{name: "tcp-bin-deflate", make: func(t *testing.T, seed int64) transport.Fabric {
-		return tcpFabric(t, tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Compress: "streamed"})
-	}},
-}
-
-func httpFabric(t *testing.T, o httptransport.Options) transport.Fabric {
+func makeFabric(t *testing.T, name string, seed int64) transport.Fabric {
 	t.Helper()
-	f, err := httptransport.New(o)
-	if err != nil {
-		t.Fatalf("starting http fabric: %v", err)
+	compress := ""
+	if strings.Contains(name, "deflate") {
+		compress = "streamed"
 	}
-	t.Cleanup(func() { _ = f.Close() })
-	return f
-}
-
-func tcpFabric(t *testing.T, o tcptransport.Options) transport.Fabric {
-	t.Helper()
-	f, err := tcptransport.New(o)
+	var f interface {
+		transport.Fabric
+		Close() error
+	}
+	var err error
+	switch {
+	case name == "inmem":
+		return transport.NewNetwork(seed)
+	case strings.HasPrefix(name, "http"):
+		f, err = httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Compress: compress})
+	default:
+		f, err = tcptransport.New(tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Compress: compress})
+	}
 	if err != nil {
-		t.Fatalf("starting tcp fabric: %v", err)
+		t.Fatalf("starting %s fabric: %v", name, err)
 	}
 	t.Cleanup(func() { _ = f.Close() })
 	return f
@@ -99,14 +81,14 @@ const (
 )
 
 // TestScenarioConformance is the headline matrix: 3 committed profiles x
-// 3 aggregation rules x 8 fabrics, asserting convergence bounds,
+// 3 aggregation rules x every fabric cell, asserting convergence bounds,
 // throughput floors, and report self-consistency for every cell.
 func TestScenarioConformance(t *testing.T) {
-	for _, fx := range scenarioFabrics {
-		fx := fx
-		t.Run(fx.name, func(t *testing.T) {
-			if fx.name != "inmem" && testing.Short() {
-				t.Skipf("%s cells run in the full (no -short) matrix", fx.name)
+	for _, fabric := range scenarioFabrics {
+		fabric := fabric
+		t.Run(fabric, func(t *testing.T) {
+			if fabric != "inmem" && testing.Short() {
+				t.Skipf("%s cells run in the full (no -short) matrix", fabric)
 			}
 			for _, prof := range conformanceProfiles {
 				for _, rc := range conformanceRules {
@@ -117,9 +99,9 @@ func TestScenarioConformance(t *testing.T) {
 						spec.AggParam = 0 // rule defaults
 						spec.Mode = rc.mode
 						rep, err := scenario.Run(spec, scenario.Options{
-							Fabric:     fx.make(t, 1),
-							FabricName: fx.name,
-							Stream:     fx.stream,
+							Fabric:     makeFabric(t, fabric, 1),
+							FabricName: fabric,
+							Stream:     strings.Contains(fabric, "stream"),
 						})
 						if err != nil {
 							t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -109,23 +108,6 @@ func (d *Deployment) GobEncode() ([]byte, error) {
 func (d *Deployment) GobDecode(b []byte) error {
 	var r deploymentRecipe
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
-		return err
-	}
-	*d = Deployment{Params: r.Params}
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler with the same recipe semantics as
-// GobEncode.
-func (d *Deployment) MarshalJSON() ([]byte, error) {
-	return json.Marshal(deploymentRecipe{Params: d.Params})
-}
-
-// UnmarshalJSON implements json.Unmarshaler with the same inert-recipe
-// semantics as GobDecode.
-func (d *Deployment) UnmarshalJSON(b []byte) error {
-	var r deploymentRecipe
-	if err := json.Unmarshal(b, &r); err != nil {
 		return err
 	}
 	*d = Deployment{Params: r.Params}

@@ -1,8 +1,8 @@
 package server
 
-// The binary fast-path wire forms for the hot client-session messages
-// (wire versioning rule 4's "bin" capability). internal/server owns these
-// message types, so it owns their hand-rolled encoding too: fixed field
+// The hand-rolled wire forms for the hot client-session messages
+// (wire.Binary's hot half). internal/server owns these message types, so
+// it owns their hand-rolled encoding too: fixed field
 // order, varint integers, length-prefixed strings, bulk little-endian
 // vector copies — no reflection anywhere. Cold control-plane messages
 // (task specs, heartbeat reports) intentionally have no binary form; they
@@ -11,7 +11,7 @@ package server
 // report, chunked upload, and the selector route envelope around them.
 //
 // Decoders lease model-sized vectors (UploadChunk.Data/Masked) from
-// internal/vecpool; the HTTP transport returns them after the handler has
+// internal/vecpool; the transport returns them after the handler has
 // copied what it keeps (wire.BufferLease). Every decoder validates
 // declared lengths against the remaining frame before allocating, so a
 // hostile frame cannot buy a huge decode.
@@ -357,7 +357,7 @@ func (r ReportResponse) AppendBinary(dst []byte) []byte {
 		blob, err := gobBlob(secAggReportBlob{Bundle: r.SecAggBundle, Trust: r.SecAggTrust})
 		if err != nil {
 			// SecAgg material that cannot gob-encode is a programming error
-			// (the same material already crosses inside the gob codec);
+			// (the same material already crosses inside cold gob messages);
 			// encode an empty blob so the decoder rejects the frame loudly.
 			blob = nil
 		}

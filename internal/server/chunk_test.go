@@ -91,6 +91,7 @@ func testChunkedUpload(t *testing.T, fx fabricFactory) {
 				Selectors:    []string{"sel"},
 				State:        client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 				Random:       rand.Reader,
+				Stream:       fx.stream,
 			}
 			res, err := dev.RunOnce(time.Now())
 			if err != nil {

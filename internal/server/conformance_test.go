@@ -2,15 +2,16 @@ package server_test
 
 // The transport conformance suite: every integration, reconfiguration,
 // multi-tenant, and chunk-reassembly test in this package runs once per
-// backend — the deterministic in-memory transport.Network, real HTTP via
-// transport/httptransport (per-POST and streaming-session modes, with and
-// without the bin/deflate capabilities), and raw TCP via
-// transport/tcptransport — so every networked backend inherits the full
-// Appendix E.3/E.4 behaviour matrix (failover, recovery, routing, mode
-// switches) already proven on the in-memory fabric. Test bodies are shared
-// verbatim; only the fabric construction is parameterized.
+// backend — the deterministic in-memory transport.Network, sessions over
+// HTTP via transport/httptransport, and sessions over raw TCP via
+// transport/tcptransport, each with and without frame-level deflate — so
+// every networked backend inherits the full Appendix E.3/E.4 behaviour
+// matrix (failover, recovery, routing, mode switches) already proven on the
+// in-memory fabric. Test bodies are shared verbatim; only the fabric
+// construction is parameterized.
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/server"
@@ -30,119 +31,71 @@ type testFabric interface {
 // mode the crossing chose for this run: false constructs plain forwarding
 // selectors, true constructs routing-tier selectors (pooled sessions,
 // list-agents discovery, rendezvous route hints) — see newTestSelector.
+// stream is handed to every client.Runtime a test builds (Runtime.Stream):
+// true rides each participation on a dedicated session with no-ack chunk
+// trains, false on pooled one-shot calls.
 type fabricFactory struct {
 	name    string
 	routing bool
-	// elides marks backends configured to send no-ack upload chunks over
-	// negotiated streaming sessions (Options.AckElide); the degradation
-	// test asserts elision happens exactly on these and nowhere else.
-	elides bool
-	make   func(t *testing.T, seed int64) testFabric
+	stream  bool
+	make    func(t *testing.T, seed int64) testFabric
 }
 
-var fabricFactories = []fabricFactory{
-	{name: "inmem", make: func(t *testing.T, seed int64) testFabric {
-		return transport.NewNetwork(seed)
-	}},
-	{name: "http", make: func(t *testing.T, seed int64) testFabric {
-		f, err := httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
+// networked reports whether the cell crosses real sockets (and therefore
+// elides acks on streamed chunk trains and exposes Stats).
+func (fx fabricFactory) networked() bool { return fx.name != "inmem" }
+
+// The cells. A name is read as tokens: the carrier (inmem | http | tcp),
+// "deflate" when large frames are DEFLATE-compressed (Options.Compress),
+// "stream" when the test's client runtimes ride dedicated sessions. "bin"
+// dates from when the codec was an option: every networked cell frames bin
+// now, so http-bin and http-deflate-bin construct what http and
+// http-deflate do. They stay listed only because tier-1's floor pins every
+// cell of every test by name; ROADMAP "Smaller open items" asks the next
+// re-anchor to drop them (16 cells -> 12).
+var fabricFactories = func() []fabricFactory {
+	names := []string{"inmem", "http", "http-bin", "http-deflate", "http-deflate-bin",
+		"http-stream", "tcp", "tcp-bin-deflate"}
+	out := make([]fabricFactory, len(names))
+	for i, name := range names {
+		out[i] = fabricFactory{name: name, stream: strings.Contains(name, "stream"), make: fabricMaker(name)}
+	}
+	return out
+}()
+
+func fabricMaker(name string) func(t *testing.T, seed int64) testFabric {
+	compress := ""
+	if strings.Contains(name, "deflate") {
+		compress = "streamed"
+	}
+	return func(t *testing.T, seed int64) testFabric {
+		var f interface {
+			testFabric
+			Close() error
+		}
+		var err error
+		switch {
+		case name == "inmem":
+			return transport.NewNetwork(seed)
+		case strings.HasPrefix(name, "http"):
+			f, err = httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Compress: compress})
+		default:
+			f, err = tcptransport.New(tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Compress: compress})
+		}
 		if err != nil {
-			t.Fatalf("starting http fabric: %v", err)
+			t.Fatalf("starting %s fabric: %v", name, err)
 		}
 		t.Cleanup(func() { _ = f.Close() })
 		return f
-	}},
-	// The same HTTP backend with the binary fast-path codec preferred:
-	// every RPC of every conformance test crosses as bin frames on the
-	// /v2/ route (the fabric serves its own nodes, so the capability is
-	// always negotiated), proving the hand-rolled codec preserves the full
-	// behaviour matrix, with gob pinned as the /v1/ fallback by the
-	// bincodec tests in httptransport.
-	{name: "http-bin", make: func(t *testing.T, seed int64) testFabric {
-		f, err := httptransport.New(httptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, Codec: "bin",
-		})
-		if err != nil {
-			t.Fatalf("starting bin http fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}},
-	// The same HTTP backend with the wire-compression capability active:
-	// every RPC of every conformance test rides the /v2/ route with
-	// DEFLATE bodies, proving the negotiated path preserves the full
-	// failover/reconfigure/multitenant behaviour matrix, not just happy
-	// uploads.
-	{name: "http-deflate", make: func(t *testing.T, seed int64) testFabric {
-		f, err := httptransport.New(httptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, Compress: "streamed",
-		})
-		if err != nil {
-			t.Fatalf("starting deflating http fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}},
-	// Both capabilities at once: binary frames inside DEFLATE bodies.
-	{name: "http-deflate-bin", make: func(t *testing.T, seed int64) testFabric {
-		f, err := httptransport.New(httptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Compress: "streamed",
-		})
-		if err != nil {
-			t.Fatalf("starting deflating bin http fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}},
-	// The streaming-session capability: every RPC of every conformance
-	// test rides a cached /papaya/v2/stream connection (one per caller/
-	// callee pair) as length-prefixed bin frames instead of one POST per
-	// call, proving the streaming path preserves the full failover/
-	// reconfigure/multitenant behaviour matrix — including faults injected
-	// mid-stream.
-	{name: "http-stream", elides: true, make: func(t *testing.T, seed int64) testFabric {
-		f, err := httptransport.New(httptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Stream: true, AckElide: true,
-		})
-		if err != nil {
-			t.Fatalf("starting streaming http fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}},
-	// The raw-TCP fabric: no HTTP anywhere — pipelined wire frames over
-	// bare connections, with the same discovery/advertise and
-	// fault-injection semantics. Default (gob) codec configuration.
-	{name: "tcp", elides: true, make: func(t *testing.T, seed int64) testFabric {
-		f, err := tcptransport.New(tcptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, AckElide: true,
-		})
-		if err != nil {
-			t.Fatalf("starting tcp fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}},
-	// Raw TCP with both negotiated capabilities: binary frames, large ones
-	// DEFLATE-compressed per frame.
-	{name: "tcp-bin-deflate", elides: true, make: func(t *testing.T, seed int64) testFabric {
-		f, err := tcptransport.New(tcptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Compress: "streamed", AckElide: true,
-		})
-		if err != nil {
-			t.Fatalf("starting deflating bin tcp fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}},
+	}
 }
 
 // forEachFabric runs a conformance test body once per backend per selector
 // mode: direct (one fabric call per forwarded request, the classic
 // selector) and via-selector (the routing tier — pooled streamed sessions,
 // live-aggregator discovery, rendezvous route hints). The crossing proves
-// the routing tier is behaviour-compatible on every backend: all sixteen
-// cells inherit the full failover/recovery/reconfigure/multitenant matrix.
+// the routing tier is behaviour-compatible on every backend: every cell
+// inherits the full failover/recovery/reconfigure/multitenant matrix.
 func forEachFabric(t *testing.T, run func(t *testing.T, fx fabricFactory)) {
 	modes := []struct {
 		name    string

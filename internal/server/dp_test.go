@@ -602,6 +602,7 @@ func TestNoDPAggregationBitIdentical(t *testing.T) {
 				Selectors:    []string{"sel"},
 				State:        client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 				Random:       rand.Reader,
+				Stream:       fx.stream,
 			}
 			res, err := dev.RunOnce(time.Now())
 			if err != nil {

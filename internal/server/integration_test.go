@@ -39,11 +39,13 @@ type world struct {
 	aggs  []*server.Aggregator
 	sels  []*server.Selector
 	model nn.Model
+	// stream is the cell's Runtime.Stream setting (fabricFactory.stream).
+	stream bool
 }
 
 func newWorld(t *testing.T, fx fabricFactory, nAggs, nSels int) *world {
 	t.Helper()
-	w := &world{t: t, net: fx.make(t, 1), model: nn.NewBilinear(16, 4)}
+	w := &world{t: t, net: fx.make(t, 1), model: nn.NewBilinear(16, 4), stream: fx.stream}
 	w.coord = NewTestCoordinator(w.net)
 	for i := 0; i < nAggs; i++ {
 		name := agName(i)
@@ -116,6 +118,7 @@ func (w *world) device(id int64, corpus *lmdata.Corpus, n int) *client.Runtime {
 		Selectors: []string{selName(0), selName(1 % len(w.sels))},
 		State:     client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 		Random:    rand.Reader,
+		Stream:    w.stream,
 	}
 }
 
@@ -497,6 +500,7 @@ func testSecAggMatchesPlaintextAggregation(t *testing.T, fx fabricFactory) {
 				Selectors:    []string{"sel"},
 				State:        client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 				Random:       rand.Reader,
+				Stream:       fx.stream,
 			}
 			res, err := dev.RunOnce(time.Now())
 			if err != nil {

@@ -7,9 +7,7 @@ package server_test
 // teardowns distinctly from clean closes.
 
 import (
-	"bytes"
 	"crypto/rand"
-	"encoding/gob"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +24,7 @@ func obsCounter(sample string) float64 {
 	return obs.Default().Snapshot()[sample]
 }
 
-// TestTracePropagation asserts the tentpole invariant on all 8 fabrics x
+// TestTracePropagation asserts the tentpole invariant on every fabric x
 // {direct, via-selector}: one completed participation leaves spans from
 // all three tiers in the ring, all under the trace ID the client minted
 // and the control plane echoed.
@@ -67,6 +65,7 @@ func testTracePropagation(t *testing.T, fx fabricFactory) {
 		State:        client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 		Random:       rand.Reader,
 		Compress:     []string{"none"},
+		Stream:       fx.stream,
 	}
 	res, err := dev.RunOnce(time.Now())
 	if err != nil {
@@ -102,78 +101,6 @@ func testTracePropagation(t *testing.T, fx fabricFactory) {
 			t.Fatalf("missing span %q for trace %#x (have %v)", stage, res.TraceID, stages)
 		}
 	}
-}
-
-// legacyCheckinRequest is the /v1 wire shape: no TraceID field. Decoding
-// its gob bytes into the current struct must leave TraceID zero — the
-// degradation rule the capability doc promises.
-type legacyCheckinRequest struct {
-	ClientID     int64
-	Capabilities []string
-}
-
-// TestV1TraceDegradation pins the two halves of the /v1 rule: (1) a gob
-// payload encoded without the TraceID field decodes to trace 0, and (2)
-// a trace-0 check-in crosses the full control plane untraced — zero echo
-// in the response, session still accepted.
-func TestV1TraceDegradation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacyCheckinRequest{
-		ClientID: 9, Capabilities: []string{"lm"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var req server.CheckinRequest
-	if err := gob.NewDecoder(&buf).Decode(&req); err != nil {
-		t.Fatal(err)
-	}
-	if req.ClientID != 9 || len(req.Capabilities) != 1 {
-		t.Fatalf("legacy fields lost in decode: %+v", req)
-	}
-	if req.TraceID != 0 {
-		t.Fatalf("legacy payload decoded with TraceID %d, want 0", req.TraceID)
-	}
-
-	// An untraced check-in through a live control plane: accepted, echo 0.
-	w := newWorldOn(t, fabricFactories[0], server.TaskSpec{
-		ID: "untraced", Mode: core.Async, NumParams: 16, Concurrency: 2,
-		AggregationGoal: 4, Capability: "lm",
-		InitParams: make([]float32, 16), UploadChunkSize: 16,
-	})
-	resp, err := w.net.Call("test", "sel", "checkin", server.CheckinRequest{
-		ClientID: 9, Capabilities: []string{"lm"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := resp.(server.CheckinResponse)
-	if !cr.Accepted {
-		t.Fatalf("untraced checkin rejected: %s", cr.Reason)
-	}
-	if cr.TraceID != 0 {
-		t.Fatalf("untraced checkin echoed trace %d, want 0", cr.TraceID)
-	}
-}
-
-// newWorldOn is the minimal control plane the degradation test needs.
-func newWorldOn(t *testing.T, fx fabricFactory, spec server.TaskSpec) *reaperWorld {
-	t.Helper()
-	net := fx.make(t, 29)
-	coord := server.NewCoordinator("coordinator", net, testTimings(), 7, false)
-	agg := server.NewAggregator("agg", net, "coordinator", testTimings())
-	sel := newTestSelector("sel", net, "coordinator", testTimings(), fx)
-	t.Cleanup(func() {
-		sel.Stop()
-		agg.Stop()
-		coord.Stop()
-	})
-	if _, err := net.Call("test", "coordinator", "register-aggregator", "agg"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Call("test", "coordinator", "create-task", spec); err != nil {
-		t.Fatal(err)
-	}
-	return &reaperWorld{t: t, net: net}
 }
 
 // TestReapCountedDistinctFromCleanClose is the reaper-observability

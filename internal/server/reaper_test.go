@@ -6,7 +6,8 @@ package server_test
 // Timings.SessionTTL on the heartbeat tick, on every fabric. This was the
 // PR-4 leak: before the TTL, such a session held its concurrency slot and
 // leased vector until task drop. Active sessions whose uploads keep
-// arriving must survive the sweep.
+// arriving must survive the sweep; that half drives the sweep with explicit
+// instants (export_test.go) instead of racing sleeps against the TTL.
 
 import (
 	"crypto/rand"
@@ -28,18 +29,19 @@ func reaperTimings() server.Timings {
 	return tm
 }
 
-// reaperWorld is a minimal control plane with reaper-fast timings.
+// reaperWorld is a minimal control plane.
 type reaperWorld struct {
 	t   *testing.T
 	net testFabric
+	agg *server.Aggregator
 }
 
-func newReaperWorld(t *testing.T, fx fabricFactory, spec server.TaskSpec) *reaperWorld {
+func newReaperWorld(t *testing.T, fx fabricFactory, spec server.TaskSpec, tm server.Timings) *reaperWorld {
 	t.Helper()
 	net := fx.make(t, 11)
-	coord := server.NewCoordinator("coordinator", net, reaperTimings(), 7, false)
-	agg := server.NewAggregator("agg", net, "coordinator", reaperTimings())
-	sel := newTestSelector("sel", net, "coordinator", reaperTimings(), fx)
+	coord := server.NewCoordinator("coordinator", net, tm, 7, false)
+	agg := server.NewAggregator("agg", net, "coordinator", tm)
+	sel := newTestSelector("sel", net, "coordinator", tm, fx)
 	t.Cleanup(func() {
 		sel.Stop()
 		agg.Stop()
@@ -51,7 +53,7 @@ func newReaperWorld(t *testing.T, fx fabricFactory, spec server.TaskSpec) *reape
 	if _, err := net.Call("test", "coordinator", "create-task", spec); err != nil {
 		t.Fatal(err)
 	}
-	return &reaperWorld{t: t, net: net}
+	return &reaperWorld{t: t, net: net, agg: agg}
 }
 
 func (w *reaperWorld) checkin(clientID int64) server.CheckinResponse {
@@ -157,7 +159,7 @@ func testSessionReaper(t *testing.T, fx fabricFactory) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			w := newReaperWorld(t, fx, reaperSpec("reap-"+tc.name, tc.useSecAgg, t))
+			w := newReaperWorld(t, fx, reaperSpec("reap-"+tc.name, tc.useSecAgg, t), reaperTimings())
 
 			baseF, baseU := vecpool.OutstandingFloats(), vecpool.OutstandingUints()
 			cr := w.checkin(1)
@@ -195,29 +197,65 @@ func testSessionReaper(t *testing.T, fx fabricFactory) {
 	}
 
 	t.Run("active-session-survives", func(t *testing.T) {
-		w := newReaperWorld(t, fx, reaperSpec("reap-active", false, t))
+		// An hour-long TTL keeps the heartbeat's own sweep out of the way;
+		// every sweep below happens at an instant the test names.
+		tm := testTimings()
+		tm.SessionTTL = time.Hour
+		w := newReaperWorld(t, fx, reaperSpec("reap-active", false, t), tm)
+		const reapedSample = `papaya_sessions_reaped_total{node="agg"}`
+		baseF, reaped0 := vecpool.OutstandingFloats(), obsCounter(reapedSample)
 		cr := w.checkin(1)
 		if !cr.Accepted {
 			t.Fatalf("checkin rejected: %s", cr.Reason)
 		}
-		// Keep the session active at half the TTL for several sweeps: its
-		// chunks must keep being accepted.
-		for i := 0; i < 8; i++ {
-			ur := w.upload(server.UploadChunk{
+		chunk := func(i int) server.UploadResponse {
+			return w.upload(server.UploadChunk{
 				TaskID: cr.TaskID, SessionID: cr.SessionID,
-				Offset: (i % 3) * 37, Data: make([]float32, 37), NumExamples: 1,
+				Offset: i * 37, Data: make([]float32, 37), NumExamples: 1,
 			})
-			if !ur.OK {
-				t.Fatalf("active session's chunk %d rejected: %s", i, ur.Reason)
-			}
-			time.Sleep(30 * time.Millisecond)
 		}
-		// Explicit cleanup, releasing the reassembly lease.
-		if _, err := w.net.Call("test", "sel", "route", server.RouteRequest{
-			TaskID: cr.TaskID, Method: "fail-session",
-			Payload: server.FailRequest{TaskID: cr.TaskID, SessionID: cr.SessionID},
-		}); err != nil {
-			t.Fatal(err)
+		if ur := chunk(0); !ur.OK {
+			t.Fatalf("first chunk rejected: %s", ur.Reason)
+		}
+		lastActive, ok := w.agg.SessionLastActive(cr.TaskID, cr.SessionID)
+		if !ok {
+			t.Fatal("session unknown right after its first chunk")
+		}
+
+		// Half a TTL after its last chunk the session survives the sweep,
+		// and its next chunk is accepted and counts as fresh activity.
+		w.agg.ReapSessionsAt(lastActive.Add(tm.SessionTTL / 2))
+		if ur := chunk(1); !ur.OK {
+			t.Fatalf("active session's next chunk rejected: %s", ur.Reason)
+		}
+		touched, _ := w.agg.SessionLastActive(cr.TaskID, cr.SessionID)
+		if !touched.After(lastActive) {
+			t.Fatalf("second chunk did not advance lastActive (%v -> %v)", lastActive, touched)
+		}
+		// An instant that would have been fatal before the second chunk is
+		// not any more: the TTL runs from the latest activity.
+		w.agg.ReapSessionsAt(lastActive.Add(tm.SessionTTL + time.Nanosecond))
+		if _, ok := w.agg.SessionLastActive(cr.TaskID, cr.SessionID); !ok {
+			t.Fatal("session reaped although its last chunk was inside the TTL")
+		}
+		if d := obsCounter(reapedSample) - reaped0; d != 0 {
+			t.Fatalf("sessions_reaped_total moved by %g while the session was active", d)
+		}
+
+		// Two TTLs of silence: reaped, counted once, lease returned, and a
+		// late chunk is refused.
+		w.agg.ReapSessionsAt(touched.Add(2 * tm.SessionTTL))
+		if _, ok := w.agg.SessionLastActive(cr.TaskID, cr.SessionID); ok {
+			t.Fatal("session survived two TTLs of silence")
+		}
+		if d := obsCounter(reapedSample) - reaped0; d != 1 {
+			t.Fatalf("sessions_reaped_total moved by %g after one reap, want 1", d)
+		}
+		if f := vecpool.OutstandingFloats(); f != baseF {
+			t.Fatalf("float leases after reap: %d, want %d", f, baseF)
+		}
+		if ur := chunk(2); ur.OK || !strings.Contains(ur.Reason, "unknown session") {
+			t.Fatalf("chunk after reap = %+v, want unknown session", ur)
 		}
 	})
 }

@@ -129,8 +129,7 @@ type RouteRequest struct {
 
 	// TraceID is the session's trace ID (0 = untraced); the selector
 	// records a routing span for every forwarded in-session call under
-	// it. Cold field, zero-defaulted for /v1 callers (versioning rule
-	// 2).
+	// it.
 	TraceID uint64
 }
 

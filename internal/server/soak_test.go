@@ -13,17 +13,12 @@ package server_test
 // workload is built from exact dyadic deltas with unit weights so
 // floating-point summation is order-independent and cross-fabric bit
 // equality is a meaningful invariant, not luck.
-//
-// The same file carries the bench-compare gate (PAPAYA_BENCH_COMPARE):
-// streaming must beat the per-chunk POST path in uploads/sec at 16k
-// params, on both streaming backends.
 
 import (
 	"crypto/rand"
 	"fmt"
 	"math"
 	"net/http"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,9 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/transport"
-	"repro/internal/transport/httptransport"
-	"repro/internal/transport/tcptransport"
 )
 
 const (
@@ -73,7 +65,7 @@ func soakTimings() server.Timings {
 // networked fabrics release response leases after frame encode, the
 // in-memory fabric through wire.ResponseSnapshot — so checkLeases is on
 // everywhere; it remains a parameter only for targeted debugging runs.
-func runSoak(t *testing.T, fx fabricFactory, stream, checkLeases bool) []float32 {
+func runSoak(t *testing.T, fx fabricFactory, checkLeases bool) []float32 {
 	t.Helper()
 	net := fx.make(t, 17)
 	coord := server.NewCoordinator("coordinator", net, soakTimings(), 7, false)
@@ -183,7 +175,7 @@ func runSoak(t *testing.T, fx fabricFactory, stream, checkLeases bool) []float32
 					State:        client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 					Random:       rand.Reader,
 					Compress:     []string{"none"},
-					Stream:       stream,
+					Stream:       true,
 				}
 				for {
 					res, err := dev.RunOnce(time.Now())
@@ -278,49 +270,22 @@ func TestStreamSoak(t *testing.T) {
 	}
 	goroutineBase := runtime.NumGoroutine()
 
-	inmemFx := fabricFactory{name: "inmem", make: func(t *testing.T, seed int64) testFabric {
-		return transport.NewNetwork(seed)
-	}}
-	want := runSoak(t, inmemFx, true, true)
+	inmemFx := fabricFactory{name: "inmem", make: fabricMaker("inmem")}
+	want := runSoak(t, inmemFx, true)
 
 	// Two of the three networked cells run the selector in routing mode, so
 	// the pooled-session tier soaks under the full 208-session concurrent
 	// load (and under -race in CI) while the others keep the direct-mode
 	// reference coverage.
 	backends := []fabricFactory{
-		{name: "http-stream", routing: true, make: func(t *testing.T, seed int64) testFabric {
-			f, err := httptransport.New(httptransport.Options{
-				Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Stream: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = f.Close() })
-			return f
-		}},
-		{name: "tcp", make: func(t *testing.T, seed int64) testFabric {
-			f, err := tcptransport.New(tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = f.Close() })
-			return f
-		}},
-		{name: "tcp-bin-deflate", routing: true, make: func(t *testing.T, seed int64) testFabric {
-			f, err := tcptransport.New(tcptransport.Options{
-				Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Compress: "streamed",
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = f.Close() })
-			return f
-		}},
+		{name: "http-stream", routing: true, make: fabricMaker("http-stream")},
+		{name: "tcp", make: fabricMaker("tcp")},
+		{name: "tcp-bin-deflate", routing: true, make: fabricMaker("tcp-bin-deflate")},
 	}
 	for _, fx := range backends {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
-			got := runSoak(t, fx, true, true)
+			got := runSoak(t, fx, true)
 			if len(got) != len(want) {
 				t.Fatalf("aggregate length %d, want %d", len(got), len(want))
 			}
@@ -344,206 +309,4 @@ func TestStreamSoak(t *testing.T) {
 	buf := make([]byte, 1<<18)
 	t.Fatalf("goroutine leak: %d at start, %d after soak\n%s",
 		goroutineBase, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-}
-
-// TestStreamBeatsPerChunkPost is the bench-compare gate (set
-// PAPAYA_BENCH_COMPARE=1): at 16k params, the streaming session path must
-// move more uploads/sec than the per-chunk POST path — on both the HTTP
-// streaming backend and raw TCP. This is the regression fence around the
-// reason the streaming fabric exists.
-func TestStreamBeatsPerChunkPost(t *testing.T) {
-	if os.Getenv("PAPAYA_BENCH_COMPARE") == "" {
-		t.Skip("set PAPAYA_BENCH_COMPARE=1 to run the stream-vs-POST comparison")
-	}
-	const (
-		benchParams  = 16384
-		benchUploads = 48
-		benchClients = 8
-	)
-	measure := func(name string, mk func() testFabric, stream bool) float64 {
-		t.Helper()
-		net := mk()
-		coord := server.NewCoordinator("coordinator", net, testTimings(), 7, false)
-		agg := server.NewAggregator("agg", net, "coordinator", testTimings())
-		sel := server.NewSelector("sel", net, "coordinator", testTimings())
-		defer func() {
-			sel.Stop()
-			agg.Stop()
-			coord.Stop()
-		}()
-		if _, err := net.Call("test", "coordinator", "register-aggregator", "agg"); err != nil {
-			t.Fatal(err)
-		}
-		spec := server.TaskSpec{
-			ID: "bench", Mode: core.Async, NumParams: benchParams,
-			Concurrency: benchClients * 2, AggregationGoal: 8, Capability: "lm",
-			InitParams: make([]float32, benchParams), UploadChunkSize: 4096,
-		}
-		if _, err := net.Call("test", "coordinator", "create-task", spec); err != nil {
-			t.Fatal(err)
-		}
-		delta := make([]float32, benchParams)
-		for i := range delta {
-			delta[i] = 0.001
-		}
-		var completed atomic.Int64
-		start := time.Now()
-		var wg sync.WaitGroup
-		for c := 0; c < benchClients; c++ {
-			wg.Add(1)
-			go func(id int64) {
-				defer wg.Done()
-				store := client.NewExampleStore(0, 0)
-				store.Add([]int{1, 2, 3}, time.Now())
-				dev := &client.Runtime{
-					ClientID: id, Capabilities: []string{"lm"},
-					Store: store, Exec: fixedExecutor{delta: delta},
-					Net: net, Selectors: []string{"sel"},
-					State:    client.DeviceState{Idle: true, Charging: true, Unmetered: true},
-					Random:   rand.Reader,
-					Compress: []string{"none"},
-					Stream:   stream,
-				}
-				for completed.Load() < benchUploads {
-					res, err := dev.RunOnce(time.Now())
-					if err == nil && res.Outcome == client.Completed {
-						completed.Add(1)
-					}
-				}
-			}(int64(100 + c))
-		}
-		wg.Wait()
-		rate := float64(completed.Load()) / time.Since(start).Seconds()
-		t.Logf("%s: %.1f uploads/sec at %d params", name, rate, benchParams)
-		return rate
-	}
-
-	newHTTP := func(stream bool) func() testFabric {
-		return func() testFabric {
-			f, err := httptransport.New(httptransport.Options{
-				Listen: "127.0.0.1:0", Codec: "bin", Stream: stream,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = f.Close() })
-			return f
-		}
-	}
-	newTCP := func() testFabric {
-		f, err := tcptransport.New(tcptransport.Options{Listen: "127.0.0.1:0", Codec: "bin"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}
-
-	post := measure("http per-chunk POST", newHTTP(false), false)
-	httpStream := measure("http-stream", newHTTP(true), true)
-	tcpStream := measure("tcp", newTCP, true)
-	if httpStream <= post {
-		t.Fatalf("http streaming (%.1f/s) is not faster than per-chunk POST (%.1f/s) at %d params",
-			httpStream, post, benchParams)
-	}
-	if tcpStream <= post {
-		t.Fatalf("tcp streaming (%.1f/s) is not faster than per-chunk POST (%.1f/s) at %d params",
-			tcpStream, post, benchParams)
-	}
-}
-
-// TestElidedBeatsPerChunkAck is the v2 bench-compare gate (set
-// PAPAYA_BENCH_COMPARE=1): at 16k params on the TCP fabric, the
-// ack-eliding upload rhythm — non-final chunks unacknowledged, frames
-// coalesced into one writev batch — must move at least as many
-// uploads/sec as the same fabric running per-chunk acks. This fences the
-// reason the /v2 capability exists; both cells are measured in the same
-// process on the same host so the comparison is apples to apples.
-func TestElidedBeatsPerChunkAck(t *testing.T) {
-	if os.Getenv("PAPAYA_BENCH_COMPARE") == "" {
-		t.Skip("set PAPAYA_BENCH_COMPARE=1 to run the elided-vs-acked comparison")
-	}
-	const (
-		benchParams  = 16384
-		benchUploads = 48
-		benchClients = 8
-	)
-	measure := func(name string, elide bool) float64 {
-		t.Helper()
-		f, err := tcptransport.New(tcptransport.Options{
-			Listen: "127.0.0.1:0", Codec: "bin", AckElide: elide,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		net := testFabric(f)
-		coord := server.NewCoordinator("coordinator", net, testTimings(), 7, false)
-		agg := server.NewAggregator("agg", net, "coordinator", testTimings())
-		sel := server.NewSelector("sel", net, "coordinator", testTimings())
-		defer func() {
-			sel.Stop()
-			agg.Stop()
-			coord.Stop()
-		}()
-		if _, err := net.Call("test", "coordinator", "register-aggregator", "agg"); err != nil {
-			t.Fatal(err)
-		}
-		spec := server.TaskSpec{
-			ID: "bench", Mode: core.Async, NumParams: benchParams,
-			Concurrency: benchClients * 2, AggregationGoal: 8, Capability: "lm",
-			InitParams: make([]float32, benchParams), UploadChunkSize: 4096,
-		}
-		if _, err := net.Call("test", "coordinator", "create-task", spec); err != nil {
-			t.Fatal(err)
-		}
-		delta := make([]float32, benchParams)
-		for i := range delta {
-			delta[i] = 0.001
-		}
-		var completed atomic.Int64
-		start := time.Now()
-		var wg sync.WaitGroup
-		for c := 0; c < benchClients; c++ {
-			wg.Add(1)
-			go func(id int64) {
-				defer wg.Done()
-				store := client.NewExampleStore(0, 0)
-				store.Add([]int{1, 2, 3}, time.Now())
-				dev := &client.Runtime{
-					ClientID: id, Capabilities: []string{"lm"},
-					Store: store, Exec: fixedExecutor{delta: delta},
-					Net: net, Selectors: []string{"sel"},
-					State:    client.DeviceState{Idle: true, Charging: true, Unmetered: true},
-					Random:   rand.Reader,
-					Compress: []string{"none"},
-					Stream:   true,
-				}
-				for completed.Load() < benchUploads {
-					res, err := dev.RunOnce(time.Now())
-					if err == nil && res.Outcome == client.Completed {
-						completed.Add(1)
-					}
-				}
-			}(int64(100 + c))
-		}
-		wg.Wait()
-		rate := float64(completed.Load()) / time.Since(start).Seconds()
-		elided := f.Stats().AcksElided
-		t.Logf("%s: %.1f uploads/sec at %d params (%d acks elided)", name, rate, benchParams, elided)
-		if elide && elided == 0 {
-			t.Fatalf("%s: ack elision was enabled but no acks were elided", name)
-		}
-		if !elide && elided != 0 {
-			t.Fatalf("%s: per-chunk-ack run elided %d acks", name, elided)
-		}
-		return rate
-	}
-
-	acked := measure("tcp per-chunk ack", false)
-	elided := measure("tcp elided", true)
-	if elided < acked {
-		t.Fatalf("elided tcp uploads (%.1f/s) fell below per-chunk-ack tcp (%.1f/s) at %d params",
-			elided, acked, benchParams)
-	}
 }

@@ -54,8 +54,8 @@ type TaskSpec struct {
 	// Compress names the internal/compress codec the server prefers for
 	// upload chunks ("" or "none" disables). It is a preference, not a
 	// mandate: each upload negotiates against the codecs the client
-	// offered at report time, so clients that offer nothing (older /v1/
-	// builds) upload raw and keep working.
+	// offered at report time, so a client that offers nothing (or only
+	// "none") uploads raw.
 	Compress string
 	// Aggregation names the fedopt.Aggregation rule weighting accepted
 	// uploads: "" (the default staleness-weighted FedBuff), "fedavg",
@@ -122,9 +122,7 @@ type JoinResponse struct {
 	// RetryAfterMs, on a rejection, hints how long the client should back
 	// off before its next check-in — the aggregator's estimate of when a
 	// session slot frees up (its EWMA of session-close intervals). 0 means
-	// no hint: the client keeps its own jittered backoff. Cold gob field
-	// (versioning rule 2): an older peer's decoder drops it and the client
-	// degrades to local backoff.
+	// no hint: the client keeps its own jittered backoff.
 	RetryAfterMs int
 }
 
@@ -147,8 +145,8 @@ type ReportRequest struct {
 	TaskID    string
 	SessionID uint64
 	// Compress lists the internal/compress codecs the client can encode —
-	// its half of the upload-compression negotiation. Absent (an older
-	// client build) means raw uploads only.
+	// its half of the upload-compression negotiation. Empty means raw
+	// uploads only.
 	Compress []string
 }
 
@@ -170,8 +168,7 @@ type ReportResponse struct {
 	// bound before (optionally) quantizing and uploading — the ROADMAP's
 	// "clip before quantize" ordering. The server re-clips after
 	// dequantize regardless, so the guarantee never rests on client
-	// cooperation. Cold gob field (versioning rule 2): a /v1 client drops
-	// it and the server-side re-clip still bounds sensitivity.
+	// cooperation.
 	DPClip float64
 	// DPLocalNoise, when positive, is the per-coordinate Gaussian stddev
 	// the client adds to its clipped delta before upload (local DP).
@@ -188,8 +185,8 @@ type UploadChunk struct {
 	Data      []float32
 	Masked    []uint32
 	// Packed, when non-empty, replaces Data/Masked with a self-describing
-	// internal/compress frame holding this chunk's elements (the
-	// negotiated wire-compression capability). Offset/Done semantics are
+	// internal/compress frame holding this chunk's elements (the codec
+	// ReportResponse.Compress named). Offset/Done semantics are
 	// unchanged: offsets address decoded elements.
 	Packed      []byte
 	Done        bool
@@ -209,8 +206,7 @@ type UploadResponse struct {
 
 // AckElidable implements transport.AckElidable: a successful chunk ack
 // carries no information the uploader needs per chunk (rejections always
-// ride the wire), so a peer that negotiated the ack-elide capability may
-// suppress it.
+// ride the wire), so the serving side suppresses it on a no-ack frame.
 func (u UploadResponse) AckElidable() bool { return u.OK }
 
 // FailRequest tells the aggregator a session died client-side (the paper
@@ -229,9 +225,7 @@ type CheckinRequest struct {
 	Capabilities []string
 
 	// TraceID is the session trace ID minted by the client at check-in
-	// (internal/obs.NextTraceID). 0 means the client is not tracing. A
-	// /v1 selector's decoder drops the field (zero value), so the
-	// session degrades to untraced rather than failing.
+	// (internal/obs.NextTraceID). 0 means the client is not tracing.
 	TraceID uint64
 }
 
@@ -247,13 +241,13 @@ type CheckinResponse struct {
 	Version    int
 
 	// TraceID echoes the request's trace ID when the selector recorded
-	// it; a zero echo tells the client the control plane is /v1 (or
-	// untraced) and server-side spans will not exist for this session.
+	// it; a zero echo tells the client the check-in was untraced and
+	// server-side spans will not exist for this session.
 	TraceID uint64
 
 	// RetryAfterMs, on a rejection, propagates the aggregator's backoff
 	// hint (JoinResponse.RetryAfterMs) through the selector to the client.
-	// 0 means no hint. Cold gob field (versioning rule 2).
+	// 0 means no hint.
 	RetryAfterMs int
 }
 

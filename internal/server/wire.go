@@ -1,10 +1,6 @@
 package server
 
-import (
-	"encoding/json"
-
-	"repro/internal/transport/wire"
-)
+import "repro/internal/transport/wire"
 
 // The control plane rides the in-memory fabric as plain `any` values; to
 // cross a process boundary every payload and response must instead be a
@@ -12,8 +8,8 @@ import (
 // internal/server puts on the network — Section 4's Coordinator/Aggregator/
 // Selector protocols, the Section 6.1 client session calls, and the
 // Appendix E.3/E.4 control messages. A type absent from this list cannot
-// travel over httptransport; wire round-trip tests enumerate exactly this
-// set.
+// travel over a networked fabric; wire round-trip tests enumerate exactly
+// this set.
 func init() {
 	// Primitive payloads: node names (register-aggregator, drop-task,
 	// task-info) and bare acks.
@@ -46,37 +42,4 @@ func init() {
 	wire.Register("papaya/v1/server.FailRequest", FailRequest{})
 	wire.Register("papaya/v1/server.RouteRequest", RouteRequest{})
 	wire.Register("papaya/v1/server.TaskInfo", TaskInfo{})
-}
-
-// routeRequestJSON is RouteRequest's JSON shape: the forwarded payload is
-// interface-typed, so it serializes self-describing via wire.MarshalAny.
-type routeRequestJSON struct {
-	TaskID  string          `json:"task_id"`
-	Method  string          `json:"method"`
-	Payload json.RawMessage `json:"payload"`
-	TraceID uint64          `json:"trace_id,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler so the JSON wire codec can carry
-// the selector-forwarded payload with its concrete type intact.
-func (r RouteRequest) MarshalJSON() ([]byte, error) {
-	payload, err := wire.MarshalAny(r.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(routeRequestJSON{TaskID: r.TaskID, Method: r.Method, Payload: payload, TraceID: r.TraceID})
-}
-
-// UnmarshalJSON implements json.Unmarshaler; see MarshalJSON.
-func (r *RouteRequest) UnmarshalJSON(b []byte) error {
-	var j routeRequestJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return err
-	}
-	payload, err := wire.UnmarshalAny(j.Payload)
-	if err != nil {
-		return err
-	}
-	r.TaskID, r.Method, r.Payload, r.TraceID = j.TaskID, j.Method, payload, j.TraceID
-	return nil
 }

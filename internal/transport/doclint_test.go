@@ -22,6 +22,7 @@ import (
 var doclintDirs = []string{
 	".",             // internal/transport
 	"wire",          // internal/transport/wire
+	"streamcore",    // internal/transport/streamcore (the networked fabric)
 	"httptransport", // internal/transport/httptransport
 	"tcptransport",  // internal/transport/tcptransport
 	"../server",     // internal/server

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Faults is the injected-fault state shared by the networked fabrics
-// (HTTP and raw TCP): crash markers, partitions, probabilistic loss, and
+// Faults is the injected-fault state of the networked fabric
+// (streamcore.Fabric): crash markers, partitions, probabilistic loss, and
 // fixed latency, checked in the in-memory Network's order so fault parity
 // is structural rather than re-implemented per backend. It is safe for
 // concurrent use. The zero value is unusable; call InitFaults.
@@ -99,7 +99,7 @@ func (f *Faults) SetLatency(d time.Duration) {
 // CheckCall applies the client-side fault checks for one call, in the
 // in-memory Network's order (crashed callee, crashed caller, partition,
 // loss, then latency). The caller has already resolved the target
-// (ErrUnknownNode precedes these checks, and resolution is per-backend).
+// (ErrUnknownNode precedes these checks).
 func (f *Faults) CheckCall(from, to, method string) error {
 	f.mu.RLock()
 	crashedTo := f.crashed[to]

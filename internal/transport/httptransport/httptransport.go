@@ -1,10 +1,11 @@
-// Package httptransport is the networked transport.Fabric: the same
-// Coordinator/Aggregator/Selector control plane that runs over the
-// in-memory Network in tests serves real traffic across OS processes and
-// machines here, over plain stdlib net/http with the versioned wire codec
-// (internal/transport/wire). This is the deployment step the paper takes
-// for granted — PAPAYA's Section 4 components are data-center services —
-// and the repo's ROADMAP names as the north star.
+// Package httptransport is the HTTP transport.Fabric: the networked fabric
+// of internal/transport/streamcore carried over plain stdlib net/http, for
+// deployments where only HTTP crosses the network boundary. Everything
+// above the connection (node and route tables, fault injection, pooled
+// calls, dedicated sessions, dispatch, discovery through the reserved
+// _fabric node) is the shared streamcore.Fabric this package embeds; what
+// lives here is how a connection is dialed and accepted — one long-lived
+// full-duplex POST per session (httpstream.go).
 //
 // One Fabric instance backs one process: nodes registered locally are
 // served from this process's HTTP listener; calls to any other node are
@@ -14,149 +15,69 @@
 // the real HTTP stack, so a single-process deployment exercises exactly the
 // code paths a multi-host one does.
 //
-// The fabric serves two route generations. /papaya/v1/ is the baseline:
-// one uncompressed gob/json frame per POST. /papaya/v2/ adds the
-// negotiated capabilities: frame bodies may be DEFLATE-compressed
-// (Content-Encoding: deflate) and may use the binary fast-path codec
-// (wire.Binary, Content-Type application/x-papaya-bin). Which generation
-// and codec a call uses is negotiated, never assumed — peers exchange
-// wire.Capabilities documents at discovery and advertisement, and a fabric
-// sends v2 traffic only to peers that advertised the matching capability.
-// A /v1/-only peer (an older build) keeps receiving exactly the v1 gob
-// bytes it always did.
-//
-// The fabric also implements transport.FaultInjector with the in-memory
-// backend's semantics (crashes, partitions, probabilistic drops, fixed
-// latency), which is what lets the server conformance suite run the
-// Appendix E.4 failure drills unchanged against both backends. Injected
-// faults are per-fabric (this process's view); between real processes, a
-// dead peer surfaces as a connection error and maps onto the same
-// transport.ErrCrashed that components already retry through.
+// Injected faults are per-fabric (this process's view); between real
+// processes, a dead peer surfaces as a connection error and maps onto the
+// same transport.ErrCrashed that components already retry through.
 package httptransport
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"net/url"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/transport"
 	"repro/internal/transport/streamcore"
-	"repro/internal/transport/wire"
 )
 
 // Compile-time interface checks against the contracts in internal/transport.
 var (
 	_ transport.Fabric        = (*Fabric)(nil)
 	_ transport.FaultInjector = (*Fabric)(nil)
+	_ transport.StreamFabric  = (*Fabric)(nil)
 )
 
-const (
-	apiPrefix   = "/papaya/v1"
-	apiPrefixV2 = "/papaya/v2"
-)
+// streamPath is the one route the fabric serves: POST streamPath+<node>
+// opens a session whose request and response bodies are frame sequences.
+const streamPath = "/papaya/v2/stream/"
 
 // Options configures a Fabric.
 type Options struct {
 	// Listen is the TCP listen address (e.g. "127.0.0.1:8070"; port 0
 	// picks a free port).
 	Listen string
-	// Codec selects the preferred wire codec: "gob" (default), "json", or
-	// "bin" (the binary fast path). "bin" is a negotiated capability: it
-	// is used only toward peers whose discovery document advertised it,
-	// with gob as the universal fallback, so a bin-preferring fabric
-	// interoperates with /v1/ gob peers byte-for-byte unchanged. Serving
-	// is codec-agnostic either way — every fabric decodes all three by
-	// content type and answers in the codec the caller used.
+	// Codec survives only until benchmark/harness.go stops setting it: ""
+	// or "bin" (the one frame format); anything else is an error.
 	Codec string
 	// AdvertiseURL is the base URL peers should use to reach this fabric.
 	// Defaults to "http://<bound address>", which is correct on localhost;
 	// set it explicitly when listening on 0.0.0.0 behind NAT or a proxy.
 	AdvertiseURL string
 	// Compress names the compress.Codec this fabric prefers on the wire
-	// ("" or "none" disables). When the codec includes a streaming stage
-	// (Streams() true, e.g. "streamed" or "flate"), whole RPC bodies to
-	// APIv2 peers are additionally DEFLATE-compressed on the /v2/ route.
-	// Decoding is always available regardless of this setting: every
-	// fabric serves /v2/ and decodes every registered codec.
+	// ("" or "none" disables); see streamcore.Options.Compress.
 	Compress string
-	// Stream routes calls toward stream-capable peers over cached
-	// streaming sessions — one persistent /papaya/v2/stream connection per
-	// (caller, callee) pair carrying length-prefixed frames — instead of
-	// one POST per call. Like bin and deflate it is a negotiated /v2/
-	// capability: peers that did not advertise wire.Capabilities.Stream
-	// keep receiving per-POST traffic. Serving is unconditional — every
-	// fabric accepts streams regardless of this setting.
+	// Stream is ignored (every call rides a session); it survives only
+	// until benchmark/harness.go stops setting it.
 	Stream bool
-	// AckElide lets this fabric's streamed sessions send no-ack frames
-	// toward peers that advertised the ack-elide capability
-	// (wire.Capabilities.AckElide): non-final upload chunks ride the
-	// stream unanswered and coalesce into batched writes. Off, every
-	// streamed call keeps its per-frame acknowledgement. Serving no-ack
-	// frames is unconditional — the knob only governs what this fabric
-	// sends.
+	// AckElide is ignored (sessions always elide); it survives only until
+	// benchmark/harness.go stops setting it.
 	AckElide bool
 	// Seed seeds the probabilistic-loss RNG (SetLoss); 0 is a valid seed.
 	Seed int64
-	// CallTimeout bounds one RPC end to end (default 30s). The in-memory
-	// fabric always returns, and every failover path is built on calls
-	// failing fast — a blackholed peer must surface as an error, not a
-	// stuck heartbeat loop that hangs shutdown.
+	// CallTimeout bounds one call end to end (default 30s).
 	CallTimeout time.Duration
 }
 
-// Stats is the shared traffic-counter document (transport.Stats): outbound
-// calls, request bytes written and response bytes read. The loadtest
-// reports them as "bytes moved".
-type Stats = transport.Stats
-
-// Fabric is the HTTP-backed transport.Fabric for one process. It is safe
-// for concurrent use.
+// Fabric is the HTTP-backed transport.Fabric for one process: the shared
+// streamcore.Fabric plus an HTTP listener. It is safe for concurrent use.
 type Fabric struct {
-	codec        wire.Codec
-	binPreferred bool       // Options.Codec was "bin": use it where negotiated
-	fallback     wire.Codec // codec for peers that did not advertise bin
-	baseURL      string
-	srv          *http.Server
-	ln           net.Listener
-	client       *http.Client
-	compressName string
-	deflateBody  bool // compress codec streams: deflate /v2/ RPC bodies
-	streamMode   bool // Options.Stream: prefer cached stream sessions
-	// streamClient issues the long-lived /v2/stream POSTs. It shares the
-	// pooled *http.Transport with client but has no overall timeout — a
-	// stream lives for a whole session; per-call deadlines are enforced by
-	// the session watchdog instead.
-	streamClient *http.Client
-	callTimeout  time.Duration
-	ackElide     bool
-
-	mu       sync.RWMutex
-	local    map[string]transport.Handler
-	routes   map[string]string            // node name -> peer base URL
-	peerCaps map[string]wire.Capabilities // peer base URL -> advertised capabilities
-
-	// Faults is the injected-fault table shared with the other networked
-	// backend, promoted so Fabric implements transport.FaultInjector.
-	transport.Faults
-
-	// counters feed Stats; the per-POST path and the shared stream engine
-	// both update them.
-	counters streamcore.Counters
-
-	// pool caches idle stream sessions per "<peer base URL>|<node>" key
-	// (any caller may reuse one — the frame carries From) and tracks every
-	// live fabric-opened session so Close can tear them down.
-	pool *streamcore.Pool
+	*streamcore.Fabric
+	srv *http.Server
+	// client issues the long-lived stream POSTs. It has no overall timeout
+	// — a stream lives for a whole session; per-call deadlines are enforced
+	// by the session engine instead.
+	client *http.Client
 
 	closeOnce sync.Once
 }
@@ -164,25 +85,8 @@ type Fabric struct {
 // New binds the listener and starts serving. The returned fabric is ready
 // for Register/Call immediately; Close releases the port.
 func New(opts Options) (*Fabric, error) {
-	codecName := opts.Codec
-	if codecName == "" {
-		codecName = "gob"
-	}
-	codec, err := wire.ByName(codecName)
-	if err != nil {
-		return nil, err
-	}
-	compressName := opts.Compress
-	if compressName == "none" {
-		compressName = ""
-	}
-	deflateBody := false
-	if compressName != "" {
-		cc, err := compress.ByName(compressName)
-		if err != nil {
-			return nil, err
-		}
-		deflateBody = cc.Streams()
+	if opts.Codec != "" && opts.Codec != "bin" {
+		return nil, fmt.Errorf("httptransport: unknown codec %q (the one wire format is bin)", opts.Codec)
 	}
 	ln, err := net.Listen("tcp", opts.Listen)
 	if err != nil {
@@ -192,611 +96,34 @@ func New(opts Options) (*Fabric, error) {
 	if baseURL == "" {
 		baseURL = "http://" + ln.Addr().String()
 	}
-	callTimeout := opts.CallTimeout
-	if callTimeout == 0 {
-		callTimeout = 30 * time.Second
-	}
 	// One pooled *http.Transport per fabric with a generous idle pool: the
 	// control plane makes many small concurrent calls to few hosts, the
 	// worst case for net/http's default 2-per-host idle cap.
-	tr := &http.Transport{MaxIdleConnsPerHost: 64, MaxIdleConns: 256}
-	f := &Fabric{
-		codec:        codec,
-		binPreferred: codec.Name() == "bin",
-		fallback:     wire.Gob{},
-		baseURL:      baseURL,
-		ln:           ln,
-		compressName: compressName,
-		deflateBody:  deflateBody,
-		streamMode:   opts.Stream,
-		callTimeout:  callTimeout,
-		ackElide:     opts.AckElide,
-		local:        make(map[string]transport.Handler),
-		routes:       make(map[string]string),
-		peerCaps:     make(map[string]wire.Capabilities),
-		pool:         streamcore.NewPool(maxIdleStreamsPerPeer),
-		client:       &http.Client{Transport: tr, Timeout: callTimeout},
-		streamClient: &http.Client{Transport: tr},
+	f := &Fabric{client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64, MaxIdleConns: 256}}}
+	f.Fabric, err = streamcore.NewFabric(streamcore.Options{
+		Prefix: "httptransport", Addr: baseURL,
+		Compress: opts.Compress, Seed: opts.Seed, CallTimeout: opts.CallTimeout,
+		Dial: f.dial,
+	})
+	if err != nil {
+		_ = ln.Close()
+		return nil, err
 	}
-	f.InitFaults(opts.Seed)
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+apiPrefix+"/rpc/{node}", f.handleRPC)
-	mux.HandleFunc("GET "+apiPrefix+"/nodes", f.handleNodes)
-	mux.HandleFunc("POST "+apiPrefix+"/advertise", f.handleAdvertise)
-	// The /v2/ generation (negotiated capabilities): same surface, but RPC
-	// bodies may be DEFLATE-compressed, and /stream carries a whole
-	// session of length-prefixed frames over one connection. Both
-	// generations are always served; peers choose per call based on what
-	// we advertised.
-	mux.HandleFunc("POST "+apiPrefixV2+"/rpc/{node}", f.handleRPC)
-	mux.HandleFunc("GET "+apiPrefixV2+"/nodes", f.handleNodes)
-	mux.HandleFunc("POST "+apiPrefixV2+"/advertise", f.handleAdvertise)
-	mux.HandleFunc("POST "+apiPrefixV2+"/stream/{node}", f.handleStream)
+	mux.HandleFunc("POST "+streamPath+"{node}", f.handleStream)
 	f.srv = &http.Server{Handler: mux}
 	go func() { _ = f.srv.Serve(ln) }()
 	return f, nil
 }
-
-// BaseURL returns the URL peers use to reach this fabric.
-func (f *Fabric) BaseURL() string { return f.baseURL }
-
-// CodecName returns the active wire codec's name.
-func (f *Fabric) CodecName() string { return f.codec.Name() }
-
-// CompressName returns the preferred wire-compression codec name
-// (Options.Compress; "" when compression is disabled).
-func (f *Fabric) CompressName() string { return f.compressName }
-
-// Stats returns a snapshot of the fabric's traffic counters.
-func (f *Fabric) Stats() Stats { return f.counters.Snapshot() }
 
 // Close stops serving, tears down live stream sessions, and closes idle
 // connections. It is idempotent.
 func (f *Fabric) Close() error {
 	var err error
 	f.closeOnce.Do(func() {
-		f.pool.Close()
+		f.CloseSessions()
 		err = f.srv.Close()
 		f.client.CloseIdleConnections()
 	})
 	return err
-}
-
-// Register attaches a node served from this process. Re-registering a name
-// replaces its handler and clears any crash marker (a restarted process).
-func (f *Fabric) Register(name string, h transport.Handler) {
-	if h == nil {
-		panic("httptransport: nil handler")
-	}
-	f.mu.Lock()
-	f.local[name] = h
-	f.mu.Unlock()
-	f.ClearCrash(name)
-}
-
-// Unregister detaches a locally served node.
-func (f *Fabric) Unregister(name string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.local, name)
-}
-
-// AddRoute teaches this fabric that node lives at a peer fabric's base URL.
-func (f *Fabric) AddRoute(node, baseURL string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.routes[node] = baseURL
-}
-
-// Nodes returns the locally served, non-crashed node names, sorted.
-func (f *Fabric) Nodes() []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]string, 0, len(f.local))
-	for name := range f.local {
-		if !f.Crashed(name) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Routes returns a copy of the remote routes this fabric knows (node name
-// -> base URL), from AddRoute, Advertise/Discover exchanges, and gossip.
-// It is what selfDoc gossips onward.
-func (f *Fabric) Routes() map[string]string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make(map[string]string, len(f.routes))
-	for node, base := range f.routes {
-		out[node] = base
-	}
-	return out
-}
-
-// --- client side ---
-
-// checkCall resolves where to reach to and applies the injected-fault
-// checks in the in-memory Network's order (unknown node first, then the
-// shared transport.Faults table). Both the per-POST path and every
-// stream-session call run through it, so fault parity holds regardless of
-// how the bytes travel.
-func (f *Fabric) checkCall(from, to, method string) (target string, isLocal bool, err error) {
-	f.mu.RLock()
-	_, isLocal = f.local[to]
-	route := f.routes[to]
-	f.mu.RUnlock()
-
-	target = route
-	if isLocal {
-		target = f.baseURL
-	}
-	if target == "" {
-		return "", false, fmt.Errorf("%w: %s", transport.ErrUnknownNode, to)
-	}
-	if err := f.CheckCall(from, to, method); err != nil {
-		return "", false, err
-	}
-	return target, isLocal, nil
-}
-
-// Call implements transport.Fabric: fault checks mirror the in-memory
-// Network's order, then one HTTP POST to wherever the callee lives —
-// through the loopback listener when it is this same process, so every
-// call exercises the full wire path. Under Options.Stream, calls toward
-// peers that negotiated the stream capability ride a cached streaming
-// session instead of a fresh POST.
-func (f *Fabric) Call(from, to, method string, payload any) (any, error) {
-	target, isLocal, err := f.checkCall(from, to, method)
-	if err != nil {
-		return nil, err
-	}
-	if f.streamMode {
-		if caps := f.peerCapabilities(target, isLocal); caps.SupportsStream() {
-			return f.streamCall(from, to, target, method, payload, caps)
-		}
-	}
-	return f.postCall(from, to, target, isLocal, method, payload)
-}
-
-// postCall is the per-POST request path (the /v1/-era behaviour every peer
-// supports): encode one frame, POST it, decode one response.
-func (f *Fabric) postCall(from, to, target string, isLocal bool, method string, payload any) (any, error) {
-	// Per-peer codec negotiation (wire versioning rule 4): the binary fast
-	// path is used only toward peers that advertised it; everyone else —
-	// including every /v1/ peer, whose document advertises nothing — gets
-	// the gob fallback on the route generation it always had.
-	caps := f.peerCapabilities(target, isLocal)
-	enc := f.codec
-	if f.binPreferred && !caps.SupportsBinary() {
-		enc = f.fallback
-	}
-
-	var body []byte
-	var err error
-	framePooled := false
-	if app, ok := enc.(wire.Appender); ok {
-		// Allocation-free encode: the frame buffer is recycled once the
-		// request has been fully sent (client.Do is synchronous).
-		body, err = app.AppendRequest(getFrame(), &wire.Request{From: from, Method: method, Payload: payload})
-		framePooled = err == nil
-	} else {
-		body, err = enc.EncodeRequest(&wire.Request{From: from, Method: method, Payload: payload})
-	}
-	if err != nil {
-		return nil, fmt.Errorf("httptransport: encoding %s call to %s: %w", method, to, err)
-	}
-	defer func() {
-		if framePooled {
-			putFrame(body)
-		}
-	}()
-
-	// Route-generation choice: bin frames always ride /v2/ (they are a
-	// /v2/ capability); the deflate body stage additionally applies when
-	// our compress codec streams and the peer advertised APIv2. Tiny
-	// control frames stay raw: DEFLATE framing would outweigh the savings.
-	prefix := apiPrefix
-	useBin := enc.Name() == "bin"
-	v2 := f.deflateBody && caps.SupportsCompression()
-	if useBin || v2 {
-		prefix = apiPrefixV2
-	}
-	deflated := false
-	if v2 && len(body) >= deflateMinBytes {
-		if packed, derr := compress.DeflateBytes(body); derr == nil && len(packed) < len(body) {
-			if framePooled {
-				putFrame(body)
-				framePooled = false
-			}
-			body, deflated = packed, true
-		}
-	}
-	f.counters.Calls.Add(1)
-	f.counters.BytesSent.Add(uint64(len(body)))
-	httpReq, err := http.NewRequest(http.MethodPost, target+prefix+"/rpc/"+url.PathEscape(to), bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("httptransport: building %s call to %s: %w", method, to, err)
-	}
-	httpReq.Header.Set("Content-Type", enc.ContentType())
-	if deflated {
-		httpReq.Header.Set("Content-Encoding", "deflate")
-	}
-	if v2 {
-		httpReq.Header.Set("Accept-Encoding", "deflate")
-	}
-	httpResp, err := f.client.Do(httpReq)
-	if err != nil {
-		// Connection-level failure: the peer process is gone or unreachable
-		// — the networked equivalent of a crashed node.
-		return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, to, err)
-	}
-	raw, err := io.ReadAll(httpResp.Body)
-	httpResp.Body.Close()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: reading response: %v", transport.ErrCrashed, to, err)
-	}
-	f.counters.BytesReceived.Add(uint64(len(raw)))
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("httptransport: %s returned HTTP %d: %s", to, httpResp.StatusCode, raw)
-	}
-	if httpResp.Header.Get("Content-Encoding") == "deflate" {
-		if raw, err = compress.InflateBytes(raw, maxRPCBodyBytes); err != nil {
-			return nil, fmt.Errorf("httptransport: inflating response from %s: %w", to, err)
-		}
-	}
-	// The peer answers in the codec we called with.
-	resp, err := enc.DecodeResponse(raw)
-	if err != nil {
-		return nil, fmt.Errorf("httptransport: decoding response from %s: %w", to, err)
-	}
-	if resp.Kind != "" {
-		return nil, transport.KindToError(resp.Kind, resp.Err)
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return resp.Payload, nil
-}
-
-// deflateMinBytes is the body size below which the /v2/ deflate stage is
-// skipped: DEFLATE adds fixed framing overhead, so compressing a 60-byte
-// ack frame makes it bigger.
-const deflateMinBytes = 256
-
-// maxRPCBodyBytes bounds one RPC body in either direction, raw or
-// inflated (64 MiB ≈ a 16M-parameter checkpoint frame). It is both the
-// read limit on incoming requests and the inflation cap for deflated
-// /v2/ bodies, so a small deflate bomb cannot force a huge allocation.
-const maxRPCBodyBytes = 64 << 20
-
-// peerCapabilities returns the capability document governing calls to
-// target. Locally served nodes get this build's own full document (the
-// loopback listener serves /v2/ and decodes every codec); unknown peers
-// get the zero value, i.e. /v1/ baseline.
-func (f *Fabric) peerCapabilities(target string, isLocal bool) wire.Capabilities {
-	if isLocal {
-		return selfCapabilities()
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.peerCaps[target]
-}
-
-// selfCapabilities is this build's own capability document: every build
-// that links this code serves /v2/, decodes every registered codec and
-// compression, accepts streaming sessions, and serves no-ack frames.
-func selfCapabilities() wire.Capabilities {
-	return wire.Capabilities{
-		API:      wire.APIv2,
-		Compress: compress.Names(),
-		Codecs:   wire.DecodableCodecs(),
-		Stream:   true,
-		Trace:    true,
-		AckElide: true,
-	}
-}
-
-// getFrame and putFrame delegate to the shared engine's frame pool —
-// per-POST frames and stream frames recycle through one pool; with an
-// append-capable codec (wire.Appender) the encode path allocates nothing
-// once the pool is warm.
-func getFrame() []byte  { return streamcore.GetFrame() }
-func putFrame(b []byte) { streamcore.PutFrame(b) }
-
-// --- server side ---
-
-// respond writes one wire response in the given codec (the one the caller
-// used); when the caller asked for deflate (the /v2/ compression
-// capability's Accept-Encoding), a large-enough response body is deflated.
-// Append-capable codecs encode into a pooled frame buffer.
-func (f *Fabric) respond(w http.ResponseWriter, codec wire.Codec, resp *wire.Response, deflated bool) {
-	var body []byte
-	var err error
-	framePooled := false
-	if app, ok := codec.(wire.Appender); ok {
-		body, err = app.AppendResponse(getFrame(), resp)
-		framePooled = err == nil
-	} else {
-		body, err = codec.EncodeResponse(resp)
-	}
-	if err != nil {
-		// Encoding an already-handled response failed (unregistered return
-		// type): surface it as an application error instead of silence.
-		body, err = codec.EncodeResponse(&wire.Response{Err: "httptransport: encoding response: " + err.Error()})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", codec.ContentType())
-	if deflated && len(body) >= deflateMinBytes {
-		if packed, derr := compress.DeflateBytes(body); derr == nil && len(packed) < len(body) {
-			w.Header().Set("Content-Encoding", "deflate")
-			if framePooled {
-				putFrame(body)
-				framePooled = false
-			}
-			body = packed
-		}
-	}
-	_, _ = w.Write(body)
-	if framePooled {
-		putFrame(body)
-	}
-}
-
-// handleRPC serves both route generations: /v1/ bodies are raw frames;
-// /v2/ bodies may additionally be deflated (Content-Encoding: deflate)
-// and/or use the binary fast-path codec. The request's Content-Type picks
-// the decoder, and the response answers in the same codec, so one fabric
-// serves gob, json, and bin callers simultaneously — which is what lets a
-// bin-preferring peer talk to a gob-configured server once capabilities
-// are exchanged.
-func (f *Fabric) handleRPC(w http.ResponseWriter, r *http.Request) {
-	node := r.PathValue("node")
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRPCBodyBytes))
-	if err != nil {
-		http.Error(w, "reading request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Compression headers are honored only on the /v2/ generation: the
-	// /v1/ route must keep emitting exactly the bytes it always did
-	// (versioning rule 4), even toward generic HTTP clients that send
-	// Accept-Encoding by default.
-	isV2 := strings.HasPrefix(r.URL.Path, apiPrefixV2)
-	if isV2 && r.Header.Get("Content-Encoding") == "deflate" {
-		if raw, err = compress.InflateBytes(raw, maxRPCBodyBytes); err != nil {
-			http.Error(w, "inflating request: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	deflated := isV2 && strings.Contains(r.Header.Get("Accept-Encoding"), "deflate")
-	codec := f.codec
-	if byCT, ok := wire.ByContentType(r.Header.Get("Content-Type")); ok {
-		codec = byCT
-	}
-	if codec.Name() == "bin" && !isV2 {
-		// bin is a /v2/ capability; a bin frame on /v1/ is a peer bug.
-		http.Error(w, "binary frames require the /v2/ route", http.StatusBadRequest)
-		return
-	}
-	req, err := codec.DecodeRequest(raw)
-	if err != nil {
-		// Includes version mismatches: a frame from an incompatible build
-		// fails loudly here (wire versioning rule 1).
-		http.Error(w, "decoding request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Request payloads whose decoder leased pooled vectors are released
-	// once the handler and the response encode are done; handlers copy
-	// what they keep (the in-memory fabric shares payload memory with
-	// callers under the same contract).
-	defer func() {
-		if lease, ok := req.Payload.(wire.BufferLease); ok {
-			lease.ReleaseBinaryBuffers()
-		}
-	}()
-
-	resp := f.invoke(node, req)
-	f.respond(w, codec, resp, deflated)
-	// Pooled response vectors (a download's model snapshot) are done once
-	// the frame is written.
-	if lease, ok := resp.Payload.(wire.ResponseBufferLease); ok {
-		lease.ReleaseResponseBuffers()
-	}
-}
-
-// invoke runs the server-side fault checks and the handler for one decoded
-// request addressed to node — the dispatch shared by the per-POST route and
-// every frame of a stream. The caller encodes the response and afterwards
-// releases any wire.ResponseBufferLease payload.
-func (f *Fabric) invoke(node string, req *wire.Request) *wire.Response {
-	f.mu.RLock()
-	h, ok := f.local[node]
-	f.mu.RUnlock()
-
-	switch {
-	case !ok:
-		return &wire.Response{Kind: transport.KindUnknownNode, Err: node}
-	case f.Crashed(node):
-		return &wire.Response{Kind: transport.KindCrashed, Err: node}
-	case f.Cut(req.From, node):
-		return &wire.Response{Kind: transport.KindPartitioned, Err: req.From + " <-> " + node}
-	}
-	out, err := safeInvoke(h, req.Method, req.Payload)
-	if err != nil {
-		return &wire.Response{Kind: transport.ErrorToKind(err), Err: err.Error()}
-	}
-	return &wire.Response{Payload: out}
-}
-
-// safeInvoke contains handler panics. In-memory callers are trusted code,
-// but network peers are not: a well-formed frame carrying the wrong
-// registered type for a method would otherwise panic the handler's type
-// assertion — a remote crash lever. The panic becomes an ordinary
-// application error on the wire.
-func safeInvoke(h transport.Handler, method string, payload any) (out any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("httptransport: handler panic on %q: %v", method, r)
-		}
-	}()
-	return h(method, payload)
-}
-
-// nodesDoc is the GET /nodes and /advertise body: which nodes a fabric
-// serves, where, and what it is capable of. The capability fields are the
-// negotiation surface of wire versioning rule 4 — a /v1/ build's document
-// simply lacks them, and the zero value means "baseline only".
-type nodesDoc struct {
-	BaseURL string   `json:"base_url"`
-	Nodes   []string `json:"nodes"`
-	// Routes gossips the remote routes this fabric has learned (node name
-	// -> base URL of the fabric serving it), making discovery transitive: a
-	// selector that Discovers only the coordinator still learns where every
-	// advertised aggregator lives, without a full-mesh advertise. Absent
-	// from /v1/-era documents; receivers treat it as best-effort hints —
-	// local registrations always win over gossiped routes.
-	Routes map[string]string `json:"routes,omitempty"`
-	wire.Capabilities
-}
-
-// selfDoc describes this fabric: every build that links this code serves
-// /v2/, decodes every registered compression codec, decodes every wire
-// codec (including the binary fast path) regardless of its own preference,
-// and accepts streaming sessions on /papaya/v2/stream.
-func (f *Fabric) selfDoc() nodesDoc {
-	return nodesDoc{
-		BaseURL:      f.baseURL,
-		Nodes:        f.Nodes(),
-		Routes:       f.Routes(),
-		Capabilities: selfCapabilities(),
-	}
-}
-
-// recordPeer stores a peer's routes and advertised capabilities. Routes
-// the peer gossiped about third-party fabrics are adopted as-is (newest
-// gossip wins, so a node that moved is re-learned on the next exchange);
-// nodes this fabric serves locally are skipped — call resolution prefers
-// local registration anyway, and recording a gossiped route for them would
-// only confuse Routes() readers.
-func (f *Fabric) recordPeer(doc nodesDoc) {
-	for _, node := range doc.Nodes {
-		f.AddRoute(node, doc.BaseURL)
-	}
-	for node, base := range doc.Routes {
-		f.mu.RLock()
-		_, isLocal := f.local[node]
-		f.mu.RUnlock()
-		if !isLocal && base != f.baseURL {
-			f.AddRoute(node, base)
-		}
-	}
-	f.mu.Lock()
-	f.peerCaps[doc.BaseURL] = doc.Capabilities
-	f.mu.Unlock()
-}
-
-// PeerCapabilities returns what the fabric at baseURL advertised (the zero
-// value for unknown or /v1/ peers).
-func (f *Fabric) PeerCapabilities(baseURL string) wire.Capabilities {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.peerCaps[baseURL]
-}
-
-func (f *Fabric) handleNodes(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(f.selfDoc())
-}
-
-func (f *Fabric) handleAdvertise(w http.ResponseWriter, r *http.Request) {
-	var doc nodesDoc
-	if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
-		http.Error(w, "decoding advertisement: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if doc.BaseURL == "" {
-		http.Error(w, "advertisement missing base_url", http.StatusBadRequest)
-		return
-	}
-	f.recordPeer(doc)
-	f.handleNodes(w, r)
-}
-
-// Advertise announces this fabric's locally served nodes to the peer fabric
-// at peerURL, so the peer can route calls back here (an agent process
-// announcing its Aggregator to the coordinator process), and returns the
-// peer's own node list for symmetric route setup.
-func (f *Fabric) Advertise(peerURL string) ([]string, error) {
-	body, err := json.Marshal(f.selfDoc())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := f.client.Post(peerURL+apiPrefix+"/advertise", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("httptransport: advertising to %s: %w", peerURL, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("httptransport: advertise to %s: HTTP %d: %s", peerURL, resp.StatusCode, msg)
-	}
-	var doc nodesDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, err
-	}
-	f.recordPeer(doc)
-	return doc.Nodes, nil
-}
-
-// Discover fetches the node inventory of the fabric at baseURL, adds a
-// route for every node it serves, and records its advertised capabilities
-// — the client-side entry point for capability negotiation (`papaya
-// loadtest` uses it instead of the capability-blind ListNodes).
-func (f *Fabric) Discover(baseURL string) ([]string, error) {
-	doc, err := fetchNodesDoc(f.client, baseURL)
-	if err != nil {
-		return nil, err
-	}
-	// Route through the URL this fabric actually reached the peer at, not
-	// the peer's advertised base URL: behind port forwarding or NAT the
-	// advertised address may be unreachable from here. Capabilities are
-	// keyed the same way, so negotiation agrees with routing.
-	doc.BaseURL = baseURL
-	f.recordPeer(doc)
-	return doc.Nodes, nil
-}
-
-// fetchNodesDoc fetches and decodes a peer's discovery document — the
-// shared core of Discover and ListNodes.
-func fetchNodesDoc(c *http.Client, baseURL string) (nodesDoc, error) {
-	resp, err := c.Get(baseURL + apiPrefix + "/nodes")
-	if err != nil {
-		return nodesDoc{}, fmt.Errorf("httptransport: listing nodes at %s: %w", baseURL, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return nodesDoc{}, fmt.Errorf("httptransport: list nodes at %s: HTTP %d: %s", baseURL, resp.StatusCode, msg)
-	}
-	var doc nodesDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nodesDoc{}, err
-	}
-	return doc, nil
-}
-
-// ListNodes fetches the node inventory of the fabric at baseURL without a
-// Fabric of its own — for tooling that only wants names. It records no
-// routes and no capabilities; a process that will go on to make calls
-// should use Fabric.Discover so /v2/ negotiation can happen.
-func ListNodes(baseURL string) ([]string, error) {
-	doc, err := fetchNodesDoc(http.DefaultClient, baseURL)
-	if err != nil {
-		return nil, err
-	}
-	return doc.Nodes, nil
 }

@@ -1,5 +1,10 @@
 package httptransport_test
 
+// Tests for the HTTP backend. What every networked fabric shares is
+// specified once in streamcore/fabrictest and run here over real HTTP
+// streams; stream_test.go covers what this package adds — the long-lived
+// full-duplex POST.
+
 import (
 	"errors"
 	"strings"
@@ -9,16 +14,44 @@ import (
 	"repro/internal/server"
 	"repro/internal/transport"
 	"repro/internal/transport/httptransport"
+	"repro/internal/transport/streamcore"
+	"repro/internal/transport/streamcore/fabrictest"
 )
 
-func newFabric(t *testing.T, codec string) *httptransport.Fabric {
+func newFabric(t *testing.T, opts httptransport.Options) *httptransport.Fabric {
 	t.Helper()
-	f, err := httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Codec: codec, Seed: 1})
+	opts.Listen, opts.Seed = "127.0.0.1:0", 1
+	f, err := httptransport.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = f.Close() })
 	return f
+}
+
+func newSuiteFabric(t *testing.T) fabrictest.Fabric { return newFabric(t, httptransport.Options{}) }
+
+func TestFaultParity(t *testing.T)             { fabrictest.FaultParity(t, newSuiteFabric) }
+func TestAdvertiseAndDiscovery(t *testing.T)   { fabrictest.DiscoveryAndAdvertise(t, newSuiteFabric) }
+func TestRouteGossipIsTransitive(t *testing.T) { fabrictest.RouteGossipIsTransitive(t, newSuiteFabric) }
+func TestAckElideEndToEnd(t *testing.T)        { fabrictest.AckElideEndToEnd(t, newSuiteFabric) }
+func TestReservedNodeNameRejected(t *testing.T) {
+	fabrictest.ReservedNodeNameRejected(t, newSuiteFabric)
+}
+func TestAckElideHeldFailureSurfacesOnNextCall(t *testing.T) {
+	fabrictest.AckElideHeldFailureSurfacesOnNextCall(t, newSuiteFabric)
+}
+func TestStreamFaultParityMidSession(t *testing.T) {
+	fabrictest.FaultParityMidSession(t, newSuiteFabric)
+}
+func TestStreamCloseDoesNotLeakGoroutines(t *testing.T) {
+	fabrictest.CloseDoesNotLeakGoroutines(t, newSuiteFabric)
+}
+func TestUnknownVersionKillsSession(t *testing.T) {
+	fabrictest.UnknownVersionKillsSession(t, newSuiteFabric,
+		func(f fabrictest.Fabric, node string) (streamcore.Conn, error) {
+			return f.(*httptransport.Fabric).DialForTest(node)
+		})
 }
 
 // echoHandler returns the payload and method it was called with.
@@ -32,78 +65,79 @@ func echoHandler(method string, payload any) (any, error) {
 	return payload, nil
 }
 
-func TestCallRoundTripBothCodecs(t *testing.T) {
-	for _, codec := range []string{"gob", "json"} {
-		t.Run(codec, func(t *testing.T) {
-			f := newFabric(t, codec)
-			f.Register("node-a", echoHandler)
+// TestCallRoundTrip drives the three payload shapes the control plane uses
+// through the loopback listener, and pins the frozen Options.Codec
+// contract: "" and "bin" name the one wire format, anything else is
+// refused.
+func TestCallRoundTrip(t *testing.T) {
+	f := newFabric(t, httptransport.Options{Codec: "bin"})
+	f.Register("node-a", echoHandler)
 
-			// Struct payload and struct response.
-			resp, err := f.Call("tester", "node-a", "join", server.JoinRequest{TaskID: "t", ClientID: 42})
-			if err != nil {
-				t.Fatal(err)
-			}
-			jr, ok := resp.(server.JoinResponse)
-			if !ok {
-				t.Fatalf("response type %T, want server.JoinResponse", resp)
-			}
-			if !jr.Accepted || jr.SessionID != 42 || jr.Version != 7 {
-				t.Fatalf("round trip mangled response: %+v", jr)
-			}
+	// Struct payload and struct response.
+	resp, err := f.Call("tester", "node-a", "join", server.JoinRequest{TaskID: "t", ClientID: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, ok := resp.(server.JoinResponse)
+	if !ok {
+		t.Fatalf("response type %T, want server.JoinResponse", resp)
+	}
+	if !jr.Accepted || jr.SessionID != 42 || jr.Version != 7 {
+		t.Fatalf("round trip mangled response: %+v", jr)
+	}
 
-			// String payload (register-aggregator / task-info style).
-			resp, err = f.Call("tester", "node-a", "m", "hello")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp != "echo:m:hello" {
-				t.Fatalf("string round trip = %v", resp)
-			}
+	// String payload (register-aggregator / task-info style).
+	resp, err = f.Call("tester", "node-a", "m", "hello")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp != "echo:m:hello" {
+		t.Fatalf("string round trip = %v", resp)
+	}
 
-			// Nil payload (map-request style).
-			resp, err = f.Call("tester", "node-a", "nilcall", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp != nil {
-				t.Fatalf("nil payload round trip = %v, want nil", resp)
-			}
-		})
+	// Nil payload (map-request style).
+	resp, err = f.Call("tester", "node-a", "nilcall", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp != nil {
+		t.Fatalf("nil payload round trip = %v, want nil", resp)
+	}
+
+	if f, err := httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Codec: "json"}); err == nil {
+		f.Close()
+		t.Fatal("a codec other than bin was accepted")
 	}
 }
 
 func TestNestedAnyPayloadCrossesWire(t *testing.T) {
 	// RouteRequest carries an interface-typed payload — the hardest message
-	// for a wire format. Both codecs must preserve the inner concrete type.
-	for _, codec := range []string{"gob", "json"} {
-		t.Run(codec, func(t *testing.T) {
-			f := newFabric(t, codec)
-			f.Register("sel", func(method string, payload any) (any, error) {
-				rr := payload.(server.RouteRequest)
-				chunk, ok := rr.Payload.(server.UploadChunk)
-				if !ok {
-					t.Errorf("inner payload type %T, want server.UploadChunk", rr.Payload)
-					return nil, errors.New("bad inner type")
-				}
-				return server.UploadResponse{OK: chunk.Done, Reason: rr.Method}, nil
-			})
-			resp, err := f.Call("client", "sel", "route", server.RouteRequest{
-				TaskID: "t", Method: "upload-chunk",
-				Payload: server.UploadChunk{TaskID: "t", SessionID: 3, Data: []float32{1, 2}, Done: true},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ur := resp.(server.UploadResponse)
-			if !ur.OK || ur.Reason != "upload-chunk" {
-				t.Fatalf("nested round trip = %+v", ur)
-			}
-		})
+	// for a wire format: the inner concrete type must survive.
+	f := newFabric(t, httptransport.Options{})
+	f.Register("sel", func(method string, payload any) (any, error) {
+		rr := payload.(server.RouteRequest)
+		chunk, ok := rr.Payload.(server.UploadChunk)
+		if !ok {
+			t.Errorf("inner payload type %T, want server.UploadChunk", rr.Payload)
+			return nil, errors.New("bad inner type")
+		}
+		return server.UploadResponse{OK: chunk.Done, Reason: rr.Method}, nil
+	})
+	resp, err := f.Call("client", "sel", "route", server.RouteRequest{
+		TaskID: "t", Method: "upload-chunk",
+		Payload: server.UploadChunk{TaskID: "t", SessionID: 3, Data: []float32{1, 2}, Done: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ur := resp.(server.UploadResponse)
+	if !ur.OK || ur.Reason != "upload-chunk" {
+		t.Fatalf("nested round trip = %+v", ur)
 	}
 }
 
 func TestAppErrorCrossesWire(t *testing.T) {
-	f := newFabric(t, "gob")
+	f := newFabric(t, httptransport.Options{})
 	f.Register("node-a", func(string, any) (any, error) {
 		return nil, errors.New("task \"ghost\" not assigned here")
 	})
@@ -120,87 +154,8 @@ func TestAppErrorCrossesWire(t *testing.T) {
 	}
 }
 
-// TestFaultParity is the ErrDropped/ErrCrashed/ErrPartitioned/ErrUnknownNode
-// contract: every fault the in-memory Network can inject maps onto the same
-// sentinel error over HTTP, so failover logic behaves identically.
-func TestFaultParity(t *testing.T) {
-	f := newFabric(t, "gob")
-	f.Register("a", echoHandler)
-	f.Register("b", echoHandler)
-
-	t.Run("unknown node", func(t *testing.T) {
-		_, err := f.Call("a", "ghost", "m", nil)
-		if !errors.Is(err, transport.ErrUnknownNode) {
-			t.Fatalf("err = %v, want ErrUnknownNode", err)
-		}
-	})
-
-	t.Run("crashed callee", func(t *testing.T) {
-		f.Crash("b")
-		if _, err := f.Call("a", "b", "m", nil); !errors.Is(err, transport.ErrCrashed) {
-			t.Fatalf("err = %v, want ErrCrashed", err)
-		}
-	})
-
-	t.Run("crashed caller", func(t *testing.T) {
-		if _, err := f.Call("b", "a", "m", nil); !errors.Is(err, transport.ErrCrashed) {
-			t.Fatalf("err = %v, want ErrCrashed (sender)", err)
-		}
-		f.Register("b", echoHandler) // restart clears the crash
-		if _, err := f.Call("b", "a", "m", nil); err != nil {
-			t.Fatalf("restarted node still crashed: %v", err)
-		}
-	})
-
-	t.Run("partition and heal", func(t *testing.T) {
-		f.Partition("a", "b")
-		if _, err := f.Call("a", "b", "m", nil); !errors.Is(err, transport.ErrPartitioned) {
-			t.Fatalf("err = %v, want ErrPartitioned", err)
-		}
-		if _, err := f.Call("b", "a", "m", nil); !errors.Is(err, transport.ErrPartitioned) {
-			t.Fatalf("reverse direction err = %v, want ErrPartitioned", err)
-		}
-		f.Heal("a", "b")
-		if _, err := f.Call("a", "b", "m", nil); err != nil {
-			t.Fatalf("healed partition still cut: %v", err)
-		}
-	})
-
-	t.Run("probabilistic drop", func(t *testing.T) {
-		f.SetLoss(0.5)
-		defer f.SetLoss(0)
-		dropped := 0
-		for i := 0; i < 50; i++ {
-			if _, err := f.Call("a", "b", "m", nil); err != nil {
-				if !errors.Is(err, transport.ErrDropped) {
-					t.Fatalf("err = %v, want ErrDropped", err)
-				}
-				dropped++
-			}
-		}
-		if dropped == 0 || dropped == 50 {
-			t.Fatalf("dropped %d/50 calls at p=0.5", dropped)
-		}
-	})
-
-	t.Run("dead process maps to ErrCrashed", func(t *testing.T) {
-		peer := newFabric(t, "gob")
-		peer.Register("remote", echoHandler)
-		f.AddRoute("remote", peer.BaseURL())
-		if _, err := f.Call("a", "remote", "m", nil); err != nil {
-			t.Fatalf("live peer call failed: %v", err)
-		}
-		// Kill the peer process's listener: connection-level failures are
-		// the networked form of a crash.
-		_ = peer.Close()
-		if _, err := f.Call("a", "remote", "m", nil); !errors.Is(err, transport.ErrCrashed) {
-			t.Fatalf("err = %v, want ErrCrashed after peer death", err)
-		}
-	})
-}
-
 func TestLatencyInjection(t *testing.T) {
-	f := newFabric(t, "gob")
+	f := newFabric(t, httptransport.Options{})
 	f.Register("a", echoHandler)
 	f.SetLatency(30 * time.Millisecond)
 	start := time.Now()
@@ -212,50 +167,8 @@ func TestLatencyInjection(t *testing.T) {
 	}
 }
 
-func TestAdvertiseAndDiscovery(t *testing.T) {
-	coordSide := newFabric(t, "gob")
-	coordSide.Register("coordinator", echoHandler)
-	coordSide.Register("sel-0", echoHandler)
-
-	agentSide := newFabric(t, "gob")
-	agentSide.Register("agg-remote", func(method string, payload any) (any, error) {
-		return "agg says hi", nil
-	})
-
-	// The agent announces itself and learns the coordinator's nodes.
-	peerNodes, err := agentSide.Advertise(coordSide.BaseURL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(peerNodes) != 2 {
-		t.Fatalf("peer nodes = %v", peerNodes)
-	}
-	// Agent -> coordinator (learned via Advertise response).
-	if _, err := agentSide.Call("agg-remote", "coordinator", "m", "x"); err != nil {
-		t.Fatalf("agent -> coordinator: %v", err)
-	}
-	// Coordinator -> agent (learned via the advertisement).
-	resp, err := coordSide.Call("coordinator", "agg-remote", "assign-task", nil)
-	if err != nil {
-		t.Fatalf("coordinator -> agent: %v", err)
-	}
-	if resp != "agg says hi" {
-		t.Fatalf("cross-process response = %v", resp)
-	}
-
-	// ListNodes: the fabric-less inventory fetch (the loadtest itself now
-	// uses Fabric.Discover, which also records capabilities).
-	names, err := httptransport.ListNodes(coordSide.BaseURL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || names[0] != "coordinator" || names[1] != "sel-0" {
-		t.Fatalf("ListNodes = %v", names)
-	}
-}
-
 func TestStatsCountTraffic(t *testing.T) {
-	f := newFabric(t, "gob")
+	f := newFabric(t, httptransport.Options{})
 	f.Register("a", echoHandler)
 	before := f.Stats()
 	if _, err := f.Call("x", "a", "m", "payload"); err != nil {
@@ -265,38 +178,5 @@ func TestStatsCountTraffic(t *testing.T) {
 	if after.Calls != before.Calls+1 || after.BytesSent <= before.BytesSent ||
 		after.BytesReceived <= before.BytesReceived {
 		t.Fatalf("stats did not advance: %+v -> %+v", before, after)
-	}
-}
-
-// TestRouteGossipIsTransitive: an agent advertises to the coordinator's
-// fabric; a selector that only Discovers the coordinator must learn the
-// agent's route from the gossiped document and reach it directly — no
-// full-mesh advertisement.
-func TestRouteGossipIsTransitive(t *testing.T) {
-	coordSide := newFabric(t, "gob")
-	coordSide.Register("coordinator", echoHandler)
-
-	agentSide := newFabric(t, "gob")
-	agentSide.Register("agg-g", func(method string, payload any) (any, error) {
-		return "agg-g here", nil
-	})
-	if _, err := agentSide.Advertise(coordSide.BaseURL()); err != nil {
-		t.Fatal(err)
-	}
-
-	selSide := newFabric(t, "gob")
-	selSide.Register("sel-g", echoHandler)
-	if _, err := selSide.Discover(coordSide.BaseURL()); err != nil {
-		t.Fatal(err)
-	}
-	if got := selSide.Routes()["agg-g"]; got != agentSide.BaseURL() {
-		t.Fatalf("gossiped route for agg-g = %q, want %q", got, agentSide.BaseURL())
-	}
-	out, err := selSide.Call("sel-g", "agg-g", "join", nil)
-	if err != nil {
-		t.Fatalf("selector -> gossiped agent: %v", err)
-	}
-	if out != "agg-g here" {
-		t.Fatalf("gossiped-route response = %v", out)
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Session is one streaming session on a Fabric: a pinned (from, to) pair
-// exchanging pipelined calls over a single underlying connection, instead
-// of one connection (or POST) per call. This is the paper's long-lived
+// exchanging pipelined calls over a single underlying connection. This is
+// the paper's long-lived
 // client<->aggregator session (Section 6.1's virtual session) surfaced at
 // the transport: a client opens one Session per participation and runs
 // check-in -> join -> chunked upload -> report over it. Sessions are NOT
@@ -24,30 +24,25 @@ type Session interface {
 	Close() error
 }
 
-// StreamFabric is the optional streaming surface a Fabric may offer: one
-// connection per session with pipelined calls (the wire.Capabilities
-// "stream" capability). Backends that cannot stream toward a given peer (a
-// /v1/ peer that never advertised the capability) degrade by returning a
-// per-call Session, so callers need no fallback logic of their own.
+// StreamFabric is the session surface of the networked fabrics: one
+// dedicated connection per session with pipelined calls.
 type StreamFabric interface {
 	Fabric
-	// OpenSession opens a streaming session from from to to. It degrades
-	// to a per-call session when the peer did not negotiate streaming; it
-	// fails only when the peer is unknown or the connection cannot be
-	// established.
+	// OpenSession opens a streaming session from from to to. It fails when
+	// the peer is unknown, an injected fault applies, or the connection
+	// cannot be established.
 	OpenSession(from, to string) (Session, error)
 }
 
 // ElidingSession is the optional ack-elision surface of a Session: calls
 // whose responses the caller does not need (non-final upload chunks) can be
 // sent without waiting for an acknowledgement, halving the stream's round
-// trips. A session offers it only when the peer negotiated the ack-elide
-// stream capability (wire.Capabilities.AckElide); everywhere else callers
-// keep using Call and the per-frame rhythm is unchanged.
+// trips. Every session of a networked fabric offers it; the in-memory
+// Network's per-call session does not, and callers there keep using Call.
 type ElidingSession interface {
 	Session
-	// ElidesAcks reports whether this session negotiated ack elision with
-	// its peer. When false, SendNoAck must not be used.
+	// ElidesAcks reports whether SendNoAck may be used: true on a networked
+	// session until it is closed.
 	ElidesAcks() bool
 	// SendNoAck sends one call without waiting for its response. The frame
 	// may be buffered and coalesced with later frames; the next Call
@@ -69,10 +64,10 @@ type AckElidable interface {
 }
 
 // OpenSession opens a streaming session on any Fabric: backends that
-// implement StreamFabric stream (or degrade per their negotiation);
-// everything else — the in-memory Network included — gets a per-call
-// wrapper with identical semantics, so session-oriented callers (the
-// client runtime) run unchanged on every backend.
+// implement StreamFabric stream; everything else — the in-memory Network
+// included — gets a per-call wrapper with identical semantics, so
+// session-oriented callers (the client runtime) run unchanged on every
+// backend.
 func OpenSession(f Fabric, from, to string) (Session, error) {
 	if sf, ok := f.(StreamFabric); ok {
 		return sf.OpenSession(from, to)
@@ -80,8 +75,8 @@ func OpenSession(f Fabric, from, to string) (Session, error) {
 	return &callSession{f: f, from: from, to: to}, nil
 }
 
-// callSession is the per-call degradation of a Session: every Call is an
-// independent Fabric.Call.
+// callSession is a Session on a fabric without connections: every Call is
+// an independent Fabric.Call.
 type callSession struct {
 	f        Fabric
 	from, to string
@@ -104,16 +99,15 @@ func (s *callSession) Close() error {
 
 // Stats counts a networked fabric's client-side traffic: outbound calls,
 // request bytes written and response bytes read. The loadtest reports them
-// as "bytes moved". Shared by the HTTP and raw-TCP backends so tooling can
-// meter either through one interface.
+// as "bytes moved".
 type Stats struct {
-	// Calls counts outbound RPCs (streamed or per-POST).
+	// Calls counts outbound RPCs, acknowledged or not.
 	Calls uint64
 	// BytesSent counts request payload bytes written.
 	BytesSent uint64
 	// BytesReceived counts response payload bytes read.
 	BytesReceived uint64
-	// AcksElided counts streamed calls whose acknowledgement never crossed
+	// AcksElided counts calls whose acknowledgement never crossed
 	// the wire: no-ack frames sent client-side plus responses suppressed
 	// server-side (a loopback fabric counts both halves).
 	AcksElided uint64

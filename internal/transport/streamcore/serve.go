@@ -11,8 +11,6 @@ import (
 // ServeConfig parameterizes the server half of the engine for the fabric
 // that owns the connection.
 type ServeConfig struct {
-	// DefaultCodec answers frames whose codec could not be sniffed.
-	DefaultCodec wire.Codec
 	// MaxFrame bounds one request payload, raw or inflated.
 	MaxFrame int
 	// Prefix is the owning fabric's error prefix.
@@ -20,16 +18,14 @@ type ServeConfig struct {
 	// Counters receives the server-side accounting (acks elided).
 	Counters *Counters
 	// Invoke runs one decoded request through the fabric's fault-check
-	// dispatch — the same path per-call RPC takes, so fault parity holds
-	// frame by frame.
+	// dispatch, so fault parity holds frame by frame.
 	Invoke func(req *wire.Request) *wire.Response
 }
 
 // Serve runs one inbound streaming session: pipelined request frames
-// answered in order by response frames, each decoded by its own sniffed
-// codec, compressed responses mirroring the request's deflate choice, and
-// buffer leases released in the per-call order (response frame fully
-// encoded, then response leases, then request leases).
+// answered in order by response frames, compressed responses mirroring the
+// request's deflate choice, and buffer leases released in order (response
+// frame fully encoded, then response leases, then request leases).
 //
 // Frames carrying wire.StreamFlagNoAck are the ack-elision path: a
 // successful response whose payload opts in (transport.AckElidable) is
@@ -67,14 +63,11 @@ func Serve(conn Conn, cfg ServeConfig) {
 				return
 			}
 		}
-		codec, ok := wire.CodecForFrame(payload)
-		if !ok {
-			codec = cfg.DefaultCodec
-		}
-		req, err := codec.DecodeRequest(payload)
+		req, err := wire.Binary{}.DecodeRequest(payload)
 		if err != nil {
-			// A frame that does not decode means the stream framing itself
-			// is unreliable; kill the session rather than guess at framing.
+			// An unknown magic or envelope version (wire versioning rule 1)
+			// or a frame that does not parse: the stream itself is
+			// unreliable, so kill the session rather than guess at framing.
 			return
 		}
 		resp := cfg.Invoke(req)
@@ -83,7 +76,7 @@ func Serve(conn Conn, cfg ServeConfig) {
 			cfg.Counters.AcksElided.Add(1)
 			continue
 		}
-		out, err = AppendResponseFrame(out[:0], codec, resp, req, flags, cfg.Prefix)
+		out, err = appendResponseFrame(out[:0], resp, req, flags, cfg.Prefix)
 		if err != nil {
 			return
 		}
@@ -108,8 +101,8 @@ func suppressible(resp *wire.Response) bool {
 	return ok && el.AckElidable()
 }
 
-// releaseLeases returns pooled buffers in the per-call order for a
-// response that never gets encoded.
+// releaseLeases returns pooled buffers once a response is encoded or
+// suppressed: response leases first, then the request's.
 func releaseLeases(resp *wire.Response, req *wire.Request) {
 	if lease, ok := resp.Payload.(wire.ResponseBufferLease); ok {
 		lease.ReleaseResponseBuffers()
@@ -119,44 +112,30 @@ func releaseLeases(resp *wire.Response, req *wire.Request) {
 	}
 }
 
-// AppendResponseFrame encodes one response as a complete stream frame into
-// dst: codec body via the append fast path when available, leases released
-// once the body is encoded, the request's deflate choice mirrored back
-// (the stream-era Accept-Encoding).
-func AppendResponseFrame(dst []byte, codec wire.Codec, resp *wire.Response, req *wire.Request, reqFlags byte, prefix string) ([]byte, error) {
-	var body []byte
-	var err error
-	framePooled := false
-	if app, ok := codec.(wire.Appender); ok {
-		body, err = app.AppendResponse(GetFrame(), resp)
-		framePooled = err == nil
-	} else {
-		body, err = codec.EncodeResponse(resp)
-	}
-	// Leases follow the same order as the per-POST path: the response
-	// frame is fully encoded, then pooled response vectors (a download's
-	// model snapshot) and the request's leased decode vectors go back to
-	// their pools.
+// appendResponseFrame encodes one response as a complete stream frame into
+// dst: wire.Binary body in a pooled buffer, leases released once the body
+// is encoded, the request's deflate choice mirrored back.
+func appendResponseFrame(dst []byte, resp *wire.Response, req *wire.Request, reqFlags byte, prefix string) ([]byte, error) {
+	body, err := wire.Binary{}.AppendResponse(GetFrame(), resp)
+	// The response frame is fully encoded: pooled response vectors (a
+	// download's model snapshot) and the request's leased decode vectors go
+	// back to their pools.
 	releaseLeases(resp, req)
 	if err != nil {
-		body, err = codec.EncodeResponse(&wire.Response{Err: prefix + ": encoding response: " + err.Error()})
+		// Encoding an already-handled response failed (unregistered return
+		// type): surface it as an application error instead of silence.
+		body, err = wire.Binary{}.AppendResponse(GetFrame(), &wire.Response{Err: prefix + ": encoding response: " + err.Error()})
 		if err != nil {
 			return dst, err
 		}
 	}
-	respFlags := byte(0)
+	out, respFlags := body, byte(0)
 	if reqFlags&wire.StreamFlagDeflate != 0 && len(body) >= DeflateMin {
 		if packed, derr := compress.DeflateBytes(body); derr == nil && len(packed) < len(body) {
-			if framePooled {
-				PutFrame(body)
-				framePooled = false
-			}
-			body, respFlags = packed, wire.StreamFlagDeflate
+			out, respFlags = packed, wire.StreamFlagDeflate
 		}
 	}
-	dst = wire.AppendStreamFrame(dst, respFlags, body)
-	if framePooled {
-		PutFrame(body)
-	}
+	dst = wire.AppendStreamFrame(dst, respFlags, out)
+	PutFrame(body)
 	return dst, nil
 }

@@ -15,11 +15,8 @@ import (
 
 // Config parameterizes a client Session for the fabric that owns it.
 type Config struct {
-	// Codec is the negotiated request encoder (responses are decoded with
-	// it too — the server answers in kind).
-	Codec wire.Codec
 	// Deflate enables the per-frame deflate stage for large request
-	// frames (the peer negotiated the /v2 compression capability).
+	// frames; the server mirrors the choice on the response.
 	Deflate bool
 	// Node is the callee every frame on this session addresses, used in
 	// error text.
@@ -45,16 +42,12 @@ type Session struct {
 	conn Conn
 	cfg  Config
 
-	// Addr is the peer address this session is pinned to — fabric
-	// bookkeeping for pool keys, never interpreted by the engine.
-	Addr string
-
 	broken atomic.Bool
 	closed atomic.Bool
 
 	mu      sync.Mutex
 	req     wire.Request // reused header; payload set per call
-	encBuf  []byte       // codec frame scratch
+	encBuf  []byte       // wire.Binary frame scratch
 	outBuf  []byte       // acked-call stream frame scratch
 	pending [][]byte     // queued no-ack frames (pooled buffers)
 	pendBts int          // queued bytes, drives the flush threshold
@@ -120,7 +113,7 @@ func (s *Session) Do(from, method string, payload any) (out any, err error, wrot
 			return nil, fmt.Errorf("%s: inflating stream response from %s: %w", s.cfg.Prefix, s.cfg.Node, err), true
 		}
 	}
-	resp, err := s.cfg.Codec.DecodeResponse(raw)
+	resp, err := wire.Binary{}.DecodeResponse(raw)
 	if err != nil {
 		s.broken.Store(true)
 		return nil, fmt.Errorf("%s: decoding stream response from %s: %w", s.cfg.Prefix, s.cfg.Node, err), true
@@ -187,17 +180,11 @@ func (s *Session) Flush() error {
 }
 
 // encodeFrame encodes one request into dst as a complete stream frame:
-// codec body (via the append fast path when available), optional deflate,
-// length-prefixed framing with the given extra flags.
+// wire.Binary body, optional deflate, length-prefixed framing with the
+// given extra flags.
 func (s *Session) encodeFrame(dst []byte, from, method string, payload any, extraFlags byte) ([]byte, error) {
 	s.req.From, s.req.Method, s.req.Payload = from, method, payload
-	var body []byte
-	var err error
-	if app, ok := s.cfg.Codec.(wire.Appender); ok {
-		body, err = app.AppendRequest(s.encBuf[:0], &s.req)
-	} else {
-		body, err = s.cfg.Codec.EncodeRequest(&s.req)
-	}
+	body, err := wire.Binary{}.AppendRequest(s.encBuf[:0], &s.req)
 	s.req.Payload = nil
 	if err != nil {
 		return dst, err

@@ -1,37 +1,33 @@
-// Package streamcore is the shared streaming-session engine behind the
-// networked fabrics. PR 5 gave the HTTP and raw-TCP backends each their own
-// copy of the same machinery — an idle-session pool, a pipelined
-// frame-serving loop, a per-call watchdog, and pooled encode buffers — and
-// the copies drifted apart in exactly the places that matter for
-// performance (the HTTP side tore down whole sessions on one slow call; the
-// TCP side issued one write syscall per frame). This package collapses both
-// onto one engine over a small Conn interface (read-frame / write-frames /
-// set-deadline / close) and attacks per-session overhead once, for every
-// backend:
+// Package streamcore is the networked fabric: everything the HTTP and
+// raw-TCP backends have in common, which is everything except how a
+// connection is dialed and accepted. A backend supplies a Dialer and hands
+// accepted conns to Fabric.ServeConn; the node and route tables, fault
+// checks, pooled calls, dedicated sessions, dispatch and discovery live here
+// once (fabric.go), on top of one session engine over a small Conn
+// interface (read-frame / write-frames / set-deadline / close):
 //
-//   - Ack elision (wire.StreamFlagNoAck, negotiated as the
-//     wire.Capabilities.AckElide stream capability): calls whose responses
-//     the caller does not need ride the stream unanswered. The server
-//     suppresses the acknowledgement only when the handler's response opts
-//     in (transport.AckElidable) and nothing failed; the first failure is
-//     held and delivered on the session's next acknowledged frame, so
+//   - One frame format: every call is a wire.Binary frame inside a stream
+//     frame. A frame whose magic or envelope version is unknown kills the
+//     session (wire versioning rule 1); nothing is negotiated.
+//
+//   - Ack elision (wire.StreamFlagNoAck): calls whose responses the caller
+//     does not need ride the stream unanswered. The server suppresses the
+//     acknowledgement only when the handler's response opts in
+//     (transport.AckElidable) and nothing failed; the first failure is held
+//     and delivered on the session's next acknowledged frame, so
 //     request/response framing never desynchronizes and errors are never
-//     dropped. Peers that did not negotiate the capability keep the
-//     per-frame request/response rhythm bit-identically.
+//     dropped.
 //
 //   - Frame coalescing: queued no-ack frames and the next acknowledged
 //     frame flush as one net.Buffers write — a writev on TCP — instead of
 //     one syscall per frame.
 //
 //   - Deadline-per-call timeouts: every call arms Conn.SetDeadline for the
-//     fabric's CallTimeout and clears it on completion, replacing the HTTP
-//     side's per-call time.AfterFunc watchdog (one timer allocation per
-//     call) with the deadline machinery TCP already had.
+//     fabric's CallTimeout and clears it on completion.
 //
-// Fault parity is preserved on both ends exactly as before: client-side
-// fault checks stay in the fabrics (checkCall before every streamed call,
-// elided or not), and the server loop routes every decoded frame through
-// the same invoke dispatch as per-call RPC.
+// Fault parity with the in-memory Network holds on both ends: checkCall
+// runs client-side before every call, elided or not, and the server loop
+// routes every decoded frame through the same dispatch.
 package streamcore
 
 import (
@@ -46,9 +42,18 @@ import (
 )
 
 // DeflateMin is the frame size below which the per-frame deflate stage is
-// skipped (fixed DEFLATE framing would outweigh the savings) — the same
-// threshold as the per-POST /v2/ deflate stage.
+// skipped: fixed DEFLATE framing would outweigh the savings on a 60-byte
+// ack.
 const DeflateMin = 256
+
+// MaxFrame bounds one frame payload in either direction, raw or inflated
+// (64 MiB ~ a 16M-parameter checkpoint frame), so a hostile length prefix
+// or deflate bomb cannot force a huge allocation.
+const MaxFrame = 64 << 20
+
+// maxIdleSessionsPerPeer caps the cached Call sessions kept per
+// (address, node) pair; extras are closed on release.
+const maxIdleSessionsPerPeer = 16
 
 // coalesceFlushBytes is the queued no-ack byte threshold that forces a
 // flush: enough to amortize a writev over several chunk frames, small
@@ -134,9 +139,8 @@ func (n *NetConn) SetDeadline(t time.Time) error { return n.c.SetDeadline(t) }
 func (n *NetConn) Close() error { return n.c.Close() }
 
 // framePool recycles encode buffers for response frames and queued no-ack
-// request frames — one shared pool where each fabric used to keep its own
-// copy (wrap headers recycled so a release doesn't heap-allocate a slice
-// header).
+// request frames (wrap headers recycled so a release doesn't heap-allocate
+// a slice header).
 type frameWrap struct{ b []byte }
 
 var (

@@ -1,48 +1,29 @@
-// Package tcptransport is the raw-TCP transport.Fabric: the same
-// Coordinator/Aggregator/Selector control plane that runs over the
-// in-memory Network in tests and over net/http in deployments runs here on
-// bare TCP connections carrying length-prefixed wire frames — no request
-// routing, no header parsing, no per-call connection lifecycle. PR 4 left
-// net/http traversal as the single-core bottleneck of the serving path
-// (~1.4ms of ~1.6ms per session on the loopback loadtest); this backend
-// removes that entire layer while reusing everything above it: the
-// versioned wire codecs (wire.Binary preferred, gob/json always decoded),
-// the pooled frame buffers, the stream framing of wire.AppendStreamFrame,
-// and the capability negotiation of versioning rule 4.
+// Package tcptransport is the raw-TCP transport.Fabric: the networked
+// fabric of internal/transport/streamcore on bare TCP connections carrying
+// length-prefixed wire frames — no request routing, no header parsing, no
+// per-call connection lifecycle. Everything above the socket (node and
+// route tables, fault injection, pooled calls, dedicated sessions, dispatch,
+// discovery through the reserved _fabric node) is the shared
+// streamcore.Fabric this package embeds; what lives here is how a
+// connection is dialed and accepted.
 //
 // Protocol: a connection opens with one stream frame whose payload is a
 // wire.StreamHello naming the node every subsequent request addresses (the
 // HTTP transport carries this in the URL path). After the hello, the
-// connection is a streaming session: pipelined request frames answered in
-// order by response frames, each payload a complete self-describing codec
-// frame (sniffed via wire.CodecForFrame, answered in kind), optionally
-// DEFLATE-compressed per frame (wire.StreamFlagDeflate). One connection
-// per session is the native mode — Fabric.Call multiplexes over a cached
-// session pool, and OpenSession hands out dedicated connections.
-//
-// Discovery and advertisement mirror the HTTP fabric's /nodes and
-// /advertise documents: the reserved node name "_fabric" serves the
-// "_nodes" and "_advertise" methods, whose payloads are the same JSON
-// discovery document carried as a string. Fault injection implements
-// transport.FaultInjector with the in-memory backend's semantics, checked
-// client-side before every streamed call and server-side on every frame,
-// so the server conformance suite runs its Appendix E.4 failure drills
-// unchanged against this backend. A dead peer surfaces as a connection
-// error mapped onto transport.ErrCrashed, exactly like the HTTP fabric.
+// connection is a streaming session: pipelined wire.Binary request frames
+// answered in order by response frames, optionally DEFLATE-compressed per
+// frame (wire.StreamFlagDeflate). A hello or frame whose magic or version
+// this build does not know closes the connection (wire versioning rule 1),
+// and the caller sees transport.ErrCrashed.
 package tcptransport
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/transport"
 	"repro/internal/transport/streamcore"
 	"repro/internal/transport/wire"
@@ -50,10 +31,9 @@ import (
 
 // Compile-time interface checks against the contracts in internal/transport.
 var (
-	_ transport.Fabric         = (*Fabric)(nil)
-	_ transport.FaultInjector  = (*Fabric)(nil)
-	_ transport.StreamFabric   = (*Fabric)(nil)
-	_ transport.ElidingSession = (*boundSession)(nil)
+	_ transport.Fabric        = (*Fabric)(nil)
+	_ transport.FaultInjector = (*Fabric)(nil)
+	_ transport.StreamFabric  = (*Fabric)(nil)
 )
 
 // Scheme prefixes a TCP fabric's advertised base URL ("tcp://host:port"),
@@ -61,35 +41,16 @@ var (
 // from "http://".
 const Scheme = "tcp://"
 
-// fabricNode is the reserved node name serving the fabric's own discovery
-// and advertisement methods; real node names must not collide with it.
-const fabricNode = "_fabric"
-
-// maxFrameBytes bounds one frame payload in either direction, raw or
-// inflated (64 MiB ~ a 16M-parameter checkpoint frame), mirroring the HTTP
-// fabric's RPC body bound so a hostile length prefix or deflate bomb
-// cannot force a huge allocation.
-const maxFrameBytes = 64 << 20
-
-// maxIdleSessionsPerPeer caps the cached Call sessions kept per
-// (address, node) pair; extras are closed on release.
-const maxIdleSessionsPerPeer = 16
-
 // Options configures a Fabric.
 type Options struct {
 	// Listen is the TCP listen address (e.g. "127.0.0.1:7071"; port 0
 	// picks a free port).
 	Listen string
-	// Codec selects the preferred wire codec: "gob" (default), "json", or
-	// "bin". As on the HTTP fabric, bin is negotiated: it is used only
-	// toward peers whose discovery document advertised it (every tcp build
-	// does), with gob as the universal fallback. Serving decodes all three
-	// by frame sniffing and answers in kind.
+	// Codec survives only until benchmark/harness.go stops setting it: ""
+	// or "bin" (the one frame format); anything else is an error.
 	Codec string
 	// Compress names the compress.Codec this fabric prefers on the wire
-	// ("" or "none" disables). When the codec includes a streaming stage
-	// (Streams() true, e.g. "streamed" or "flate"), large frames toward
-	// capability-advertising peers are DEFLATE-compressed per frame.
+	// ("" or "none" disables); see streamcore.Options.Compress.
 	Compress string
 	// AdvertiseAddr is the address peers should dial, with or without the
 	// tcp:// prefix. Defaults to the bound address, which is correct on
@@ -97,47 +58,18 @@ type Options struct {
 	AdvertiseAddr string
 	// Seed seeds the probabilistic-loss RNG (SetLoss); 0 is a valid seed.
 	Seed int64
-	// CallTimeout bounds one call end to end (default 30s), enforced with
-	// connection deadlines so a blackholed peer fails fast.
+	// CallTimeout bounds one call end to end (default 30s).
 	CallTimeout time.Duration
-	// AckElide lets this fabric's streamed sessions send no-ack frames
-	// toward peers that advertised the ack-elide capability
-	// (wire.Capabilities.AckElide): non-final upload chunks ride the
-	// stream unanswered and coalesce into writev batches. Off, every
-	// streamed call keeps its per-frame acknowledgement. Serving no-ack
-	// frames is unconditional — the knob only governs what this fabric
-	// sends.
+	// AckElide is ignored (sessions always elide); it survives only until
+	// benchmark/harness.go stops setting it.
 	AckElide bool
 }
 
-// Fabric is the raw-TCP transport.Fabric for one process. It is safe for
-// concurrent use.
+// Fabric is the raw-TCP transport.Fabric for one process: the shared
+// streamcore.Fabric plus a TCP listener. It is safe for concurrent use.
 type Fabric struct {
-	codec        wire.Codec
-	binPreferred bool
-	fallback     wire.Codec
-	baseAddr     string // host:port peers dial
-	ln           net.Listener
-	compressName string
-	deflateBody  bool
-	callTimeout  time.Duration
-	ackElide     bool
-
-	mu       sync.RWMutex
-	local    map[string]transport.Handler
-	routes   map[string]string            // node name -> peer host:port
-	peerCaps map[string]wire.Capabilities // peer host:port -> capabilities
-
-	// Faults is the injected-fault table shared with the HTTP backend,
-	// promoted so Fabric implements transport.FaultInjector.
-	transport.Faults
-
-	// counters feed Stats; the shared engine updates them on both halves.
-	counters streamcore.Counters
-
-	// pool caches idle Call sessions per "addr|node" key and tracks every
-	// live client session for Close; srvConns tracks the server side.
-	pool *streamcore.Pool
+	*streamcore.Fabric
+	ln net.Listener
 
 	srvMu    sync.Mutex
 	srvConns map[net.Conn]struct{}
@@ -150,72 +82,31 @@ type Fabric struct {
 // New binds the listener and starts serving. The returned fabric is ready
 // for Register/Call immediately; Close releases the port.
 func New(opts Options) (*Fabric, error) {
-	codecName := opts.Codec
-	if codecName == "" {
-		codecName = "gob"
-	}
-	codec, err := wire.ByName(codecName)
-	if err != nil {
-		return nil, err
-	}
-	compressName := opts.Compress
-	if compressName == "none" {
-		compressName = ""
-	}
-	deflateBody := false
-	if compressName != "" {
-		cc, err := compress.ByName(compressName)
-		if err != nil {
-			return nil, err
-		}
-		deflateBody = cc.Streams()
+	if opts.Codec != "" && opts.Codec != "bin" {
+		return nil, fmt.Errorf("tcptransport: unknown codec %q (the one wire format is bin)", opts.Codec)
 	}
 	ln, err := net.Listen("tcp", opts.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("tcptransport: listen %s: %w", opts.Listen, err)
 	}
-	baseAddr := strings.TrimPrefix(opts.AdvertiseAddr, Scheme)
-	if baseAddr == "" {
-		baseAddr = ln.Addr().String()
+	addr := opts.AdvertiseAddr
+	if addr == "" {
+		addr = ln.Addr().String()
 	}
-	callTimeout := opts.CallTimeout
-	if callTimeout == 0 {
-		callTimeout = 30 * time.Second
+	core, err := streamcore.NewFabric(streamcore.Options{
+		Prefix: "tcptransport", Scheme: Scheme, Addr: addr,
+		Compress: opts.Compress, Seed: opts.Seed, CallTimeout: opts.CallTimeout,
+		Dial: dial,
+	})
+	if err != nil {
+		_ = ln.Close()
+		return nil, err
 	}
-	f := &Fabric{
-		codec:        codec,
-		binPreferred: codec.Name() == "bin",
-		fallback:     wire.Gob{},
-		baseAddr:     baseAddr,
-		ln:           ln,
-		compressName: compressName,
-		deflateBody:  deflateBody,
-		callTimeout:  callTimeout,
-		ackElide:     opts.AckElide,
-		local:        make(map[string]transport.Handler),
-		routes:       make(map[string]string),
-		peerCaps:     make(map[string]wire.Capabilities),
-		pool:         streamcore.NewPool(maxIdleSessionsPerPeer),
-		srvConns:     make(map[net.Conn]struct{}),
-	}
-	f.InitFaults(opts.Seed)
+	f := &Fabric{Fabric: core, ln: ln, srvConns: make(map[net.Conn]struct{})}
 	f.wg.Add(1)
 	go f.acceptLoop()
 	return f, nil
 }
-
-// BaseURL returns the URL peers use to reach this fabric ("tcp://host:port").
-func (f *Fabric) BaseURL() string { return Scheme + f.baseAddr }
-
-// CodecName returns the active wire codec's name.
-func (f *Fabric) CodecName() string { return f.codec.Name() }
-
-// CompressName returns the preferred wire-compression codec name
-// (Options.Compress; "" when compression is disabled).
-func (f *Fabric) CompressName() string { return f.compressName }
-
-// Stats returns a snapshot of the fabric's traffic counters.
-func (f *Fabric) Stats() transport.Stats { return f.counters.Snapshot() }
 
 // Close stops serving, closes every live session and connection, and waits
 // for the serving goroutines. It is idempotent.
@@ -223,7 +114,7 @@ func (f *Fabric) Close() error {
 	f.closeOnce.Do(func() {
 		f.closed.Store(true)
 		_ = f.ln.Close()
-		f.pool.Close()
+		f.CloseSessions()
 		f.srvMu.Lock()
 		conns := make([]net.Conn, 0, len(f.srvConns))
 		for c := range f.srvConns {
@@ -239,275 +130,23 @@ func (f *Fabric) Close() error {
 	return nil
 }
 
-// Register attaches a node served from this process. Re-registering a name
-// replaces its handler and clears any crash marker (a restarted process).
-func (f *Fabric) Register(name string, h transport.Handler) {
-	if h == nil {
-		panic("tcptransport: nil handler")
-	}
-	if name == fabricNode {
-		panic("tcptransport: node name " + fabricNode + " is reserved")
-	}
-	f.mu.Lock()
-	f.local[name] = h
-	f.mu.Unlock()
-	f.ClearCrash(name)
-}
-
-// Unregister detaches a locally served node.
-func (f *Fabric) Unregister(name string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.local, name)
-}
-
-// AddRoute teaches this fabric that node lives at a peer fabric's address
-// (with or without the tcp:// prefix).
-func (f *Fabric) AddRoute(node, addr string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.routes[node] = strings.TrimPrefix(addr, Scheme)
-}
-
-// Nodes returns the locally served, non-crashed node names, sorted.
-func (f *Fabric) Nodes() []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]string, 0, len(f.local))
-	for name := range f.local {
-		if !f.Crashed(name) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Routes returns a copy of the remote routes this fabric knows (node name
-// -> address, without the tcp:// prefix), from AddRoute, Advertise/
-// Discover exchanges, and gossip. It is what selfDoc gossips onward.
-func (f *Fabric) Routes() map[string]string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make(map[string]string, len(f.routes))
-	for node, addr := range f.routes {
-		out[node] = addr
-	}
-	return out
-}
-
-// checkCall resolves where to reach to and applies the injected-fault
-// checks in the in-memory Network's order (unknown node first, then the
-// shared transport.Faults table); every streamed call runs through it, so
-// fault parity holds frame by frame.
-func (f *Fabric) checkCall(from, to, method string) (addr string, isLocal bool, err error) {
-	f.mu.RLock()
-	_, isLocal = f.local[to]
-	route := f.routes[to]
-	f.mu.RUnlock()
-
-	addr = route
-	if isLocal {
-		addr = f.baseAddr
-	}
-	if addr == "" {
-		return "", false, fmt.Errorf("%w: %s", transport.ErrUnknownNode, to)
-	}
-	if err := f.CheckCall(from, to, method); err != nil {
-		return "", false, err
-	}
-	return addr, isLocal, nil
-}
-
-// peerCapabilities returns the capability document governing calls toward
-// addr. Locally served nodes get this build's own document; unknown peers
-// get the zero value — but unlike HTTP (where a /v1/ peer is a real
-// possibility) every tcp peer necessarily runs this code, so the zero
-// value only means "not yet discovered" and gob remains the safe default.
-func (f *Fabric) peerCapabilities(addr string, isLocal bool) wire.Capabilities {
-	if isLocal {
-		return selfCapabilities()
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.peerCaps[addr]
-}
-
-func selfCapabilities() wire.Capabilities {
-	return wire.Capabilities{
-		API:      wire.APIv2,
-		Compress: compress.Names(),
-		Codecs:   wire.DecodableCodecs(),
-		Stream:   true,
-		Trace:    true,
-		AckElide: true,
-	}
-}
-
-// --- client side ---
-
-// dialSession opens a connection to addr, sends the hello pinning node,
-// and registers the resulting engine session for Close bookkeeping. The
-// wire.Request frame carries From, so pooled sessions serve any caller.
-func (f *Fabric) dialSession(addr, node string, caps wire.Capabilities) (*streamcore.Session, error) {
-	enc := f.codec
-	if f.binPreferred && !caps.SupportsBinary() {
-		enc = f.fallback
-	}
-	conn, err := net.DialTimeout("tcp", addr, f.callTimeout)
+// dial is the streamcore.Dialer: connect, then send the hello pinning node.
+func dial(addr, node string, timeout time.Duration) (streamcore.Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
 	nc := streamcore.NewNetConn(conn)
-	hello := wire.AppendStreamHello(nil, node)
-	frame := wire.AppendStreamFrame(nil, 0, hello)
-	if err := conn.SetWriteDeadline(time.Now().Add(f.callTimeout)); err == nil {
+	hello := wire.AppendStreamFrame(nil, 0, wire.AppendStreamHello(nil, node))
+	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err == nil {
 		defer conn.SetWriteDeadline(time.Time{})
 	}
-	if _, err := nc.WriteFrames(net.Buffers{frame}); err != nil {
+	if _, err := nc.WriteFrames(net.Buffers{hello}); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	s := streamcore.NewSession(nc, streamcore.Config{
-		Codec:       enc,
-		Deflate:     f.deflateBody && caps.SupportsCompression(),
-		Node:        node,
-		Prefix:      "tcptransport",
-		CallTimeout: f.callTimeout,
-		MaxFrame:    maxFrameBytes,
-		Counters:    &f.counters,
-	})
-	s.Addr = addr
-	if !f.pool.Track(s) {
-		conn.Close()
-		return nil, errors.New("tcptransport: fabric closed")
-	}
-	return s, nil
+	return nc, nil
 }
-
-func sessionKey(addr, node string) string { return addr + "|" + node }
-
-// acquireSession pops a cached idle session for (addr, node) or dials a
-// fresh one.
-func (f *Fabric) acquireSession(addr, node string, caps wire.Capabilities) (s *streamcore.Session, fresh bool, err error) {
-	if s = f.pool.Take(sessionKey(addr, node)); s != nil {
-		return s, false, nil
-	}
-	s, err = f.dialSession(addr, node, caps)
-	return s, true, err
-}
-
-// Call implements transport.Fabric: fault checks in the in-memory order,
-// then one framed request over a cached streaming session to wherever the
-// callee lives — through the loopback listener when it is this process, so
-// every call exercises the full TCP wire path. A broken cached session
-// (peer restarted) is discarded and the call retried once on a fresh
-// connection.
-func (f *Fabric) Call(from, to, method string, payload any) (any, error) {
-	addr, isLocal, err := f.checkCall(from, to, method)
-	if err != nil {
-		return nil, err
-	}
-	caps := f.peerCapabilities(addr, isLocal)
-	for {
-		s, fresh, err := f.acquireSession(addr, to, caps)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, to, err)
-		}
-		out, err, wrote := s.Do(from, method, payload)
-		if err == nil {
-			// Success stands even if a deadline marked the session broken
-			// afterwards; Release keeps or discards accordingly.
-			f.pool.Release(sessionKey(addr, to), s)
-			return out, nil
-		}
-		if !s.Broken() {
-			// Application or wire-kind error over a healthy session.
-			f.pool.Release(sessionKey(addr, to), s)
-			return nil, err
-		}
-		f.pool.Discard(s)
-		if !fresh && !wrote {
-			// Stale pooled conn, nothing sent: safe to retry on another
-			// connection (the POST-path equivalent of dialing anew). Once
-			// bytes may have reached the peer the call is never resent —
-			// at-most-once; component failover owns the retry decision.
-			continue
-		}
-		return nil, err
-	}
-}
-
-// boundSession is a Session pinned to a (from, to) pair over a dedicated
-// connection — the one-connection-per-session native mode.
-type boundSession struct {
-	f        *Fabric
-	s        *streamcore.Session
-	from, to string
-	elide    bool
-	closedMk bool
-}
-
-// Call implements transport.Session: the same injected-fault checks as
-// Fabric.Call run per call, then the frame rides the pinned connection.
-func (b *boundSession) Call(method string, payload any) (any, error) {
-	if b.closedMk {
-		return nil, fmt.Errorf("%w: session closed", transport.ErrCrashed)
-	}
-	if _, _, err := b.f.checkCall(b.from, b.to, method); err != nil {
-		return nil, err
-	}
-	out, err, _ := b.s.Do(b.from, method, payload)
-	return out, err
-}
-
-// ElidesAcks implements transport.ElidingSession: true only when this
-// fabric has ack elision enabled and the peer negotiated the capability.
-func (b *boundSession) ElidesAcks() bool { return b.elide && !b.closedMk }
-
-// SendNoAck implements transport.ElidingSession: the same injected-fault
-// checks run per elided call (fault parity frame by frame), then the no-ack
-// frame queues to coalesce into the session's next flush.
-func (b *boundSession) SendNoAck(method string, payload any) error {
-	if b.closedMk {
-		return fmt.Errorf("%w: session closed", transport.ErrCrashed)
-	}
-	if _, _, err := b.f.checkCall(b.from, b.to, method); err != nil {
-		return err
-	}
-	return b.s.SendNoAck(b.from, method, payload)
-}
-
-// Close implements transport.Session; the connection close is the server's
-// natural end-of-session signal.
-func (b *boundSession) Close() error {
-	if b.closedMk {
-		return nil
-	}
-	b.closedMk = true
-	b.f.pool.Discard(b.s)
-	return nil
-}
-
-// OpenSession implements transport.StreamFabric: a dedicated connection
-// per session (every tcp peer streams; there is no degraded mode). The
-// session elides acks only when this fabric opted in and the peer
-// advertised the capability — otherwise per-chunk acks keep flowing,
-// bit-identically to the pre-elision protocol.
-func (f *Fabric) OpenSession(from, to string) (transport.Session, error) {
-	addr, isLocal, err := f.checkCall(from, to, "open-session")
-	if err != nil {
-		return nil, err
-	}
-	caps := f.peerCapabilities(addr, isLocal)
-	s, err := f.dialSession(addr, to, caps)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, to, err)
-	}
-	return &boundSession{f: f, s: s, from: from, to: to, elide: f.ackElide && caps.SupportsAckElide()}, nil
-}
-
-// --- server side ---
 
 func (f *Fabric) acceptLoop() {
 	defer f.wg.Done()
@@ -529,11 +168,9 @@ func (f *Fabric) acceptLoop() {
 	}
 }
 
-// serveConn handles one inbound streaming session: hello, then the shared
-// engine's serve loop answers pipelined request frames in order, each
-// through the same fault-check dispatch as every other backend (including
-// the no-ack suppression path). The loop exits when the peer closes its
-// end or the connection breaks.
+// serveConn handles one inbound connection: hello, then the shared fabric
+// serves the session until the peer closes its end or the connection
+// breaks.
 func (f *Fabric) serveConn(conn net.Conn) {
 	defer f.wg.Done()
 	defer func() {
@@ -544,7 +181,7 @@ func (f *Fabric) serveConn(conn net.Conn) {
 	}()
 
 	nc := streamcore.NewNetConn(conn)
-	_, hello, err := nc.ReadFrame(maxFrameBytes)
+	_, hello, err := nc.ReadFrame(streamcore.MaxFrame)
 	if err != nil {
 		return
 	}
@@ -552,196 +189,5 @@ func (f *Fabric) serveConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	streamcore.Serve(nc, streamcore.ServeConfig{
-		DefaultCodec: f.codec,
-		MaxFrame:     maxFrameBytes,
-		Prefix:       "tcptransport",
-		Counters:     &f.counters,
-		Invoke: func(req *wire.Request) *wire.Response {
-			return f.dispatch(node, req)
-		},
-	})
-}
-
-// dispatch runs the server-side fault checks and the handler for one
-// decoded request addressed to node; the reserved _fabric node serves
-// discovery and advertisement.
-func (f *Fabric) dispatch(node string, req *wire.Request) *wire.Response {
-	if node == fabricNode {
-		out, err := f.fabricMethod(req)
-		if err != nil {
-			return &wire.Response{Err: err.Error()}
-		}
-		return &wire.Response{Payload: out}
-	}
-	f.mu.RLock()
-	h, ok := f.local[node]
-	f.mu.RUnlock()
-
-	switch {
-	case !ok:
-		return &wire.Response{Kind: transport.KindUnknownNode, Err: node}
-	case f.Crashed(node):
-		return &wire.Response{Kind: transport.KindCrashed, Err: node}
-	case f.Cut(req.From, node):
-		return &wire.Response{Kind: transport.KindPartitioned, Err: req.From + " <-> " + node}
-	}
-	out, err := safeInvoke(h, req.Method, req.Payload)
-	if err != nil {
-		return &wire.Response{Kind: transport.ErrorToKind(err), Err: err.Error()}
-	}
-	return &wire.Response{Payload: out}
-}
-
-// safeInvoke contains handler panics, exactly like the HTTP fabric:
-// network peers are untrusted, and a well-formed frame carrying the wrong
-// registered type must become a wire error, not a crash.
-func safeInvoke(h transport.Handler, method string, payload any) (out any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("tcptransport: handler panic on %q: %v", method, r)
-		}
-	}()
-	return h(method, payload)
-}
-
-// --- discovery / advertisement ---
-
-// nodesDoc is the discovery document exchanged by _nodes and _advertise,
-// carried as a JSON string payload: which nodes a fabric serves, where,
-// and what it is capable of — the same shape as the HTTP fabric's
-// /nodes body, so the capability negotiation surface is identical.
-type nodesDoc struct {
-	// BaseURL is the advertising fabric's dialable address (tcp://host:port).
-	BaseURL string `json:"base_url"`
-	// Nodes lists the fabric's locally served node names.
-	Nodes []string `json:"nodes"`
-	// Routes gossips the remote routes this fabric has learned (node name
-	// -> address), making discovery transitive — the same hint surface as
-	// the HTTP fabric's document; local registrations always win over
-	// gossiped routes.
-	Routes map[string]string `json:"routes,omitempty"`
-	wire.Capabilities
-}
-
-func (f *Fabric) selfDoc() nodesDoc {
-	return nodesDoc{BaseURL: f.BaseURL(), Nodes: f.Nodes(), Routes: f.Routes(), Capabilities: selfCapabilities()}
-}
-
-// fabricMethod serves the reserved-node methods.
-func (f *Fabric) fabricMethod(req *wire.Request) (any, error) {
-	switch req.Method {
-	case "_nodes":
-		doc, err := json.Marshal(f.selfDoc())
-		if err != nil {
-			return nil, err
-		}
-		return string(doc), nil
-	case "_advertise":
-		raw, _ := req.Payload.(string)
-		var doc nodesDoc
-		if err := json.Unmarshal([]byte(raw), &doc); err != nil {
-			return nil, fmt.Errorf("tcptransport: decoding advertisement: %w", err)
-		}
-		if doc.BaseURL == "" {
-			return nil, errors.New("tcptransport: advertisement missing base_url")
-		}
-		f.recordPeer(doc)
-		self, err := json.Marshal(f.selfDoc())
-		if err != nil {
-			return nil, err
-		}
-		return string(self), nil
-	default:
-		return nil, fmt.Errorf("tcptransport: unknown fabric method %q", req.Method)
-	}
-}
-
-// recordPeer stores a peer's routes and advertised capabilities. Gossiped
-// third-party routes are adopted as-is (newest gossip wins); nodes this
-// fabric serves locally, and routes pointing back at this fabric, are
-// skipped — mirroring the HTTP fabric.
-func (f *Fabric) recordPeer(doc nodesDoc) {
-	addr := strings.TrimPrefix(doc.BaseURL, Scheme)
-	for _, node := range doc.Nodes {
-		f.AddRoute(node, addr)
-	}
-	self := f.baseAddr
-	for node, base := range doc.Routes {
-		base = strings.TrimPrefix(base, Scheme)
-		f.mu.RLock()
-		_, isLocal := f.local[node]
-		f.mu.RUnlock()
-		if !isLocal && base != self {
-			f.AddRoute(node, base)
-		}
-	}
-	f.mu.Lock()
-	f.peerCaps[addr] = doc.Capabilities
-	f.mu.Unlock()
-}
-
-// PeerCapabilities returns what the fabric at addr (with or without the
-// tcp:// prefix) advertised — the zero value for unknown peers.
-func (f *Fabric) PeerCapabilities(addr string) wire.Capabilities {
-	addr = strings.TrimPrefix(addr, Scheme)
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.peerCaps[addr]
-}
-
-// fabricCall opens a short-lived session to the reserved node at addr and
-// performs one method call — the client half of discovery/advertisement.
-func (f *Fabric) fabricCall(addr, method string, payload any) (string, error) {
-	addr = strings.TrimPrefix(addr, Scheme)
-	s, err := f.dialSession(addr, fabricNode, wire.Capabilities{})
-	if err != nil {
-		return "", fmt.Errorf("tcptransport: reaching fabric at %s: %w", addr, err)
-	}
-	defer f.pool.Discard(s)
-	out, err, _ := s.Do(f.BaseURL(), method, payload)
-	if err != nil {
-		return "", err
-	}
-	doc, _ := out.(string)
-	return doc, nil
-}
-
-// Advertise announces this fabric's locally served nodes to the peer
-// fabric at peerAddr (so the peer can route calls back here) and returns
-// the peer's own node list for symmetric route setup.
-func (f *Fabric) Advertise(peerAddr string) ([]string, error) {
-	self, err := json.Marshal(f.selfDoc())
-	if err != nil {
-		return nil, err
-	}
-	raw, err := f.fabricCall(peerAddr, "_advertise", string(self))
-	if err != nil {
-		return nil, fmt.Errorf("tcptransport: advertising to %s: %w", peerAddr, err)
-	}
-	var doc nodesDoc
-	if err := json.Unmarshal([]byte(raw), &doc); err != nil {
-		return nil, err
-	}
-	f.recordPeer(doc)
-	return doc.Nodes, nil
-}
-
-// Discover fetches the node inventory of the fabric at addr, adds a route
-// for every node it serves, and records its advertised capabilities — the
-// client-side entry point for capability negotiation.
-func (f *Fabric) Discover(addr string) ([]string, error) {
-	raw, err := f.fabricCall(addr, "_nodes", nil)
-	if err != nil {
-		return nil, fmt.Errorf("tcptransport: listing nodes at %s: %w", addr, err)
-	}
-	var doc nodesDoc
-	if err := json.Unmarshal([]byte(raw), &doc); err != nil {
-		return nil, err
-	}
-	// Route through the address this fabric actually reached the peer at:
-	// behind NAT the advertised one may be unreachable from here.
-	doc.BaseURL = addr
-	f.recordPeer(doc)
-	return doc.Nodes, nil
+	f.ServeConn(node, nc)
 }

@@ -1,16 +1,15 @@
 package tcptransport
 
-// White-box tests for the raw-TCP fabric: basic RPC parity, discovery and
-// advertisement, fault injection semantics, session lifecycle, and the
-// allocation gate on the pipelined send path (the whole point of the
-// backend is removing per-call overhead, so the gate keeps it removed).
+// Tests for the raw-TCP backend. What every networked fabric shares is
+// specified once in streamcore/fabrictest and run here over real TCP
+// sockets; the rest covers what this package adds — the hello handshake —
+// plus the allocation gate on the pipelined send path (the whole point of
+// the backend is removing per-call overhead, so the gate keeps it removed).
 
 import (
 	"errors"
 	"net"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/transport"
 	"repro/internal/transport/streamcore"
+	"repro/internal/transport/streamcore/fabrictest"
 	"repro/internal/transport/wire"
 )
 
@@ -34,31 +34,85 @@ func newTestFabric(t *testing.T, opts Options) *Fabric {
 	return f
 }
 
-// TestCallRoundTrip drives registered-message calls through the loopback
-// listener in every codec configuration.
-func TestCallRoundTrip(t *testing.T) {
-	for _, codec := range []string{"gob", "bin", "json"} {
-		t.Run(codec, func(t *testing.T) {
-			f := newTestFabric(t, Options{Codec: codec})
-			f.Register("agg", func(method string, payload any) (any, error) {
-				req := payload.(server.JoinRequest)
-				return server.JoinResponse{Accepted: true, SessionID: uint64(req.ClientID) + 1}, nil
-			})
-			out, err := f.Call("client-7", "agg", "join", server.JoinRequest{TaskID: "t", ClientID: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp := out.(server.JoinResponse); !resp.Accepted || resp.SessionID != 8 {
-				t.Fatalf("response = %+v", resp)
-			}
+func newSuiteFabric(t *testing.T) fabrictest.Fabric { return newTestFabric(t, Options{Seed: 42}) }
+
+func TestFaultParity(t *testing.T)             { fabrictest.FaultParity(t, newSuiteFabric) }
+func TestFaultParityMidSession(t *testing.T)   { fabrictest.FaultParityMidSession(t, newSuiteFabric) }
+func TestDiscoveryAndAdvertise(t *testing.T)   { fabrictest.DiscoveryAndAdvertise(t, newSuiteFabric) }
+func TestRouteGossipIsTransitive(t *testing.T) { fabrictest.RouteGossipIsTransitive(t, newSuiteFabric) }
+func TestAckElideEndToEnd(t *testing.T)        { fabrictest.AckElideEndToEnd(t, newSuiteFabric) }
+func TestReservedNodeNameRejected(t *testing.T) {
+	fabrictest.ReservedNodeNameRejected(t, newSuiteFabric)
+}
+func TestAckElideHeldFailureSurfacesOnNextCall(t *testing.T) {
+	fabrictest.AckElideHeldFailureSurfacesOnNextCall(t, newSuiteFabric)
+}
+func TestCloseDoesNotLeakGoroutines(t *testing.T) {
+	fabrictest.CloseDoesNotLeakGoroutines(t, newSuiteFabric)
+}
+func TestUnknownVersionKillsSession(t *testing.T) {
+	fabrictest.UnknownVersionKillsSession(t, newSuiteFabric,
+		func(f fabrictest.Fabric, node string) (streamcore.Conn, error) {
+			return dial(strings.TrimPrefix(f.BaseURL(), Scheme), node, 5*time.Second)
 		})
+}
+
+// TestCallRoundTrip drives a registered-message call through the loopback
+// listener, and pins the frozen Options.Codec contract: "" and "bin" name
+// the one wire format, anything else is refused.
+func TestCallRoundTrip(t *testing.T) {
+	t.Run("bin", func(t *testing.T) {
+		f := newTestFabric(t, Options{Codec: "bin"})
+		f.Register("agg", func(method string, payload any) (any, error) {
+			req := payload.(server.JoinRequest)
+			return server.JoinResponse{Accepted: true, SessionID: uint64(req.ClientID) + 1}, nil
+		})
+		out, err := f.Call("client-7", "agg", "join", server.JoinRequest{TaskID: "t", ClientID: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := out.(server.JoinResponse); !resp.Accepted || resp.SessionID != 8 {
+			t.Fatalf("response = %+v", resp)
+		}
+	})
+	if f, err := New(Options{Listen: "127.0.0.1:0", Codec: "gob"}); err == nil {
+		f.Close()
+		t.Fatal("a codec other than bin was accepted")
+	}
+}
+
+// TestUnknownHelloRefused: a connection that does not open with this
+// build's hello — garbage, or a hello from a build one version ahead — is
+// closed before any frame is served.
+func TestUnknownHelloRefused(t *testing.T) {
+	f := newTestFabric(t, Options{})
+	f.Register("node", func(string, any) (any, error) { return true, nil })
+	future := wire.AppendStreamHello(nil, "node")
+	future[3] = wire.Version + 1
+	for name, hello := range map[string][]byte{"version+1": future, "garbage": []byte("GET / HTTP/1.1")} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(f.BaseURL(), Scheme))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := wire.Binary{}.AppendRequest(nil, &wire.Request{From: "c", Method: "m"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(wire.AppendStreamFrame(wire.AppendStreamFrame(nil, 0, hello), 0, req)); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, net.ErrClosed) {
+			t.Fatalf("%s: read %d bytes, err %v; want the server to hang up unanswered", name, n, err)
+		}
+		conn.Close()
 	}
 }
 
 // TestCompressedFrames exercises the per-frame deflate stage with a
 // model-sized payload.
 func TestCompressedFrames(t *testing.T) {
-	f := newTestFabric(t, Options{Codec: "bin", Compress: "streamed"})
+	f := newTestFabric(t, Options{Compress: "streamed"})
 	f.Register("agg", func(method string, payload any) (any, error) {
 		dl := payload.(server.DownloadRequest)
 		params := make([]float32, 4096)
@@ -70,82 +124,6 @@ func TestCompressedFrames(t *testing.T) {
 	}
 	if resp := out.(server.DownloadResponse); resp.Version != 3 || len(resp.Params) != 4096 {
 		t.Fatalf("response = %d params v%d", len(resp.Params), resp.Version)
-	}
-}
-
-// TestDiscoveryAndAdvertise wires two fabrics together through the
-// reserved _fabric node and checks routes and capabilities land.
-func TestDiscoveryAndAdvertise(t *testing.T) {
-	a := newTestFabric(t, Options{})
-	b := newTestFabric(t, Options{})
-	a.Register("node-a", func(method string, payload any) (any, error) { return "from-a", nil })
-	b.Register("node-b", func(method string, payload any) (any, error) { return "from-b", nil })
-
-	nodes, err := a.Discover(b.BaseURL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes) != 1 || nodes[0] != "node-b" {
-		t.Fatalf("discovered %v", nodes)
-	}
-	caps := a.PeerCapabilities(b.BaseURL())
-	if !caps.SupportsStream() || !caps.SupportsBinary() || !caps.SupportsCompression() {
-		t.Fatalf("peer capabilities = %+v", caps)
-	}
-	if out, err := a.Call("tester", "node-b", "ping", nil); err != nil || out != "from-b" {
-		t.Fatalf("cross-fabric call: %v %v", out, err)
-	}
-
-	// Advertise back: b learns a's nodes.
-	if _, err := a.Advertise(b.BaseURL()); err != nil {
-		t.Fatal(err)
-	}
-	if out, err := b.Call("tester", "node-a", "ping", nil); err != nil || out != "from-a" {
-		t.Fatalf("advertised route call: %v %v", out, err)
-	}
-}
-
-// TestFaultParity checks the injected-fault semantics match the in-memory
-// Network: unknown node, crash (callee and caller), partition/heal, and a
-// genuinely dead peer process mapping to ErrCrashed.
-func TestFaultParity(t *testing.T) {
-	f := newTestFabric(t, Options{})
-	f.Register("node", func(method string, payload any) (any, error) { return true, nil })
-
-	if _, err := f.Call("c", "ghost", "ping", nil); !errors.Is(err, transport.ErrUnknownNode) {
-		t.Fatalf("unknown node error = %v", err)
-	}
-	f.Crash("node")
-	if _, err := f.Call("c", "node", "ping", nil); !errors.Is(err, transport.ErrCrashed) {
-		t.Fatalf("crashed callee error = %v", err)
-	}
-	f.Register("node", func(method string, payload any) (any, error) { return true, nil })
-	if _, err := f.Call("c", "node", "ping", nil); err != nil {
-		t.Fatalf("restarted callee: %v", err)
-	}
-	f.Crash("c")
-	if _, err := f.Call("c", "node", "ping", nil); !errors.Is(err, transport.ErrCrashed) {
-		t.Fatalf("crashed caller error = %v", err)
-	}
-	f.Register("c", func(method string, payload any) (any, error) { return true, nil })
-	f.Partition("c", "node")
-	if _, err := f.Call("c", "node", "ping", nil); !errors.Is(err, transport.ErrPartitioned) {
-		t.Fatalf("partitioned error = %v", err)
-	}
-	f.Heal("c", "node")
-	if _, err := f.Call("c", "node", "ping", nil); err != nil {
-		t.Fatalf("healed call: %v", err)
-	}
-
-	// A peer whose process is gone: the route remains but nothing listens.
-	dead := newTestFabric(t, Options{})
-	dead.Register("gone", func(method string, payload any) (any, error) { return true, nil })
-	if _, err := f.Discover(dead.BaseURL()); err != nil {
-		t.Fatal(err)
-	}
-	_ = dead.Close()
-	if _, err := f.Call("c", "gone", "ping", nil); !errors.Is(err, transport.ErrCrashed) {
-		t.Fatalf("dead process error = %v", err)
 	}
 }
 
@@ -180,7 +158,7 @@ func TestLossInjection(t *testing.T) {
 // TestOpenSessionPipelines runs a session's worth of calls over one
 // dedicated connection.
 func TestOpenSessionPipelines(t *testing.T) {
-	f := newTestFabric(t, Options{Codec: "bin"})
+	f := newTestFabric(t, Options{})
 	var seen atomic.Int64
 	f.Register("agg", func(method string, payload any) (any, error) {
 		seen.Add(1)
@@ -212,17 +190,6 @@ func TestOpenSessionPipelines(t *testing.T) {
 	}
 }
 
-// TestReservedNodeNameRejected keeps _fabric off-limits to handlers.
-func TestReservedNodeNameRejected(t *testing.T) {
-	f := newTestFabric(t, Options{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("registering the reserved node name did not panic")
-		}
-	}()
-	f.Register(fabricNode, func(method string, payload any) (any, error) { return nil, nil })
-}
-
 // discardConn swallows writes and never delivers reads — a streamcore.Conn
 // sink for measuring the send path without a live peer.
 type discardConn struct{}
@@ -241,17 +208,16 @@ func (discardConn) SetDeadline(time.Time) error { return nil }
 func (discardConn) Close() error                { return nil }
 
 // TestPipelinedChunkSendAllocs is the alloc gate on the streaming hot
-// path: with the bin codec, sending one pipelined no-ack upload chunk
+// path: sending one pipelined no-ack upload chunk
 // (encode the frame into pooled scratch, length-prefix it, coalesce and
 // write it) must stay <= 2 heap allocations — the same discipline the wire
 // benches enforce on the decode side. Regressions here mean the engine's
 // per-session scratch reuse broke.
 func TestPipelinedChunkSendAllocs(t *testing.T) {
 	s := streamcore.NewSession(discardConn{}, streamcore.Config{
-		Codec:    wire.Binary{},
 		Node:     "agg",
 		Prefix:   "tcptransport",
-		MaxFrame: maxFrameBytes,
+		MaxFrame: streamcore.MaxFrame,
 		Counters: &streamcore.Counters{},
 	})
 	chunk := server.UploadChunk{
@@ -278,206 +244,5 @@ func TestPipelinedChunkSendAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("pipelined chunk send costs %.1f allocs, want <= 2", allocs)
-	}
-}
-
-// TestCloseDoesNotLeakGoroutines opens sessions and fabrics, closes them,
-// and checks the goroutine count settles.
-func TestCloseDoesNotLeakGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	for i := 0; i < 3; i++ {
-		f, err := New(Options{Listen: "127.0.0.1:0"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Register("node", func(method string, payload any) (any, error) { return true, nil })
-		for j := 0; j < 4; j++ {
-			sess, err := f.OpenSession("c", "node")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sess.Call("ping", nil); err != nil {
-				t.Fatal(err)
-			}
-			sess.Close()
-		}
-		if _, err := f.Call("c", "node", "ping", nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= base+2 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<16)
-	t.Fatalf("goroutines: %d at start, %d after close\n%s",
-		base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-}
-
-// TestRouteGossipIsTransitive mirrors the HTTP fabric's gossip test: a
-// selector fabric that only Discovers the coordinator's fabric learns the
-// routes of everyone who advertised there.
-func TestRouteGossipIsTransitive(t *testing.T) {
-	coordSide := newTestFabric(t, Options{})
-	coordSide.Register("coordinator", func(method string, payload any) (any, error) { return true, nil })
-
-	agentSide := newTestFabric(t, Options{})
-	agentSide.Register("agg-g", func(method string, payload any) (any, error) { return "agg-g here", nil })
-	if _, err := agentSide.Advertise(coordSide.BaseURL()); err != nil {
-		t.Fatal(err)
-	}
-
-	selSide := newTestFabric(t, Options{})
-	if _, err := selSide.Discover(coordSide.BaseURL()); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := selSide.Routes()["agg-g"], strings.TrimPrefix(agentSide.BaseURL(), Scheme); got != want {
-		t.Fatalf("gossiped route for agg-g = %q, want %q", got, want)
-	}
-	out, err := selSide.Call("sel-g", "agg-g", "join", nil)
-	if err != nil {
-		t.Fatalf("selector -> gossiped agent: %v", err)
-	}
-	if out != "agg-g here" {
-		t.Fatalf("gossiped-route response = %v", out)
-	}
-}
-
-// TestAckElideEndToEnd: with Options.AckElide toward a negotiated peer
-// (loopback fabrics always negotiate), non-final chunk sends ride the
-// stream without acknowledgements, the serving side invokes every one of
-// them, and only the final acked call crosses with a reply. The shared
-// counters prove acks were actually elided and the coalesced flush batched
-// the queued frames.
-func TestAckElideEndToEnd(t *testing.T) {
-	f := newTestFabric(t, Options{Codec: "bin", AckElide: true})
-	// The handler runs on the serving goroutine; the only ordering toward
-	// the test's final read is socket I/O, which the race detector cannot
-	// see, so the record needs its own lock.
-	var mu sync.Mutex
-	var methods []string
-	f.Register("agg", func(method string, payload any) (any, error) {
-		mu.Lock()
-		methods = append(methods, method)
-		mu.Unlock()
-		return server.UploadResponse{OK: true}, nil
-	})
-	sess, err := f.OpenSession("client-1", "agg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	es, ok := sess.(transport.ElidingSession)
-	if !ok || !es.ElidesAcks() {
-		t.Fatalf("loopback session does not elide (ok=%v)", ok)
-	}
-	for i := 0; i < 5; i++ {
-		if err := es.SendNoAck("chunk", server.FailRequest{TaskID: "t", SessionID: uint64(i)}); err != nil {
-			t.Fatalf("no-ack send %d: %v", i, err)
-		}
-	}
-	out, err := es.Call("done", server.FailRequest{TaskID: "t", SessionID: 99})
-	if err != nil {
-		t.Fatalf("final acked call: %v", err)
-	}
-	if ur := out.(server.UploadResponse); !ur.OK {
-		t.Fatalf("final response = %+v", ur)
-	}
-	mu.Lock()
-	if len(methods) != 6 || methods[0] != "chunk" || methods[5] != "done" {
-		t.Fatalf("handler saw %v", methods)
-	}
-	mu.Unlock()
-	st := f.Stats()
-	if st.AcksElided < 5 {
-		t.Fatalf("AcksElided = %d, want >= 5", st.AcksElided)
-	}
-	if st.FramesCoalesced == 0 {
-		t.Fatal("queued no-ack frames never coalesced into a batched write")
-	}
-}
-
-// TestAckElideHeldFailureSurfacesOnNextCall: the no-ack serving protocol —
-// the first non-suppressible response to an elided frame is held, later
-// elided frames are drained without dispatch, and the next acknowledged
-// call is answered with the held response instead of being invoked. This
-// is what lets an elided chunk train fail loudly on its Done chunk.
-func TestAckElideHeldFailureSurfacesOnNextCall(t *testing.T) {
-	f := newTestFabric(t, Options{Codec: "bin", AckElide: true})
-	var mu sync.Mutex
-	var methods []string
-	f.Register("agg", func(method string, payload any) (any, error) {
-		mu.Lock()
-		methods = append(methods, method)
-		mu.Unlock()
-		if method == "bad" {
-			return server.UploadResponse{OK: false, Reason: "nope"}, nil
-		}
-		return server.UploadResponse{OK: true}, nil
-	})
-	sess, err := f.OpenSession("client-1", "agg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	es := sess.(transport.ElidingSession)
-	for _, m := range []string{"ok", "bad", "after"} {
-		if err := es.SendNoAck(m, server.FailRequest{TaskID: "t"}); err != nil {
-			t.Fatalf("no-ack %s: %v", m, err)
-		}
-	}
-	out, err := es.Call("final", server.FailRequest{TaskID: "t"})
-	if err != nil {
-		t.Fatalf("acked call after held failure: %v", err)
-	}
-	ur := out.(server.UploadResponse)
-	if ur.OK || ur.Reason != "nope" {
-		t.Fatalf("held response = %+v, want the bad chunk's failure", ur)
-	}
-	// "after" was drained without dispatch and "final" was answered from
-	// the held response without being invoked.
-	mu.Lock()
-	if len(methods) != 2 || methods[0] != "ok" || methods[1] != "bad" {
-		t.Fatalf("handler saw %v", methods)
-	}
-	mu.Unlock()
-}
-
-// TestAckElideDegradesForUnknownCapsPeer: toward a peer whose capability
-// document was never fetched (the zero document — a /v1 peer), the session
-// still streams (TCP always does) but must keep per-chunk acknowledgements:
-// the elision surface reports false and no acks are elided.
-func TestAckElideDegradesForUnknownCapsPeer(t *testing.T) {
-	srv := newTestFabric(t, Options{})
-	srv.Register("node", func(method string, payload any) (any, error) {
-		return server.UploadResponse{OK: true}, nil
-	})
-	caller := newTestFabric(t, Options{AckElide: true})
-	// AddRoute without Discover: capabilities stay unknown.
-	caller.AddRoute("node", srv.BaseURL())
-
-	sess, err := caller.OpenSession("client-1", "node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if es, ok := sess.(transport.ElidingSession); ok && es.ElidesAcks() {
-		t.Fatal("session elides acks toward a peer that never negotiated the capability")
-	}
-	out, err := sess.Call("chunk", server.FailRequest{TaskID: "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ur := out.(server.UploadResponse); !ur.OK {
-		t.Fatalf("per-chunk acked call = %+v", ur)
-	}
-	if st := caller.Stats(); st.AcksElided != 0 {
-		t.Fatalf("AcksElided = %d toward a non-negotiating peer", st.AcksElided)
 	}
 }

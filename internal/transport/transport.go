@@ -2,8 +2,9 @@
 // PAPAYA components (Coordinator, Selectors, Aggregators, clients; Section 4)
 // and provides the in-memory reference implementation. Components program
 // against the Fabric interface, so the same control plane runs over the
-// deterministic in-memory Network in tests and over real HTTP between OS
-// processes via internal/transport/httptransport. The in-memory backend
+// deterministic in-memory Network in tests and over real sockets between OS
+// processes via internal/transport/streamcore (dialed over HTTP by
+// httptransport, over raw TCP by tcptransport). The in-memory backend
 // stands in for the data-center network: synchronous request/response calls
 // with injectable latency, message loss, partitions, and node crashes, so the
 // failure-recovery behaviour of Appendix E.4 can be exercised
@@ -26,9 +27,10 @@ type Handler func(method string, payload any) (any, error)
 // Fabric is the RPC surface the control plane is written against: named
 // nodes exchanging synchronous request/response calls (the paper's
 // Coordinator <-> Aggregator <-> Selector <-> client protocols, Section 4).
-// Implementations must be safe for concurrent use. Two backends exist: the
+// Implementations must be safe for concurrent use. Two exist: the
 // in-memory Network below (deterministic, fault-injectable, the test
-// fabric) and httptransport.Fabric (real HTTP between processes).
+// fabric) and streamcore.Fabric (real sockets between processes, embedded
+// by the httptransport and tcptransport backends).
 type Fabric interface {
 	// Call sends a synchronous request from one node to another and
 	// returns the response. Transport-level failures are reported as (or
@@ -45,8 +47,9 @@ type Fabric interface {
 
 // FaultInjector is the optional fault-injection surface a Fabric may offer
 // so the failure-recovery protocols of Appendix E.4 can be exercised. Both
-// the in-memory Network and the HTTP backend implement it; the conformance
-// suite in internal/server runs the same failover tests against each.
+// the in-memory Network and the networked fabric implement it; the
+// conformance suite in internal/server runs the same failover tests against
+// each.
 type FaultInjector interface {
 	// Crash marks a node as crashed: calls to and from it fail with
 	// ErrCrashed until it re-registers.
@@ -61,8 +64,8 @@ type FaultInjector interface {
 	SetLatency(d time.Duration)
 }
 
-// Network implements both interfaces; httptransport.Fabric asserts the same
-// at its definition site.
+// Network implements both interfaces; the networked backends assert the
+// same at their definition sites.
 var (
 	_ Fabric        = (*Network)(nil)
 	_ FaultInjector = (*Network)(nil)

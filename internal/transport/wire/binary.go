@@ -1,17 +1,12 @@
-// The binary fast-path codec. Profiling the loopback loadtest showed the
-// serving path CPU-bound inside encoding/gob: every hot RPC (check-in,
-// report, chunk upload, download) pays reflection over interface-typed
-// payloads, and model-sized []float32 fields are walked element by element.
-// Binary ("bin") replaces that with a hand-rolled little-endian wire form
-// for the hot messages — fixed headers, length-prefixed fields, bulk vector
-// copies, zero reflection — and keeps a gob envelope as the in-frame
-// fallback for cold messages (task specs, heartbeat reports), so every
-// registered message still crosses.
-//
-// Like wire compression, bin is a negotiated /v2/ capability (versioning
-// rule 4): a fabric sends bin frames only to peers whose discovery document
-// advertised the "bin" codec, and speaks gob to everyone else. A /v1/ peer
-// keeps receiving exactly the gob bytes it always did.
+// The one frame format. Profiling the loopback loadtest showed the serving
+// path CPU-bound inside encoding/gob: every hot RPC (check-in, report, chunk
+// upload, download) paid reflection over interface-typed payloads, and
+// model-sized []float32 fields were walked element by element. Binary
+// replaces that with a hand-rolled little-endian wire form for the hot
+// messages — fixed headers, length-prefixed fields, bulk vector copies, zero
+// reflection — and keeps a gob envelope as the in-frame fallback for cold
+// messages (task specs, heartbeat reports), so every registered message
+// still crosses.
 //
 // Hot messages register a hand-rolled encoder/decoder pair here via
 // BinaryMessage + RegisterBinary (internal/server owns the message types,
@@ -44,7 +39,7 @@ type BinaryMessage interface {
 }
 
 // BufferLease is implemented by request messages whose binary decoder
-// leases buffers from internal/vecpool (UploadChunk's vectors). The HTTP
+// leases buffers from internal/vecpool (UploadChunk's vectors). The
 // transport calls ReleaseBinaryBuffers after the handler (and the response
 // encode) are done, so a handler must copy any vector it keeps — the same
 // contract handlers already honor, since in-memory payloads share memory
@@ -56,8 +51,8 @@ type BufferLease interface {
 
 // ResponseBufferLease is the response-side counterpart of BufferLease:
 // implemented by response messages whose vectors the handler leased from a
-// pool (a download's model snapshot). The HTTP transport releases them
-// once the response frame is encoded. It is a distinct interface from
+// pool (a download's model snapshot). The transport releases them once
+// the response frame is encoded. It is a distinct interface from
 // BufferLease so a handler echoing its request payload back cannot cause a
 // double release.
 type ResponseBufferLease interface {
@@ -81,16 +76,6 @@ type ResponseSnapshot interface {
 	// vectors are replaced by plain caller-owned allocations. The copy must
 	// not alias any buffer ReleaseResponseBuffers returns to a pool.
 	SnapshotResponseBuffers() any
-}
-
-// Appender is the allocation-free encode surface a codec may offer:
-// encoding into a caller-provided buffer instead of a fresh allocation.
-// The HTTP transport detects it and recycles frame buffers through a pool.
-type Appender interface {
-	// AppendRequest appends an encoded request frame to dst.
-	AppendRequest(dst []byte, r *Request) ([]byte, error)
-	// AppendResponse appends an encoded response frame to dst.
-	AppendResponse(dst []byte, r *Response) ([]byte, error)
 }
 
 // BinaryIDMin is the first message ID available to RegisterBinary; smaller
@@ -149,20 +134,14 @@ func binaryDecoder(id byte) func([]byte) (any, error) {
 
 // --- the codec ---
 
-// Binary is the zero-reflection fast-path codec ("bin"): fixed little-
-// endian header, length-prefixed fields, bulk []float32/[]uint32 copies
-// for the hot control-plane messages, gob fallback inside the frame for
-// everything else. Negotiated as a /v2/ capability; gob remains the
-// universal default.
+// Binary is the frame format every networked fabric speaks: "PB" magic,
+// envelope version and frame kind, then length-prefixed fields — bulk
+// []float32/[]uint32 copies for the hot control-plane messages, gob inside
+// the frame for everything else. The Append methods encode into a
+// caller-provided buffer so the transport recycles frame buffers.
 type Binary struct{}
 
-// Name implements Codec.
-func (Binary) Name() string { return "bin" }
-
-// ContentType implements Codec.
-func (Binary) ContentType() string { return "application/x-papaya-bin" }
-
-// AppendRequest implements Appender.
+// AppendRequest appends an encoded request frame to dst.
 func (Binary) AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	dst = append(dst, 'P', 'B', Version, binFrameRequest)
 	dst = AppendString(dst, r.From)
@@ -170,19 +149,13 @@ func (Binary) AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	return AppendPayloadBinary(dst, r.Payload)
 }
 
-// AppendResponse implements Appender.
+// AppendResponse appends an encoded response frame to dst.
 func (Binary) AppendResponse(dst []byte, r *Response) ([]byte, error) {
 	dst = append(dst, 'P', 'B', Version, binFrameResponse)
 	dst = AppendString(dst, r.Err)
 	dst = AppendString(dst, r.Kind)
 	return AppendPayloadBinary(dst, r.Payload)
 }
-
-// EncodeRequest implements Codec.
-func (b Binary) EncodeRequest(r *Request) ([]byte, error) { return b.AppendRequest(nil, r) }
-
-// EncodeResponse implements Codec.
-func (b Binary) EncodeResponse(r *Response) ([]byte, error) { return b.AppendResponse(nil, r) }
 
 func checkBinaryHeader(b []byte, kind byte) ([]byte, error) {
 	if len(b) < 4 || b[0] != 'P' || b[1] != 'B' {
@@ -197,7 +170,8 @@ func checkBinaryHeader(b []byte, kind byte) ([]byte, error) {
 	return b[4:], nil
 }
 
-// DecodeRequest implements Codec.
+// DecodeRequest parses a request frame, rejecting an unknown magic,
+// envelope version or frame kind (versioning rule 1).
 func (Binary) DecodeRequest(b []byte) (*Request, error) {
 	body, err := checkBinaryHeader(b, binFrameRequest)
 	if err != nil {
@@ -218,7 +192,8 @@ func (Binary) DecodeRequest(b []byte) (*Request, error) {
 	return &Request{From: from, Method: method, Payload: payload}, nil
 }
 
-// DecodeResponse implements Codec.
+// DecodeResponse parses a response frame under the same checks as
+// DecodeRequest.
 func (Binary) DecodeResponse(b []byte) (*Response, error) {
 	body, err := checkBinaryHeader(b, binFrameResponse)
 	if err != nil {
@@ -273,8 +248,8 @@ func AppendPayloadBinary(dst []byte, v any) ([]byte, error) {
 		}
 		return bm.AppendBinary(append(dst, id)), nil
 	}
-	// Cold path: gob envelope. The message must still be registered (rule
-	// 2) — unregistered types fail here exactly as they do under Gob.
+	// Cold path: gob envelope. The message must still be registered —
+	// only the explicit registry may cross the network.
 	if _, err := lookupName(v); err != nil {
 		return nil, err
 	}

@@ -1,21 +1,14 @@
 package wire_test
 
-// Micro-benchmarks and allocation assertions for the binary fast-path
-// codec versus gob on the two hottest messages (UploadChunk requests,
-// DownloadResponse responses), plus the steady-state allocation contract
-// the pooling work exists for: bin encode into a reused buffer allocates
-// nothing, bin decode of an UploadChunk stays within 2 allocations
-// (the *Request and the payload's interface box) once the vector pools
-// are warm.
-//
-// TestBinBeatsGob is the bench-compare smoke CI runs: it fails the build
-// if the hand-rolled codec is ever not faster than gob on the hot
-// messages. It is gated behind PAPAYA_BENCH_COMPARE because comparative
-// timing assertions are load-sensitive and do not belong in every local
-// `go test` run.
+// Tests for the one frame format on the two hottest messages (UploadChunk
+// requests, DownloadResponse responses): the steady-state allocation
+// contract the pooling work exists for — encode into a reused buffer
+// allocates nothing, decode of an UploadChunk stays within 2 allocations
+// (the *Request and the payload's interface box) once the vector pools are
+// warm — plus the gob-in-frame fallback and hostile-frame rejection. Timing
+// lives in benchmark/replay.go (wire.encode_chunk_us and friends).
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/server"
@@ -47,88 +40,9 @@ func benchDownload(n int) server.DownloadResponse {
 	return server.DownloadResponse{Params: params, Version: 9}
 }
 
-func benchCodecs(t testing.TB) map[string]wire.Codec {
-	t.Helper()
-	out := make(map[string]wire.Codec, 2)
-	for _, name := range []string{"gob", "bin"} {
-		c, err := wire.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = c
-	}
-	return out
-}
-
 func releasePayload(v any) {
 	if lease, ok := v.(wire.BufferLease); ok {
 		lease.ReleaseBinaryBuffers()
-	}
-}
-
-func BenchmarkEncodeUploadChunk(b *testing.B) {
-	req := &wire.Request{From: "client-7", Method: "upload-chunk", Payload: benchChunk(1024)}
-	for name, codec := range benchCodecs(b) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := codec.EncodeRequest(req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkDecodeUploadChunk(b *testing.B) {
-	req := &wire.Request{From: "client-7", Method: "upload-chunk", Payload: benchChunk(1024)}
-	for name, codec := range benchCodecs(b) {
-		frame, err := codec.EncodeRequest(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out, err := codec.DecodeRequest(frame)
-				if err != nil {
-					b.Fatal(err)
-				}
-				releasePayload(out.Payload)
-			}
-		})
-	}
-}
-
-func BenchmarkEncodeDownloadResponse(b *testing.B) {
-	resp := &wire.Response{Payload: benchDownload(1024)}
-	for name, codec := range benchCodecs(b) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := codec.EncodeResponse(resp); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkDecodeDownloadResponse(b *testing.B) {
-	resp := &wire.Response{Payload: benchDownload(1024)}
-	for name, codec := range benchCodecs(b) {
-		frame, err := codec.EncodeResponse(resp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := codec.DecodeResponse(frame); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -156,7 +70,7 @@ func TestBinarySteadyStateAllocs(t *testing.T) {
 		t.Errorf("bin append-encode of UploadChunk allocates %.0f times per run, want 0", encAllocs)
 	}
 
-	frame, err := bin.EncodeRequest(req)
+	frame, err := bin.AppendRequest(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,54 +100,13 @@ func TestBinarySteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBinBeatsGob is the CI bench-compare gate: encode+decode of the two
-// hot messages must be faster under bin than under gob, or the fast path
-// has regressed into a slow path and the build fails.
-func TestBinBeatsGob(t *testing.T) {
-	if os.Getenv("PAPAYA_BENCH_COMPARE") == "" {
-		t.Skip("set PAPAYA_BENCH_COMPARE=1 to run the codec bench-compare gate")
-	}
-	codecs := benchCodecs(t)
-	measure := func(codec wire.Codec) float64 {
-		req := &wire.Request{From: "client-7", Method: "upload-chunk", Payload: benchChunk(1024)}
-		resp := &wire.Response{Payload: benchDownload(1024)}
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				frame, err := codec.EncodeRequest(req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				out, err := codec.DecodeRequest(frame)
-				if err != nil {
-					b.Fatal(err)
-				}
-				releasePayload(out.Payload)
-				rframe, err := codec.EncodeResponse(resp)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := codec.DecodeResponse(rframe); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		return float64(res.NsPerOp())
-	}
-	gobNs := measure(codecs["gob"])
-	binNs := measure(codecs["bin"])
-	t.Logf("hot-message encode+decode: gob %.0f ns/op, bin %.0f ns/op (%.1fx)", gobNs, binNs, gobNs/binNs)
-	if binNs >= gobNs {
-		t.Fatalf("bin (%.0f ns/op) is not faster than gob (%.0f ns/op)", binNs, gobNs)
-	}
-}
-
 // TestBinaryColdMessagesRideGobFallback: a message without a hand-rolled
-// form (TaskReport-bearing AggReport) still crosses the bin codec, via the
-// in-frame gob envelope, and an unregistered type still refuses to encode.
+// form (AggDirective) still crosses, via the in-frame gob envelope, and an
+// unregistered type still refuses to encode.
 func TestBinaryColdMessagesRideGobFallback(t *testing.T) {
 	bin := wire.Binary{}
 	in := server.AggDirective{DropTasks: []string{"a", "b"}}
-	frame, err := bin.EncodeRequest(&wire.Request{From: "agg-0", Method: "agg-report", Payload: in})
+	frame, err := bin.AppendRequest(nil, &wire.Request{From: "agg-0", Method: "agg-report", Payload: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +120,7 @@ func TestBinaryColdMessagesRideGobFallback(t *testing.T) {
 	}
 
 	type notRegistered struct{ X int }
-	if _, err := bin.EncodeRequest(&wire.Request{Payload: notRegistered{X: 1}}); err == nil {
+	if _, err := bin.AppendRequest(nil, &wire.Request{Payload: notRegistered{X: 1}}); err == nil {
 		t.Fatal("unregistered type encoded through the bin fallback")
 	}
 }
@@ -256,7 +129,7 @@ func TestBinaryColdMessagesRideGobFallback(t *testing.T) {
 // error without panicking or allocating the declared size.
 func TestBinaryRejectsHostileFrames(t *testing.T) {
 	bin := wire.Binary{}
-	valid, err := bin.EncodeRequest(&wire.Request{From: "c", Method: "upload-chunk", Payload: benchChunk(64)})
+	valid, err := bin.AppendRequest(nil, &wire.Request{From: "c", Method: "upload-chunk", Payload: benchChunk(64)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +165,7 @@ func TestBinaryNestedRouteStaysBinary(t *testing.T) {
 	in := server.RouteRequest{
 		TaskID: "default", Method: "upload-chunk", Payload: benchChunk(128),
 	}
-	frame, err := bin.EncodeRequest(&wire.Request{From: "client-1", Method: "route", Payload: in})
+	frame, err := bin.AppendRequest(nil, &wire.Request{From: "client-1", Method: "route", Payload: in})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,28 +1,18 @@
-// Stream framing for the streaming session fabric. PR 4 left net/http
-// request/response traversal as the single-core bottleneck (~1.4ms of the
-// ~1.6ms per session on the loopback loadtest): every chunk of every upload
-// paid a full POST round trip. PAPAYA's client<->aggregator session is a
-// long-lived stream (Huba et al., MLSys 2022, Section 6.1's virtual
-// session), so the streaming capability lets a client open ONE connection
-// per session and pipeline check-in -> join -> chunked upload -> report
-// over it as length-prefixed frames.
+// Stream framing. PAPAYA's client<->aggregator session is a long-lived
+// stream (Huba et al., MLSys 2022, Section 6.1's virtual session), so every
+// networked call rides a session: one connection carrying pipelined
+// check-in -> join -> chunked upload -> report as length-prefixed frames.
 //
 // A stream frame is:
 //
 //	uvarint(1 + len(payload)) | flags byte | payload bytes
 //
-// where payload is one complete codec frame (a gob "PW", binary "PB", or
-// JSON request/response — self-describing, see CodecForFrame) and flags
-// carries per-frame options (today only StreamFlagDeflate). The framing is
-// shared by both streaming backends: the HTTP transport's /papaya/v2/stream
-// route frames its long-lived POST bodies with it, and the raw-TCP fabric
+// where payload is one complete Binary request/response frame and flags
+// carries per-frame options (StreamFlagDeflate, StreamFlagNoAck). The
+// framing is shared by both backends: the HTTP fabric frames the bodies of
+// its long-lived /papaya/v2/stream POST with it, and the raw-TCP fabric
 // (internal/transport/tcptransport) frames everything with it, prefixed by
 // one StreamHello naming the target node.
-//
-// Like bin and deflate, streaming is a negotiated /v2/ capability
-// (versioning rule 4): Capabilities.Stream advertises it, and a caller
-// streams only toward peers that advertised it. A /v1/ peer keeps receiving
-// exactly the per-POST bytes it always did.
 
 package wire
 
@@ -34,18 +24,13 @@ import (
 )
 
 // StreamFlagDeflate marks a stream frame whose payload bytes are
-// DEFLATE-compressed (the transport inflates before decoding; the same
-// >=256-byte threshold as the per-POST /v2/ deflate stage applies on
-// encode).
+// DEFLATE-compressed (the transport inflates before decoding; frames under
+// streamcore.DeflateMin bytes are never compressed).
 const StreamFlagDeflate = 1 << 0
 
 // StreamFlagNoAck marks a request frame whose sender does not wait for a
 // response: the server answers it only when the call fails (and then on the
-// next acknowledged frame, keeping request/response framing in sync). It is
-// the ack-elision half of the streaming v2 capability
-// (Capabilities.AckElide, versioning rule 4): a sender uses it only toward
-// peers that advertised the capability, so peers that would reject the
-// unknown flag bit never see it.
+// next acknowledged frame, keeping request/response framing in sync).
 const StreamFlagNoAck = 1 << 1
 
 // streamKnownFlags masks the flag bits this build understands; a frame
@@ -146,26 +131,6 @@ func readUvarintFrom(br *bufio.Reader) (uint64, error) {
 		}
 		shift += 7
 	}
-}
-
-// CodecForFrame sniffs which wire codec produced a frame from its leading
-// bytes ("PB" binary, "PW" gob, '{' JSON) so a streaming server decodes
-// whatever codec each frame arrived in and answers in kind — the same rule
-// handleRPC applies via Content-Type, carried in-band because a stream has
-// no per-call headers.
-func CodecForFrame(b []byte) (Codec, bool) {
-	if len(b) >= 2 && b[0] == 'P' {
-		switch b[1] {
-		case 'B':
-			return Binary{}, true
-		case 'W':
-			return Gob{}, true
-		}
-	}
-	if len(b) >= 1 && b[0] == '{' {
-		return JSON{}, true
-	}
-	return nil, false
 }
 
 // Stream hello: the first frame on a raw-TCP stream names the node every

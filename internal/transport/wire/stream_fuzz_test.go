@@ -21,11 +21,11 @@ func FuzzStreamDecode(f *testing.F) {
 	// Seed with realistic sequences: a hello followed by codec frames of
 	// every shape, deflate-flagged frames, and deliberately broken ones.
 	bin := wire.Binary{}
-	reqFrame, err := bin.EncodeRequest(&wire.Request{From: "client-1", Method: "upload-chunk", Payload: benchChunk(16)})
+	reqFrame, err := bin.AppendRequest(nil, &wire.Request{From: "client-1", Method: "upload-chunk", Payload: benchChunk(16)})
 	if err != nil {
 		f.Fatal(err)
 	}
-	respFrame, err := bin.EncodeResponse(&wire.Response{Payload: benchDownload(8)})
+	respFrame, err := bin.AppendResponse(nil, &wire.Response{Payload: benchDownload(8)})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -113,23 +113,6 @@ func TestStreamHelloRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCodecForFrame(t *testing.T) {
-	req := &wire.Request{From: "c", Method: "m", Payload: "p"}
-	for _, codec := range []wire.Codec{wire.Gob{}, wire.Binary{}, wire.JSON{}} {
-		frame, err := codec.EncodeRequest(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ok := wire.CodecForFrame(frame)
-		if !ok || got.Name() != codec.Name() {
-			t.Fatalf("sniffed %v for %s frame", got, codec.Name())
-		}
-	}
-	if _, ok := wire.CodecForFrame([]byte{0xff, 0xfe}); ok {
-		t.Fatal("garbage sniffed as a codec")
-	}
-}
-
 // TestStreamReaderSteadyStateAllocs: once the scratch buffer has grown to
 // frame size, reading a pipelined sequence of frames allocates nothing.
 func TestStreamReaderSteadyStateAllocs(t *testing.T) {

@@ -1,31 +1,25 @@
-// Package wire is the versioned message codec the networked transport
+// Package wire is the versioned message format the networked transport
 // backends use. The in-memory transport.Network passes payloads between
 // goroutines as plain `any` values; crossing a process boundary instead
 // forces an explicit wire format: every message type that may appear as a
 // call payload or response is registered here under a stable name, and the
-// two codecs (gob for the production path, JSON for debugging and non-Go
-// tooling) frame it in a versioned envelope.
+// one frame format (Binary, binary.go) carries it — hot messages in a
+// hand-rolled little-endian form, cold ones as gob inside the same frame.
 //
 // # Versioning rules
 //
-//  1. Every frame starts with the envelope version (Version). A decoder
-//     rejects frames whose version it does not know — mixed-version fleets
-//     fail loudly at the transport instead of corrupting task state.
+//  1. Every frame starts with a magic and the envelope version (Version),
+//     as does the hello that opens a stream. A decoder rejects a magic or
+//     version it does not know and the transport kills the session —
+//     mixed-version fleets fail loudly instead of corrupting task state.
+//     There is one wire generation and nothing is negotiated: a peer either
+//     speaks it or is refused.
 //  2. Registered names are namespaced "papaya/v1/...". Adding a field to a
-//     message is compatible (both codecs default missing fields to their
-//     zero values). Removing or renaming a field, or changing its type, is
-//     not: register the changed message under a new "/v2/" name and keep
-//     serving the old one for the deprecation window.
+//     cold (gob-in-frame) message is compatible: missing fields default to
+//     their zero values. Removing or renaming a field, changing its type,
+//     or changing a hot message's hand-rolled layout is not: bump Version.
 //  3. Handlers must treat zero values as "absent": empty slices and maps
 //     may decode as nil.
-//  4. New transport behaviour (anything beyond "decode the frame the same
-//     way") ships as a *capability* on a new route generation, never as a
-//     change to an existing route: peers advertise a Capabilities document
-//     at discovery, and a caller uses a /v2/ behaviour only toward peers
-//     that advertised it. A peer that advertises nothing is a /v1/ peer
-//     and keeps receiving exactly the v1 bytes. Wire compression
-//     (internal/compress) is the first such capability; see
-//     docs/DEPLOYMENT.md "Wire compression".
 //
 // The registry is populated by the packages that own the messages
 // (internal/server registers the Section 4/6 control-plane payloads at init
@@ -34,121 +28,16 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/gob"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"sync"
 )
 
-// Version is the envelope version emitted by both codecs. Decoders reject
-// any other value (versioning rule 1).
+// Version is the envelope version every frame and stream hello carries.
+// Decoders reject any other value (versioning rule 1).
 const Version = 1
-
-// API generations of the HTTP transport surface (versioning rule 4). A
-// build always serves every generation it knows; the generation used
-// toward a peer is the highest one that peer advertised.
-const (
-	// APIv1 is the baseline RPC surface: POST /papaya/v1/rpc/<node> with
-	// an uncompressed versioned frame.
-	APIv1 = 1
-	// APIv2 adds the negotiated-capability surface: POST /papaya/v2/rpc/<node>
-	// may carry a DEFLATE-compressed frame body (Content-Encoding:
-	// deflate), upload payloads may use internal/compress codecs, and —
-	// when the peer also advertised the "bin" wire codec — frames may use
-	// the Binary fast path instead of gob. Peers that additionally
-	// advertised Capabilities.Stream accept streaming sessions on
-	// /papaya/v2/stream (see stream.go).
-	APIv2 = 2
-)
-
-// Capabilities is the capability half of a discovery document: which API
-// generation a peer speaks and which compression codecs it can decode.
-// Absent fields (a /v1/ peer's document) mean "baseline only" — JSON zero
-// values are the backward-compatibility mechanism, per versioning rule 3.
-type Capabilities struct {
-	// API is the highest transport API generation the peer serves; 0 or
-	// absent means APIv1.
-	API int `json:"api,omitempty"`
-	// Compress lists the compress.Codec names the peer can decode; absent
-	// means none (raw payloads only).
-	Compress []string `json:"compress,omitempty"`
-	// Codecs lists the wire codec names the peer can decode beyond the
-	// universal gob/json baseline (today: "bin", the binary fast path).
-	// Absent (a /v1/ peer's document, or a pre-bin build) means baseline
-	// only — such peers keep receiving gob frames.
-	Codecs []string `json:"codecs,omitempty"`
-	// Stream reports that the peer serves streaming sessions: one
-	// long-lived connection carrying length-prefixed frames (the HTTP
-	// transport's /papaya/v2/stream route; the raw-TCP fabric is streaming
-	// by construction). Absent means per-call RPC only — callers keep
-	// sending the per-POST bytes such peers always received.
-	Stream bool `json:"stream,omitempty"`
-	// Trace reports that the peer understands cross-tier session trace
-	// IDs (internal/obs): it records spans for the TraceID field on the
-	// session-control messages and echoes the ID at check-in. The field
-	// is cold (one uint64 on control messages, zero on the chunk path),
-	// so traced builds always send it; a /v1 peer's decoder drops the
-	// unknown field and the session degrades to untraced (versioning
-	// rule 2), which this flag makes visible at discovery.
-	Trace bool `json:"trace,omitempty"`
-	// AckElide reports that the peer's streaming server understands
-	// StreamFlagNoAck frames: pipelined calls marked no-ack ride the
-	// stream unanswered (the server replies only on failure, carried on
-	// the next acknowledged frame). Absent means every streamed call is
-	// acknowledged — senders keep the per-frame request/response rhythm
-	// such peers always saw.
-	AckElide bool `json:"ack_elide,omitempty"`
-}
-
-// SupportsCompression reports whether the peer can receive
-// compression-capability traffic: the /v2/ route plus compress codecs.
-func (c Capabilities) SupportsCompression() bool { return c.API >= APIv2 }
-
-// SupportsBinary reports whether the peer advertised the binary fast-path
-// wire codec ("bin") on the /v2/ route. Callers fall back to gob when it
-// returns false — the negotiation default that keeps /v1/ peers receiving
-// exactly the bytes they always did.
-func (c Capabilities) SupportsBinary() bool {
-	if c.API < APIv2 {
-		return false
-	}
-	for _, name := range c.Codecs {
-		if name == "bin" {
-			return true
-		}
-	}
-	return false
-}
-
-// SupportsStream reports whether the peer advertised the streaming-session
-// capability on the /v2/ route. Callers fall back to one-call-per-POST when
-// it returns false — the negotiation default that keeps /v1/ peers
-// receiving exactly the traffic they always did.
-func (c Capabilities) SupportsStream() bool { return c.API >= APIv2 && c.Stream }
-
-// SupportsAckElide reports whether the peer's streaming server accepts
-// no-ack frames (StreamFlagNoAck). It implies SupportsStream; callers fall
-// back to per-frame acknowledgements when it returns false, so peers that
-// would reject the unknown flag bit never receive it.
-func (c Capabilities) SupportsAckElide() bool {
-	return c.API >= APIv2 && c.Stream && c.AckElide
-}
-
-// SupportsTrace reports whether the peer advertised cross-tier session
-// tracing on the /v2/ route. Untraced peers still decode traced frames
-// (the TraceID field is cold and zero-defaulted, versioning rule 2) —
-// they just record no spans, so sessions through them degrade to
-// untraced rather than failing.
-func (c Capabilities) SupportsTrace() bool { return c.API >= APIv2 && c.Trace }
-
-// DecodableCodecs returns the wire codec names every build of this package
-// can decode — the codec half of the capability document a fabric
-// advertises at discovery.
-func DecodableCodecs() []string { return []string{"bin", "gob", "json"} }
 
 // Request is one RPC crossing the fabric: who is calling, which method, and
 // the registered payload message.
@@ -160,56 +49,11 @@ type Request struct {
 
 // Response is the other half: either a payload or an error. Kind carries
 // the transport-level error class so fault semantics (ErrCrashed,
-// ErrDropped, ...) survive serialization; see httptransport.
+// ErrDropped, ...) survive serialization; see transport.KindToError.
 type Response struct {
 	Payload any
 	Err     string
 	Kind    string
-}
-
-// Codec frames requests and responses for one wire format.
-type Codec interface {
-	// Name identifies the codec ("gob" or "json").
-	Name() string
-	// ContentType is the HTTP content type the codec ships under.
-	ContentType() string
-	// EncodeRequest serializes a request into a versioned frame.
-	EncodeRequest(r *Request) ([]byte, error)
-	// DecodeRequest parses a versioned frame back into a request.
-	DecodeRequest(b []byte) (*Request, error)
-	// EncodeResponse serializes a response into a versioned frame.
-	EncodeResponse(r *Response) ([]byte, error)
-	// DecodeResponse parses a versioned frame back into a response.
-	DecodeResponse(b []byte) (*Response, error)
-}
-
-// ByName returns the codec for a -codec flag value.
-func ByName(name string) (Codec, error) {
-	switch name {
-	case "gob":
-		return Gob{}, nil
-	case "json":
-		return JSON{}, nil
-	case "bin":
-		return Binary{}, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown codec %q (want gob|json|bin)", name)
-	}
-}
-
-// ByContentType returns the codec that ships under the given HTTP content
-// type. The HTTP transport uses it to decode whatever codec a negotiated
-// peer chose per call, instead of assuming its own preference.
-func ByContentType(ct string) (Codec, bool) {
-	switch ct {
-	case Gob{}.ContentType():
-		return Gob{}, true
-	case JSON{}.ContentType():
-		return JSON{}, true
-	case Binary{}.ContentType():
-		return Binary{}, true
-	}
-	return nil, false
 }
 
 // --- registry ---
@@ -245,7 +89,7 @@ func Register(name string, sample any) {
 	typeToName[t] = name
 	// gob predefines the unnamed primitives (string, bool, ints, floats)
 	// for interface transmission under their own names; re-registering them
-	// panics. The registry entry above still gives them a stable JSON name.
+	// panics.
 	if t.PkgPath() != "" || t.Kind() == reflect.Struct || t.Kind() == reflect.Slice ||
 		t.Kind() == reflect.Map || t.Kind() == reflect.Ptr || t.Kind() == reflect.Array {
 		gob.RegisterName(name, sample)
@@ -284,190 +128,4 @@ func lookupName(v any) (string, error) {
 		return "", fmt.Errorf("wire: message type %T is not registered", v)
 	}
 	return name, nil
-}
-
-// MarshalAny encodes an interface-typed value as a self-describing JSON
-// object {"type": name, "body": ...}; nil encodes as JSON null. Messages
-// with `any` fields (server.RouteRequest's forwarded payload) use it to
-// keep the JSON codec type-faithful end to end.
-func MarshalAny(v any) ([]byte, error) {
-	if v == nil {
-		return []byte("null"), nil
-	}
-	name, err := lookupName(v)
-	if err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(struct {
-		Type string          `json:"type"`
-		Body json.RawMessage `json:"body"`
-	}{Type: name, Body: body})
-}
-
-// UnmarshalAny reverses MarshalAny, reconstructing the registered concrete
-// type.
-func UnmarshalAny(b []byte) (any, error) {
-	if len(b) == 0 || bytes.Equal(b, []byte("null")) {
-		return nil, nil
-	}
-	var env struct {
-		Type string          `json:"type"`
-		Body json.RawMessage `json:"body"`
-	}
-	if err := json.Unmarshal(b, &env); err != nil {
-		return nil, err
-	}
-	regMu.RLock()
-	t, ok := nameToType[env.Type]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("wire: unregistered message type %q", env.Type)
-	}
-	p := reflect.New(t)
-	if err := json.Unmarshal(env.Body, p.Interface()); err != nil {
-		return nil, err
-	}
-	return p.Elem().Interface(), nil
-}
-
-// --- gob codec ---
-
-// Gob is the production codec: a 3-byte header ("PW" + version) followed by
-// a gob stream. Payloads travel as interface values, so only registered
-// messages encode.
-type Gob struct{}
-
-var gobHeader = []byte{'P', 'W', Version}
-
-// Name implements Codec.
-func (Gob) Name() string { return "gob" }
-
-// ContentType implements Codec.
-func (Gob) ContentType() string { return "application/x-papaya-gob" }
-
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(gobHeader)
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(b []byte, into any) error {
-	if len(b) < len(gobHeader) || b[0] != 'P' || b[1] != 'W' {
-		return errors.New("wire: not a papaya gob frame")
-	}
-	if b[2] != Version {
-		return fmt.Errorf("wire: envelope version %d, this build speaks %d", b[2], Version)
-	}
-	return gob.NewDecoder(bytes.NewReader(b[len(gobHeader):])).Decode(into)
-}
-
-// EncodeRequest implements Codec.
-func (Gob) EncodeRequest(r *Request) ([]byte, error) { return gobEncode(r) }
-
-// DecodeRequest implements Codec.
-func (Gob) DecodeRequest(b []byte) (*Request, error) {
-	var r Request
-	if err := gobDecode(b, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// EncodeResponse implements Codec.
-func (Gob) EncodeResponse(r *Response) ([]byte, error) { return gobEncode(r) }
-
-// DecodeResponse implements Codec.
-func (Gob) DecodeResponse(b []byte) (*Response, error) {
-	var r Response
-	if err := gobDecode(b, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// --- JSON codec ---
-
-// JSON is the debug/interop codec: the same envelope as Gob but as a JSON
-// object with a self-describing payload, so any HTTP client can speak to a
-// papaya server and humans can read captures. Slower and wider than gob;
-// the deployment guide recommends it only for inspection.
-type JSON struct{}
-
-// Name implements Codec.
-func (JSON) Name() string { return "json" }
-
-// ContentType implements Codec.
-func (JSON) ContentType() string { return "application/json" }
-
-type jsonFrame struct {
-	V       int             `json:"v"`
-	From    string          `json:"from,omitempty"`
-	Method  string          `json:"method,omitempty"`
-	Payload json.RawMessage `json:"payload,omitempty"`
-	Err     string          `json:"err,omitempty"`
-	Kind    string          `json:"kind,omitempty"`
-}
-
-func (f *jsonFrame) checkVersion() error {
-	if f.V != Version {
-		return fmt.Errorf("wire: envelope version %d, this build speaks %d", f.V, Version)
-	}
-	return nil
-}
-
-// EncodeRequest implements Codec.
-func (JSON) EncodeRequest(r *Request) ([]byte, error) {
-	payload, err := MarshalAny(r.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(jsonFrame{V: Version, From: r.From, Method: r.Method, Payload: payload})
-}
-
-// DecodeRequest implements Codec.
-func (JSON) DecodeRequest(b []byte) (*Request, error) {
-	var f jsonFrame
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil, err
-	}
-	if err := f.checkVersion(); err != nil {
-		return nil, err
-	}
-	payload, err := UnmarshalAny(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{From: f.From, Method: f.Method, Payload: payload}, nil
-}
-
-// EncodeResponse implements Codec.
-func (JSON) EncodeResponse(r *Response) ([]byte, error) {
-	payload, err := MarshalAny(r.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(jsonFrame{V: Version, Payload: payload, Err: r.Err, Kind: r.Kind})
-}
-
-// DecodeResponse implements Codec.
-func (JSON) DecodeResponse(b []byte) (*Response, error) {
-	var f jsonFrame
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil, err
-	}
-	if err := f.checkVersion(); err != nil {
-		return nil, err
-	}
-	payload, err := UnmarshalAny(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return &Response{Payload: payload, Err: f.Err, Kind: f.Kind}, nil
 }

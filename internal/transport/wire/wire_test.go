@@ -197,40 +197,35 @@ func TestEveryRegisteredMessageRoundTrips(t *testing.T) {
 		}
 	}
 
-	for _, codecName := range []string{"gob", "json", "bin"} {
-		codec, err := wire.ByName(codecName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(codecName, func(t *testing.T) {
-			for name, in := range sam {
-				// Round trip as a request payload.
-				frame, err := codec.EncodeRequest(&wire.Request{From: "tester", Method: "m", Payload: in})
-				if err != nil {
-					t.Fatalf("%s: encode request: %v", name, err)
-				}
-				req, err := codec.DecodeRequest(frame)
-				if err != nil {
-					t.Fatalf("%s: decode request: %v", name, err)
-				}
-				if req.From != "tester" || req.Method != "m" {
-					t.Fatalf("%s: envelope fields mangled: %+v", name, req)
-				}
-				checkRoundTrip(t, name, in, req.Payload)
-
-				// And as a response payload.
-				frame, err = codec.EncodeResponse(&wire.Response{Payload: in})
-				if err != nil {
-					t.Fatalf("%s: encode response: %v", name, err)
-				}
-				resp, err := codec.DecodeResponse(frame)
-				if err != nil {
-					t.Fatalf("%s: decode response: %v", name, err)
-				}
-				checkRoundTrip(t, name, in, resp.Payload)
+	// Every registered name crosses wire.Binary — hot form or gob-in-frame
+	// — as a request payload and as a response payload.
+	bin := wire.Binary{}
+	t.Run("bin", func(t *testing.T) {
+		for name, in := range sam {
+			frame, err := bin.AppendRequest(nil, &wire.Request{From: "tester", Method: "m", Payload: in})
+			if err != nil {
+				t.Fatalf("%s: encode request: %v", name, err)
 			}
-		})
-	}
+			req, err := bin.DecodeRequest(frame)
+			if err != nil {
+				t.Fatalf("%s: decode request: %v", name, err)
+			}
+			if req.From != "tester" || req.Method != "m" {
+				t.Fatalf("%s: envelope fields mangled: %+v", name, req)
+			}
+			checkRoundTrip(t, name, in, req.Payload)
+
+			frame, err = bin.AppendResponse(nil, &wire.Response{Payload: in})
+			if err != nil {
+				t.Fatalf("%s: encode response: %v", name, err)
+			}
+			resp, err := bin.DecodeResponse(frame)
+			if err != nil {
+				t.Fatalf("%s: decode response: %v", name, err)
+			}
+			checkRoundTrip(t, name, in, resp.Payload)
+		}
+	})
 }
 
 // TestChunkedUploadCrossesCodec chunks one model update the way the client
@@ -243,97 +238,109 @@ func TestChunkedUploadCrossesCodec(t *testing.T) {
 	for i := range delta {
 		delta[i] = float32(i) * 0.25
 	}
-	for _, codecName := range []string{"gob", "json", "bin"} {
-		codec, _ := wire.ByName(codecName)
-		t.Run(codecName, func(t *testing.T) {
-			got := make([]float32, numParams)
-			received, doneSeen := 0, false
-			for off := 0; off < numParams; off += chunkSize {
-				end := off + chunkSize
-				if end > numParams {
-					end = numParams
-				}
-				in := server.UploadChunk{
-					TaskID: "t", SessionID: 1, Offset: off,
-					Data: delta[off:end], Done: end == numParams, NumExamples: 4,
-				}
-				frame, err := codec.EncodeRequest(&wire.Request{From: "c", Method: "upload-chunk", Payload: in})
-				if err != nil {
-					t.Fatal(err)
-				}
-				req, err := codec.DecodeRequest(frame)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := req.Payload.(server.UploadChunk)
-				copy(got[c.Offset:], c.Data)
-				received += len(c.Data)
-				doneSeen = doneSeen || c.Done
+	bin := wire.Binary{}
+	t.Run("bin", func(t *testing.T) {
+		got := make([]float32, numParams)
+		received, doneSeen := 0, false
+		for off := 0; off < numParams; off += chunkSize {
+			end := off + chunkSize
+			if end > numParams {
+				end = numParams
 			}
-			if received != numParams || !doneSeen {
-				t.Fatalf("reassembly incomplete: %d/%d params, done=%v", received, numParams, doneSeen)
+			in := server.UploadChunk{
+				TaskID: "t", SessionID: 1, Offset: off,
+				Data: delta[off:end], Done: end == numParams, NumExamples: 4,
 			}
-			if !reflect.DeepEqual(got, delta) {
-				t.Fatalf("reassembled delta differs:\n in: %v\nout: %v", delta, got)
+			frame, err := bin.AppendRequest(nil, &wire.Request{From: "c", Method: "upload-chunk", Payload: in})
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			req, err := bin.DecodeRequest(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := req.Payload.(server.UploadChunk)
+			copy(got[c.Offset:], c.Data)
+			received += len(c.Data)
+			doneSeen = doneSeen || c.Done
+		}
+		if received != numParams || !doneSeen {
+			t.Fatalf("reassembly incomplete: %d/%d params, done=%v", received, numParams, doneSeen)
+		}
+		if !reflect.DeepEqual(got, delta) {
+			t.Fatalf("reassembled delta differs:\n in: %v\nout: %v", delta, got)
+		}
+	})
 }
 
+// TestVersionMismatchRejected is wire versioning rule 1 at the frame level:
+// a request, a response and a stream hello from a build that speaks
+// Version+1 are all refused by name.
 func TestVersionMismatchRejected(t *testing.T) {
-	gobCodec, _ := wire.ByName("gob")
-	frame, err := gobCodec.EncodeRequest(&wire.Request{From: "a", Method: "m", Payload: "x"})
+	bin := wire.Binary{}
+	reqFrame, err := bin.AppendRequest(nil, &wire.Request{From: "a", Method: "m", Payload: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame[2] = 99 // corrupt the version byte
-	if _, err := gobCodec.DecodeRequest(frame); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Fatalf("future-version gob frame accepted: %v", err)
+	reqFrame[2] = wire.Version + 1
+	if _, err := bin.DecodeRequest(reqFrame); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("future-version request accepted: %v", err)
 	}
-
-	jsonCodec, _ := wire.ByName("json")
-	if _, err := jsonCodec.DecodeRequest([]byte(`{"v":99,"from":"a","method":"m"}`)); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Fatalf("future-version json frame accepted: %v", err)
-	}
-	if _, err := jsonCodec.DecodeResponse([]byte(`{"v":99}`)); err == nil {
-		t.Fatal("future-version json response accepted")
-	}
-
-	binCodec, _ := wire.ByName("bin")
-	bframe, err := binCodec.EncodeRequest(&wire.Request{From: "a", Method: "m", Payload: "x"})
+	respFrame, err := bin.AppendResponse(nil, &wire.Response{Payload: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bframe[2] = 99 // corrupt the version byte
-	if _, err := binCodec.DecodeRequest(bframe); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Fatalf("future-version bin frame accepted: %v", err)
+	respFrame[2] = wire.Version + 1
+	if _, err := bin.DecodeResponse(respFrame); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("future-version response accepted: %v", err)
+	}
+	hello := wire.AppendStreamHello(nil, "node")
+	hello[3] = wire.Version + 1
+	if _, err := wire.ParseStreamHello(hello); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("future-version hello accepted: %v", err)
 	}
 }
 
+// TestUnregisteredTypeRejected: only the explicit registry crosses — an
+// unregistered Go type does not encode, and a message ID nobody registered
+// does not decode.
 func TestUnregisteredTypeRejected(t *testing.T) {
 	type notRegistered struct{ X int }
-	if _, err := wire.MarshalAny(notRegistered{X: 1}); err == nil {
-		t.Fatal("unregistered type marshaled")
-	}
-	jsonCodec, _ := wire.ByName("json")
-	if _, err := jsonCodec.EncodeRequest(&wire.Request{Payload: notRegistered{}}); err == nil {
+	bin := wire.Binary{}
+	if _, err := bin.AppendRequest(nil, &wire.Request{Payload: notRegistered{X: 1}}); err == nil {
 		t.Fatal("unregistered payload encoded")
 	}
-	if _, err := jsonCodec.DecodeRequest([]byte(`{"v":1,"payload":{"type":"papaya/v9/ghost","body":{}}}`)); err == nil {
-		t.Fatal("unknown type name decoded")
+	if _, err := bin.AppendResponse(nil, &wire.Response{Payload: notRegistered{}}); err == nil {
+		t.Fatal("unregistered response payload encoded")
+	}
+	frame, err := bin.AppendRequest(nil, &wire.Request{From: "a", Method: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[len(frame)-1] = 250 // the nil-payload tag becomes an unknown message ID
+	if _, err := bin.DecodeRequest(frame); err == nil {
+		t.Fatal("unknown message ID decoded")
 	}
 }
 
+// TestNilAnyRoundTrips: a nil payload (map-request style calls, bare acks)
+// crosses as its own tag in both directions and decodes back to nil.
 func TestNilAnyRoundTrips(t *testing.T) {
-	b, err := wire.MarshalAny(nil)
-	if err != nil || string(b) != "null" {
-		t.Fatalf("MarshalAny(nil) = %q, %v", b, err)
+	bin := wire.Binary{}
+	frame, err := bin.AppendRequest(nil, &wire.Request{From: "a", Method: "map-request"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	v, err := wire.UnmarshalAny(b)
-	if err != nil || v != nil {
-		t.Fatalf("UnmarshalAny(null) = %v, %v", v, err)
+	req, err := bin.DecodeRequest(frame)
+	if err != nil || req.Payload != nil {
+		t.Fatalf("nil request payload = %v, %v", req, err)
+	}
+	frame, err = bin.AppendResponse(nil, &wire.Response{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := bin.DecodeResponse(frame)
+	if err != nil || resp.Payload != nil || resp.Err != "" || resp.Kind != "" {
+		t.Fatalf("nil response = %+v, %v", resp, err)
 	}
 }
