@@ -21,7 +21,7 @@ import (
 
 // runFleet spawns a full three-tier PAPAYA deployment as real OS
 // processes — one coordinator (`papaya serve -aggregators 0 -selectors
-// 0`), N aggregator agents (`papaya agent`), M routing selectors
+// 0`), N aggregator agents (`papaya agent`), M selectors
 // (`papaya selector`) — then drives K simulated clients through the
 // selector tier, kills tier members mid-run, and records the scaling
 // curve, placement balance, and failover recovery times into a committed
@@ -32,7 +32,7 @@ import (
 func runFleet(args []string) {
 	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
 	nAgents := fs.Int("agents", 2, "aggregator agent processes")
-	nSels := fs.Int("selectors", 2, "routing selector processes")
+	nSels := fs.Int("selectors", 2, "selector processes")
 	nClients := fs.Int("clients", 64, "concurrent simulated clients (top of the scaling curve)")
 	uploads := fs.Int("uploads", 300, "upload target across the scaling phases")
 	fabricKind := fs.String("fabric", "http", "transport backend: http or tcp")
@@ -156,7 +156,7 @@ func runFleet(args []string) {
 		fatalf("%v", err)
 	}
 
-	// --- Tier 3: routing selectors, discovering the agents through the
+	// --- Tier 3: selectors, discovering the agents through the
 	// coordinator's route gossip.
 	selNames := make([]string, 0, *nSels)
 	selProc := make(map[string]*fleet.Proc, *nSels)
@@ -283,8 +283,9 @@ func runFleet(args []string) {
 					events = append(events, ev)
 					// Restart under the same name: the coordinator re-adds it
 					// on register-aggregator, the selectors re-learn its route
-					// from gossip and drain the dead pooled sessions. Rejoin is
-					// measured from spawn to presence in list-agents.
+					// from gossip, which drops the sessions pooled toward the
+					// old address. Rejoin is measured from spawn to presence in
+					// list-agents.
 					restartAt := time.Now()
 					np, err := spawnAgent(owner)
 					if err != nil {
@@ -405,7 +406,6 @@ func drivePhase(fab fabricConn, selectors []string, n int, target int64,
 				Selectors: sels,
 				State:     client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 				Random:    rand.Reader,
-				Stream:    true,
 			}
 			for !stop.Load() && time.Now().Before(stopAt) {
 				sessStart := time.Now()

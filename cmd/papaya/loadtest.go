@@ -26,10 +26,9 @@ import (
 )
 
 // loadReport is the JSON document `papaya loadtest` writes: measured
-// control-plane throughput against a live server, committed as data (the
-// networked counterpart of BENCH_baseline.json). Repeated runs against the
-// same output file append, so one file records e.g. both Sync and Async
-// mode measurements.
+// control-plane throughput against a live server. Repeated runs against
+// the same -o file append, so one CI artifact records e.g. both Sync and
+// Async mode measurements.
 type loadReport struct {
 	CreatedUnix int64     `json:"created_unix"`
 	Runs        []loadRun `json:"runs"`
@@ -40,17 +39,11 @@ type loadReport struct {
 // accumulates across machines stays interpretable; the bytesRaw/bytesWire
 // pair meters the upload path before and after wire compression.
 type loadRun struct {
-	Label      string `json:"label,omitempty"`
-	Commit     string `json:"commit,omitempty"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Server     string `json:"server"`
-	Fabric     string `json:"fabric,omitempty"`
-	Stream     bool   `json:"stream,omitempty"`
-	// Codec and AckElide are set only on entries recorded before the wire
-	// collapsed to one generation; they stay so appending to an existing
-	// report does not erase them.
-	Codec            string `json:"codec,omitempty"`
-	AckElide         bool   `json:"ack_elide,omitempty"`
+	Label            string `json:"label,omitempty"`
+	Commit           string `json:"commit,omitempty"`
+	GOMAXPROCS       int    `json:"gomaxprocs"`
+	Server           string `json:"server"`
+	Fabric           string `json:"fabric,omitempty"`
 	Compress         string `json:"compress,omitempty"`
 	Train            bool   `json:"train,omitempty"`
 	Task             string `json:"task"`
@@ -77,8 +70,7 @@ type loadRun struct {
 	BytesReceived        uint64  `json:"bytes_received"`
 	// AcksElided counts calls whose acknowledgement never crossed the wire;
 	// FramesCoalesced counts stream frames that shipped inside a multi-frame
-	// writev batch. Both are zero without -stream: only a participation's
-	// own session sends no-ack chunk trains.
+	// writev batch.
 	AcksElided       uint64  `json:"acks_elided,omitempty"`
 	FramesCoalesced  uint64  `json:"frames_coalesced,omitempty"`
 	BytesRaw         int64   `json:"bytes_raw_upload"`
@@ -176,7 +168,6 @@ func (f fixedDeltaExecutor) Train(params []float32, examples [][]int) ([]float32
 func runLoadtest(args []string) {
 	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
 	serverURL := fs.String("server", "http://127.0.0.1:7070", "base URL of the papaya serve process (a tcp:// URL selects the raw-TCP fabric)")
-	stream := fs.Bool("stream", false, "one dedicated connection per participation, with no-ack chunk trains, instead of pooled one-shot calls (client.Runtime.Stream)")
 	task := fs.String("task", "default", "task ID to drive")
 	clients := fs.Int("clients", 16, "concurrent simulated clients")
 	uploads := fs.Int("uploads", 200, "successful upload target (run ends when reached)")
@@ -185,7 +176,7 @@ func runLoadtest(args []string) {
 	train := fs.Bool("train", false, "run real local SGD (internal/nn log-bilinear) instead of a fixed delta, so deltas — and compression ratios — are realistic")
 	vocab := fs.Int("vocab", 16, "with -train: model vocabulary (params = 2*vocab*dim + vocab, must equal the task's -params)")
 	dim := fs.Int("dim", 4, "with -train: embedding dimension")
-	out := fs.String("o", "BENCH_loadtest.json", "output path (- for stdout); existing reports are appended to")
+	out := fs.String("o", "-", "output path (- for stdout); existing reports are appended to")
 	label := fs.String("label", "", "free-form run label recorded in the report")
 	scenarioPath := fs.String("scenario", "", "scenario profile JSON (examples/scenarios/): shape the fleet into device tiers — slowdown, dropout, availability, non-IID dialect partition — and report per-tier latency columns; overrides -clients/-uploads with the profile's fleet and attempt budget")
 	obsListen := fs.String("obs-listen", "", "observability listen address (H:P): /metrics, /trace (client-side spans), /debug/vars, /debug/pprof; empty disables")
@@ -417,7 +408,6 @@ func runLoadtest(args []string) {
 				State:     client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 				Random:    rand.Reader,
 				Compress:  offered,
-				Stream:    *stream,
 			}
 			if spec != nil {
 				// Scenario-shaped fleet: each client runs its attempt
@@ -538,7 +528,6 @@ func runLoadtest(args []string) {
 		GOMAXPROCS:           runtime.GOMAXPROCS(0),
 		Server:               *serverURL,
 		Fabric:               fabricKindForURL(*serverURL),
-		Stream:               *stream,
 		Compress:             negotiated,
 		Train:                *train,
 		Task:                 *task,

@@ -8,11 +8,10 @@
 //	papaya <id> [flags]                run one experiment (fig2..fig13, table1)
 //	papaya all [flags]                 run every experiment in order
 //	papaya sim [flags]                 run one training simulation
-//	papaya bench [flags]               benchmark the parallel engine, emit JSON
 //	papaya secagg-demo                 narrated secure aggregation run
 //	papaya serve [flags]               run the control plane over HTTP
 //	papaya agent [flags]               run a remote aggregator joining a coordinator
-//	papaya selector [flags]            run a routing-tier selector joining a coordinator
+//	papaya selector [flags]            run a standalone selector joining a coordinator
 //	papaya fleet [flags]               spawn a multi-process fleet and measure failover
 //	papaya loadtest [flags]            drive concurrent clients against a live server
 //	papaya scenario [flags]            run a declarative fleet profile in process
@@ -32,15 +31,6 @@
 //
 //	-algo async|sync -concurrency N -goal K -overselect F -seed S
 //	-updates N (server updates) -workers W -shards K
-//
-// Flags for bench:
-//
-//	-o FILE                            output path (default BENCH_baseline.json)
-//	-workers 1,2,4                     worker counts to sweep
-//	-scale small|paper -updates N -concurrency N -goal K -seed S
-//	-gotest                            also wrap `go test -run=NONE -bench=. -benchmem`
-//	                                   at -benchtime=1x (a smoke record, not stable
-//	                                   timings); -gotestdir points it at the checkout
 package main
 
 import (
@@ -73,8 +63,6 @@ func main() {
 		runExperiments(args, experiments.Registry())
 	case "sim":
 		runSim(args)
-	case "bench":
-		runBench(args)
 	case "serve":
 		runServe(args)
 	case "agent":
@@ -111,12 +99,11 @@ func usage() {
   papaya <id> [-scale small|paper] [-markdown]
   papaya all  [-scale small|paper] [-markdown]
   papaya sim  [-algo async|sync] [-concurrency N] [-goal K] [-overselect F] [-updates N] [-seed S] [-scale small|paper] [-workers W] [-shards K]
-  papaya bench [-o FILE] [-workers 1,2,4] [-scale small|paper] [-updates N] [-concurrency N] [-goal K] [-seed S] [-gotest]
   papaya serve [-listen H:P] [-fabric http|tcp] [-aggregators N] [-selectors M] [-task ID] [-mode async|sync] [-params N] [-concurrency N] [-goal K] [-secagg] [-dp-clip C] [-dp-noise Z] [-dp-epsilon-budget E] [-dp-local]
   papaya agent -coordinator URL [-listen H:P] [-name NAME]
   papaya selector -coordinator URL [-listen H:P] [-name NAME] [-refresh D]
   papaya fleet [-agents N] [-selectors M] [-clients K] [-uploads N] [-fabric http|tcp] [-kill-agent] [-kill-selector] [-o FILE]
-  papaya loadtest [-server URL] [-stream] [-clients K] [-uploads N] [-scenario FILE] [-o FILE]
+  papaya loadtest [-server URL] [-clients K] [-uploads N] [-scenario FILE] [-o FILE]
   papaya scenario -file FILE [-fabric inmem|http|tcp] [-aggregation fedavg|fedbuff|fedprox] [-mode async|sync] [-workers W] [-o FILE]
   papaya trace -from URL[,URL...] [-trace ID]
   papaya secagg-demo

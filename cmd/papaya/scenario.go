@@ -75,7 +75,6 @@ func runScenario(args []string) {
 		Fabric:      fabric,
 		FabricName:  *fabricKind,
 		Workers:     *workers,
-		Stream:      *fabricKind != "inmem",
 		Aggregators: *aggregators,
 		Selectors:   *selectors,
 	})

@@ -11,16 +11,15 @@ import (
 	"repro/internal/server"
 )
 
-// runSelector starts one standalone routing-tier Selector process — the
-// paper's client-facing ingress tier (Section 4). It discovers the
-// coordinator fabric (learning every advertised aggregator's route from
-// the gossiped discovery document), announces itself back so other
-// processes learn this selector the same way, and serves check-in and
-// route traffic over pooled streamed sessions pinned to the live
-// aggregator set. Killing the process exercises the client-side failover
-// path (Appendix E.4 "clients retry through a different selector");
-// killing an agent behind it exercises the selector's live rebalance —
-// pooled sessions drain and new traffic re-pins to the survivors.
+// runSelector starts one standalone Selector process — the paper's
+// client-facing ingress tier (Section 4). It discovers the coordinator
+// fabric (learning every advertised aggregator's route from the gossiped
+// discovery document), announces itself back so other processes learn this
+// selector the same way, and serves check-in and route traffic over the
+// fabric's pooled sessions. Killing the process exercises the client-side
+// failover path (Appendix E.4 "clients retry through a different
+// selector"); killing an agent behind it exercises the stale-route path —
+// the map refresh re-points its tasks at the survivors.
 func runSelector(args []string) {
 	fs := flag.NewFlagSet("selector", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:0", "TCP listen address for this selector")
@@ -29,7 +28,7 @@ func runSelector(args []string) {
 	coordName := fs.String("coordinator-name", "coordinator", "coordinator node name")
 	name := fs.String("name", "", "selector node name (default selector-<pid>)")
 	compressName := fs.String("compress", "", "deflate large frames this process sends: none|streamed|flate")
-	refresh := fs.Duration("refresh", 250*time.Millisecond, "assignment-map and live-agent refresh cadence")
+	refresh := fs.Duration("refresh", 250*time.Millisecond, "assignment-map and route-discovery refresh cadence")
 	obsListen := fs.String("obs-listen", "", "observability listen address (H:P): /metrics, /trace, /debug/vars, /debug/pprof; empty disables")
 	_ = fs.Parse(args)
 
@@ -56,8 +55,7 @@ func runSelector(args []string) {
 	// The selector must exist before Advertise: the advertisement carries
 	// this fabric's locally served nodes, and an empty document would leave
 	// the coordinator (and everyone it gossips to) without our route.
-	sel := server.NewSelectorWith(selName, fabric, *coordName, timings,
-		server.SelectorOptions{Routing: true})
+	sel := server.NewSelector(selName, fabric, *coordName, timings)
 
 	// Announce this selector to the coordinator fabric (so its route is
 	// gossiped to everyone who discovers the coordinator) and learn the
@@ -70,9 +68,8 @@ func runSelector(args []string) {
 
 	// Keep discovery fresh in the background: agents that join after us
 	// reach the coordinator's gossip on their advertise; we pick their
-	// routes up on the next tick, and the selector's own list-agents
-	// refresh re-pins traffic. A dead agent's stale route is harmless:
-	// calls toward it fail fast and the selector re-pins.
+	// routes up on the next tick. A dead agent's stale route is harmless:
+	// calls toward it fail fast and the map refresh re-points its tasks.
 	stopDiscover := make(chan struct{})
 	go func() {
 		ticker := time.NewTicker(*refresh)

@@ -1,7 +1,7 @@
 package client
 
 // Allocation guard for the client's upload hot path. PR 8's observability
-// plane regressed allocs_per_upload (218.6 -> 248.1 in BENCH_loadtest.json)
+// plane regressed allocs_per_upload (218.6 -> 248.1 per loadtest upload)
 // through per-call fmt.Sprintf node names and a per-call span-recording
 // closure; the fixes (the cached Runtime.name, the hoisted route body) are
 // fenced here so the per-chunk client-side cost cannot silently creep

@@ -218,21 +218,11 @@ type Runtime struct {
 	MinInterval time.Duration
 	// Random supplies SecAgg randomness (mask seeds, DH keys).
 	Random io.Reader
-	// Staleness mirrors the server's weighting policy for the SecAgg path,
-	// where the client applies its own weight before masking; nil means the
-	// paper's 1/sqrt(1+s).
-	Staleness fedopt.StalenessWeight
 	// Compress lists the upload codecs this client offers at report time;
 	// nil means every codec in the compress registry. Set it to
 	// []string{"none"} to opt out of compression entirely.
 	Compress []string
-	// Stream opens one transport session per participation: check-in,
-	// download, report, and every upload chunk pipeline over a single
-	// connection (transport.StreamFabric) instead of one call-scoped
-	// exchange each — the paper's long-lived virtual session realized at
-	// the transport (Section 6.1). On the in-memory fabric the session is a
-	// per-call wrapper, and a broken stream falls back to per-call failover
-	// through the remaining selectors, so enabling it is always safe.
+	// Stream is ignored; it survives only until benchmark/harness.go stops setting it.
 	Stream bool
 	// Dropout, when non-nil, is consulted once per accepted participation
 	// and returns the stage at which this attempt's device dies (DropNone
@@ -280,9 +270,10 @@ func (r *Runtime) RunOnce(now time.Time) (*Result, error) {
 		return nil, ErrNoExamples
 	}
 
-	// Selection phase: check in through the first reachable selector —
-	// over a streaming session when Stream is set, so the whole
-	// participation rides one connection.
+	// Selection phase: check in through the first reachable selector, over
+	// the session the whole participation then rides (Section 6.1's
+	// long-lived virtual session: one dedicated connection on a networked
+	// fabric, a per-call wrapper on the in-memory one).
 	p, checkin, err := r.checkin()
 	if err != nil {
 		return nil, err
@@ -467,13 +458,13 @@ func (r *Runtime) uploadCodec(name string) compress.Codec {
 }
 
 // participation is one attempt's transport context: the selector the
-// session was opened through, and — under Runtime.Stream — the streaming
-// session every in-session call pipelines over. A broken stream degrades
-// to per-call failover through the remaining selectors mid-attempt.
+// session was opened through and the session every in-session call
+// pipelines over. A broken session degrades to per-call failover through
+// the remaining selectors mid-attempt.
 type participation struct {
 	r        *Runtime
 	selector string
-	sess     transport.Session // nil: per-call RPC
+	sess     transport.Session // nil once broken: per-call failover
 	// trace is the attempt's cross-tier trace ID (minted in checkin);
 	// sessionID is filled in once the check-in is accepted so chunk
 	// spans carry it.
@@ -485,8 +476,8 @@ type participation struct {
 	dropVanish bool
 }
 
-// close releases the streaming session (the server's natural end-of-
-// session signal); idempotent.
+// close releases the session (the server's natural end-of-session
+// signal); idempotent.
 func (p *participation) close() {
 	if p.sess != nil {
 		_ = p.sess.Close()
@@ -494,8 +485,8 @@ func (p *participation) close() {
 	}
 }
 
-// checkin tries each selector in order; under Stream it opens the
-// session-long connection the rest of the participation will ride.
+// checkin tries each selector in order, opening the session-long
+// connection the rest of the participation will ride.
 func (r *Runtime) checkin() (*participation, server.CheckinResponse, error) {
 	// Every attempt mints a trace ID (internal/obs): one uint64 on the
 	// cold control messages.
@@ -503,34 +494,25 @@ func (r *Runtime) checkin() (*participation, server.CheckinResponse, error) {
 	start := time.Now()
 	req := server.CheckinRequest{ClientID: r.ClientID, Capabilities: r.Capabilities, TraceID: trace}
 	for _, sel := range r.Selectors {
-		if r.Stream {
-			sess, err := transport.OpenSession(r.Net, r.name(), sel)
-			if err != nil {
-				continue // try the next selector
-			}
-			resp, err := sess.Call("checkin", req)
-			if err != nil {
-				_ = sess.Close()
-				continue
-			}
-			cr := resp.(server.CheckinResponse)
-			obs.RecordSpan(trace, "client", r.name(), "checkin", cr.TaskID, cr.SessionID, start, time.Since(start), cr.Reason)
-			return &participation{r: r, selector: sel, sess: sess, trace: trace}, cr, nil
-		}
-		resp, err := r.Net.Call(r.name(), sel, "checkin", req)
+		sess, err := transport.OpenSession(r.Net, r.name(), sel)
 		if err != nil {
+			continue // try the next selector
+		}
+		resp, err := sess.Call("checkin", req)
+		if err != nil {
+			_ = sess.Close()
 			continue
 		}
 		cr := resp.(server.CheckinResponse)
 		obs.RecordSpan(trace, "client", r.name(), "checkin", cr.TaskID, cr.SessionID, start, time.Since(start), cr.Reason)
-		return &participation{r: r, selector: sel, trace: trace}, cr, nil
+		return &participation{r: r, selector: sel, sess: sess, trace: trace}, cr, nil
 	}
 	return nil, server.CheckinResponse{}, ErrNoSelector
 }
 
 // route sends an in-session call through the selector — over the
-// streaming session when one is open, failing over to per-call RPC through
-// the remaining selectors on transport errors. One client span per
+// session while it holds, failing over to per-call RPC through the
+// remaining selectors on transport errors. One client span per
 // in-session call, named after the forwarded method (download, report,
 // upload-chunk, fail-session) — chunk spans fall out of the upload loop
 // calling this per chunk.
@@ -548,7 +530,7 @@ func (p *participation) routeCall(taskID, method string, payload any) (any, erro
 		if resp, err := p.sess.Call("route", req); err == nil {
 			return resp, nil
 		}
-		// The stream broke (or the selector crashed): degrade to per-call
+		// The session broke (or the selector crashed): degrade to per-call
 		// failover for the rest of the attempt, like any selector retry
 		// (Appendix E.4 "clients retry through a different selector").
 		p.close()
@@ -567,9 +549,9 @@ func (p *participation) routeCall(taskID, method string, payload any) (any, erro
 	return nil, ErrNoSelector
 }
 
-// elider returns the streaming session's ack-elision surface when it has
-// one, nil otherwise (no stream, or the in-memory fabric's per-call
-// session) — the single gate the upload loops check before switching to the
+// elider returns the session's ack-elision surface when it has one, nil
+// otherwise (the session broke, or it is the in-memory fabric's per-call
+// wrapper) — the single gate the upload loops check before switching to the
 // elided chunk train.
 func (p *participation) elider() transport.ElidingSession {
 	if es, ok := p.sess.(transport.ElidingSession); ok && es.ElidesAcks() {
@@ -578,10 +560,10 @@ func (p *participation) elider() transport.ElidingSession {
 	return nil
 }
 
-// routeNoAck queues an in-session call on the streaming session without
-// waiting for an acknowledgement. An error means
-// the stream broke and the elided train must restart acked; a server-side
-// failure of this call surfaces on the attempt's next acknowledged call.
+// routeNoAck queues an in-session call on the session without waiting for
+// an acknowledgement. An error means the session broke and the elided train
+// must restart acked; a server-side failure of this call surfaces on the
+// attempt's next acknowledged call.
 func (p *participation) routeNoAck(es transport.ElidingSession, taskID, method string, payload any) error {
 	start := time.Now()
 	req := server.RouteRequest{TaskID: taskID, Method: method, Payload: payload, TraceID: p.trace}
@@ -590,13 +572,13 @@ func (p *participation) routeNoAck(es transport.ElidingSession, taskID, method s
 	return err
 }
 
-// routeStreamOnly sends one acknowledged call strictly over the streaming
-// session, with none of route's per-call failover. The final call of an
-// elided chunk train must use it: earlier frames on this stream were never
+// routeSessionOnly sends one acknowledged call strictly over the session,
+// with none of route's per-call failover. The final call of an elided
+// chunk train must use it: earlier frames on this session were never
 // acknowledged, so resending only this call over a fresh per-call path
 // would present the aggregator an incomplete upload. A failure here instead
 // restarts the whole train in acked mode.
-func (p *participation) routeStreamOnly(taskID, method string, payload any) (any, error) {
+func (p *participation) routeSessionOnly(taskID, method string, payload any) (any, error) {
 	start := time.Now()
 	req := server.RouteRequest{TaskID: taskID, Method: method, Payload: payload, TraceID: p.trace}
 	resp, err := p.sess.Call("route", req)
@@ -629,7 +611,7 @@ func (p *participation) sendChunk(es transport.ElidingSession, taskID string,
 	var resp any
 	var err error
 	if es != nil {
-		resp, err = p.routeStreamOnly(taskID, "upload-chunk", chunk)
+		resp, err = p.routeSessionOnly(taskID, "upload-chunk", chunk)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errElidedTrainLost, err)
 		}
@@ -716,11 +698,7 @@ func (r *Runtime) uploadPlainChunks(p *participation, es transport.ElidingSessio
 func (r *Runtime) uploadSecAgg(p *participation, checkin server.CheckinResponse,
 	report server.ReportResponse, delta []float32, numExamples, staleness int,
 	codec compress.Codec, meter *uploadMeter) (*Result, error) {
-	stale := r.Staleness
-	if stale == nil {
-		stale = fedopt.DefaultStaleness()
-	}
-	w := float64(numExamples) * stale(staleness)
+	w := float64(numExamples) * fedopt.DefaultStaleness()(staleness)
 	if w <= 0 {
 		w = 1
 	}

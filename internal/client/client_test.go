@@ -71,7 +71,7 @@ func TestDeviceEligibility(t *testing.T) {
 	}
 }
 
-func newTestRuntime(selectors []string, net *transport.Network) *Runtime {
+func newTestRuntime(selectors []string, net transport.Fabric) *Runtime {
 	model := nn.NewBilinear(8, 3)
 	store := NewExampleStore(0, 0)
 	store.Add([]int{1, 2, 3}, time.Now())

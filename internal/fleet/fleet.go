@@ -1,6 +1,6 @@
 // Package fleet supervises a multi-process PAPAYA deployment for the
 // failover harness: it spawns tier members (coordinator, aggregator
-// agents, routing selectors) as real OS processes, watches their stdout
+// agents, selectors) as real OS processes, watches their stdout
 // for readiness markers, kills and restarts them mid-run, and records
 // the measured scaling curve, placement balance, and recovery times in a
 // committed benchmark artifact. The package knows nothing about papaya's

@@ -1,8 +1,7 @@
 // Package placement implements rendezvous (highest-random-weight) hashing
 // for consistent task->aggregator placement (Section 6.3). Every party that
-// knows the live aggregator set — the Coordinator placing a task, a
-// Selector guessing a route before its assignment map refreshes — computes
-// the same owner for the same key with no shared state and no coordination:
+// knows the live aggregator set computes the same owner for the same key
+// with no shared state and no coordination:
 // the owner of key k is the node n maximizing a deterministic hash of
 // (n, k). The property that matters for failover storms (Appendix E.4) is
 // minimal disruption: when a node leaves, only the keys it owned move
@@ -10,8 +9,7 @@
 // it now wins move to it — at most ~1/N of the keyspace either way,
 // unlike modulo placement where nearly everything reshuffles.
 //
-// The hash must be identical across processes (a selector and the
-// coordinator run in different OS processes and must agree), so it is a
+// The hash must be identical across processes and runs, so it is a
 // fixed FNV-1a over node then key, finished with a splitmix64-style
 // avalanche so near-identical node names ("agg-0".."agg-7") still produce
 // independent weights per key.

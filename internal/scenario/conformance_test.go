@@ -18,11 +18,11 @@ import (
 
 // scenarioFabrics mirrors the cell names of internal/server's transport
 // conformance suite (which lives in another test package and cannot be
-// imported), read the same way: the carrier (inmem | http | tcp), "deflate"
-// for frame-level compression, "stream" for one dedicated session per
-// participation instead of pooled calls. "bin" no longer selects anything —
-// http-bin and http-deflate-bin build what http and http-deflate do and
-// stay listed only because tier-1's floor pins every cell by name (ROADMAP
+// imported), read the same way: only the carrier (inmem | http | tcp) and
+// "deflate" for frame-level compression still select anything. http,
+// http-bin and http-stream build the same fabric, as do http-deflate and
+// http-deflate-bin — 5 distinct configurations under 8 names, the extras
+// listed only because tier-1's floor pins every cell by name (ROADMAP
 // "Smaller open items").
 var scenarioFabrics = []string{"inmem", "http", "http-bin", "http-deflate", "http-deflate-bin",
 	"http-stream", "tcp", "tcp-bin-deflate"}
@@ -101,7 +101,6 @@ func TestScenarioConformance(t *testing.T) {
 						rep, err := scenario.Run(spec, scenario.Options{
 							Fabric:     makeFabric(t, fabric, 1),
 							FabricName: fabric,
-							Stream:     strings.Contains(fabric, "stream"),
 						})
 						if err != nil {
 							t.Fatal(err)

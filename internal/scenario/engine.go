@@ -23,7 +23,7 @@ type Options struct {
 	// plane on it under fixed names (coordinator, agg-N, sel-N), so each
 	// run needs a dedicated fabric instance.
 	Fabric transport.Fabric
-	// FabricName labels the fabric in reports ("inmem", "http-stream", ...).
+	// FabricName labels the fabric in reports ("inmem", "http", "tcp").
 	FabricName string
 	// Workers is the number of concurrent client drivers; each worker
 	// runs entire clients (all their attempts) off a shared queue. 0
@@ -31,8 +31,6 @@ type Options struct {
 	// this knob by construction — that is what the determinism
 	// regression asserts.
 	Workers int
-	// Stream opens one streaming transport session per participation.
-	Stream bool
 	// Aggregators and Selectors size the control plane; 0 means 1 each.
 	Aggregators int
 	// Selectors is the routing tier size.
@@ -40,8 +38,6 @@ type Options struct {
 	// Timings overrides the control-plane timings; zero means the
 	// engine's short simulation defaults.
 	Timings server.Timings
-	// EvalExamples sizes the held-out eval set; 0 means 128.
-	EvalExamples int
 }
 
 // SimTimings are the engine's default control-plane timings: short enough
@@ -50,17 +46,19 @@ type Options struct {
 // stealing slow clients' completed work.
 func SimTimings() server.Timings {
 	return server.Timings{
-		Heartbeat:        10 * time.Millisecond,
-		FailureDeadline:  80 * time.Millisecond,
-		MapRefresh:       15 * time.Millisecond,
-		RecoveryPeriod:   50 * time.Millisecond,
-		SelectorJoinWait: 5 * time.Millisecond,
-		SessionTTL:       400 * time.Millisecond,
+		Heartbeat:       10 * time.Millisecond,
+		FailureDeadline: 80 * time.Millisecond,
+		MapRefresh:      15 * time.Millisecond,
+		RecoveryPeriod:  50 * time.Millisecond,
+		SessionTTL:      400 * time.Millisecond,
 	}
 }
 
 // driverName is the engine's own node name for control-plane calls.
 const driverName = "scenario-driver"
+
+// evalExamples sizes the held-out eval set.
+const evalExamples = 128
 
 // Run executes a scenario: it stands up the control plane on the fabric,
 // creates the task, injects the network fault profile, drives the tiered
@@ -89,10 +87,6 @@ func Run(spec Spec, opts Options) (*Report, error) {
 	timings := opts.Timings
 	if timings == (server.Timings{}) {
 		timings = SimTimings()
-	}
-	evalN := opts.EvalExamples
-	if evalN <= 0 {
-		evalN = 128
 	}
 	rule, err := fedopt.AggregationByName(spec.Aggregation, spec.AggParam)
 	if err != nil {
@@ -150,7 +144,7 @@ func Run(spec Spec, opts Options) (*Report, error) {
 		SeqLenMin: 5, SeqLenMax: 8, BranchFactor: 3, ZipfS: 1.3, SmoothMass: 0.05,
 	})
 	init := model.InitParams(rng.New(spec.Seed).Split("init"))
-	eval := corpus.EvalSet(0, 0, evalN, "scenario-eval")
+	eval := corpus.EvalSet(0, 0, evalExamples, "scenario-eval")
 	lossBefore := model.Loss(init, eval)
 
 	task := server.TaskSpec{
@@ -199,7 +193,6 @@ func Run(spec Spec, opts Options) (*Report, error) {
 			Net:          net,
 			Selectors:    selNames,
 			State:        client.DeviceState{Idle: true, Charging: true, Unmetered: true},
-			Stream:       opts.Stream,
 		}
 		devices[i] = &device{spec: &spec, rt: rt, exec: exec, tier: spec.TierOf(id)}
 	}
@@ -248,7 +241,6 @@ func Run(spec Spec, opts Options) (*Report, error) {
 		Rule:       rule.Name(),
 		Mode:       string(spec.Algorithm()),
 		Fabric:     opts.FabricName,
-		Stream:     opts.Stream,
 		Clients:    n,
 		Attempts:   spec.Attempts,
 		Workers:    workers,

@@ -20,8 +20,6 @@ type Report struct {
 	Mode string `json:"mode"`
 	// Fabric labels the transport the run used.
 	Fabric string `json:"fabric"`
-	// Stream reports whether participations rode streaming sessions.
-	Stream bool `json:"stream"`
 	// Clients is the fleet size.
 	Clients int `json:"clients"`
 	// Attempts is the per-client attempt budget.

@@ -91,7 +91,7 @@ func goldenWaitVersion(t *testing.T, w *world, task string, version int) server.
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		info := w.taskInfo(task)
+		info := w.mustTaskInfo(task)
 		if info.Version >= version {
 			if info.Version > version {
 				t.Fatalf("task %s overshot: version %d, want %d", task, info.Version, version)

@@ -43,7 +43,7 @@ func testChunkedUpload(t *testing.T, fx fabricFactory) {
 			defer coord.Stop()
 			agg := server.NewAggregator("agg", net, "coordinator", testTimings())
 			defer agg.Stop()
-			sel := newTestSelector("sel", net, "coordinator", testTimings(), fx)
+			sel := newTestSelector("sel", net, "coordinator", testTimings())
 			defer sel.Stop()
 			if _, err := net.Call("test", "coordinator", "register-aggregator", "agg"); err != nil {
 				t.Fatal(err)
@@ -91,7 +91,6 @@ func testChunkedUpload(t *testing.T, fx fabricFactory) {
 				Selectors:    []string{"sel"},
 				State:        client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 				Random:       rand.Reader,
-				Stream:       fx.stream,
 			}
 			res, err := dev.RunOnce(time.Now())
 			if err != nil {

@@ -27,38 +27,32 @@ type testFabric interface {
 	transport.FaultInjector
 }
 
-// fabricFactory builds one backend under test. routing selects the selector
-// mode the crossing chose for this run: false constructs plain forwarding
-// selectors, true constructs routing-tier selectors (pooled sessions,
-// list-agents discovery, rendezvous route hints) — see newTestSelector.
-// stream is handed to every client.Runtime a test builds (Runtime.Stream):
-// true rides each participation on a dedicated session with no-ack chunk
-// trains, false on pooled one-shot calls.
+// fabricFactory builds one backend under test.
 type fabricFactory struct {
-	name    string
-	routing bool
-	stream  bool
-	make    func(t *testing.T, seed int64) testFabric
+	name string
+	make func(t *testing.T, seed int64) testFabric
 }
 
 // networked reports whether the cell crosses real sockets (and therefore
 // elides acks on streamed chunk trains and exposes Stats).
 func (fx fabricFactory) networked() bool { return fx.name != "inmem" }
 
-// The cells. A name is read as tokens: the carrier (inmem | http | tcp),
-// "deflate" when large frames are DEFLATE-compressed (Options.Compress),
-// "stream" when the test's client runtimes ride dedicated sessions. "bin"
-// dates from when the codec was an option: every networked cell frames bin
-// now, so http-bin and http-deflate-bin construct what http and
-// http-deflate do. They stay listed only because tier-1's floor pins every
-// cell of every test by name; ROADMAP "Smaller open items" asks the next
-// re-anchor to drop them (16 cells -> 12).
+// The cells. Only two tokens of a name still select anything: the carrier
+// (inmem | http | tcp) and "deflate" when large frames are
+// DEFLATE-compressed (Options.Compress). "bin" dates from when the codec
+// was an option and "stream" from when the client runtime's dedicated
+// session was one: every networked cell frames bin and every participation
+// rides its own session now, so http, http-bin and http-stream build the
+// same thing, as do http-deflate and http-deflate-bin — 5 distinct
+// configurations under 8 names. The extra names stay listed only because
+// tier-1's floor pins every cell of every test by name; ROADMAP "Smaller
+// open items" asks the next re-anchor to drop them.
 var fabricFactories = func() []fabricFactory {
 	names := []string{"inmem", "http", "http-bin", "http-deflate", "http-deflate-bin",
 		"http-stream", "tcp", "tcp-bin-deflate"}
 	out := make([]fabricFactory, len(names))
 	for i, name := range names {
-		out[i] = fabricFactory{name: name, stream: strings.Contains(name, "stream"), make: fabricMaker(name)}
+		out[i] = fabricFactory{name: name, make: fabricMaker(name)}
 	}
 	return out
 }()
@@ -90,34 +84,24 @@ func fabricMaker(name string) func(t *testing.T, seed int64) testFabric {
 	}
 }
 
-// forEachFabric runs a conformance test body once per backend per selector
-// mode: direct (one fabric call per forwarded request, the classic
-// selector) and via-selector (the routing tier — pooled streamed sessions,
-// live-aggregator discovery, rendezvous route hints). The crossing proves
-// the routing tier is behaviour-compatible on every backend: every cell
-// inherits the full failover/recovery/reconfigure/multitenant matrix.
+// forEachFabric runs a conformance test body twice per backend, as
+// <cell>/direct and <cell>/via-selector. The two names selected the
+// selector's forwarding mode while it had two; the selector has one now, so
+// both build the same thing and stay only for tier-1's floor (see
+// fabricFactories).
 func forEachFabric(t *testing.T, run func(t *testing.T, fx fabricFactory)) {
-	modes := []struct {
-		name    string
-		routing bool
-	}{
-		{name: "direct", routing: false},
-		{name: "via-selector", routing: true},
-	}
-	for _, base := range fabricFactories {
-		for _, mode := range modes {
-			fx := base
-			fx.routing = mode.routing
-			t.Run(base.name+"/"+mode.name, func(t *testing.T) { run(t, fx) })
-		}
+	for _, fx := range fabricFactories {
+		runBothModes(t, fx, run)
 	}
 }
 
-// newTestSelector constructs a selector in the mode the conformance
-// crossing selected for fx; every selector a conformance test builds must
-// go through it so the via-selector half of the matrix actually exercises
-// the routing tier.
-func newTestSelector(name string, net transport.Fabric, coordinator string, timings server.Timings, fx fabricFactory) *server.Selector {
-	return server.NewSelectorWith(name, net, coordinator, timings,
-		server.SelectorOptions{Routing: fx.routing})
+func runBothModes(t *testing.T, fx fabricFactory, run func(t *testing.T, fx fabricFactory)) {
+	for _, mode := range []string{"direct", "via-selector"} {
+		t.Run(fx.name+"/"+mode, func(t *testing.T) { run(t, fx) })
+	}
+}
+
+// newTestSelector constructs the selectors of every conformance test.
+func newTestSelector(name string, net transport.Fabric, coordinator string, timings server.Timings) *server.Selector {
+	return server.NewSelector(name, net, coordinator, timings)
 }

@@ -145,8 +145,8 @@ func (c *Coordinator) createTask(spec TaskSpec) (any, error) {
 // uses concurrency x model size; counts are an adequate proxy at this
 // scale) keeps tasks evenly spread (Section 6.3); rendezvous hashing over
 // the tied candidates makes the choice a pure function of (task, live
-// set), so selectors can guess routes statelessly and a failover moves
-// only the dead aggregator's tasks (Appendix E.4; internal/placement).
+// set), so a failover moves only the dead aggregator's tasks (Appendix
+// E.4; internal/placement).
 func (c *Coordinator) placeLocked(taskID string) string {
 	load := make(map[string]int, len(c.aggregators))
 	for name := range c.aggregators {
@@ -259,9 +259,8 @@ func (c *Coordinator) mapRequest() (any, error) {
 	return MapResponse{Assignments: out}, nil
 }
 
-// listAgents reports the live aggregator set, sorted. Selectors refresh it
-// alongside the assignment map: it is the node set their rendezvous route
-// hints hash over and the set their session pools are pinned to.
+// listAgents reports the live aggregator set, sorted: the node set
+// placeLocked hashes over (`papaya fleet` polls it to time a rejoin).
 func (c *Coordinator) listAgents() (any, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

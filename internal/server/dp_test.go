@@ -567,7 +567,7 @@ func TestNoDPAggregationBitIdentical(t *testing.T) {
 		defer coord.Stop()
 		agg := server.NewAggregator("agg", net, "coordinator", testTimings())
 		defer agg.Stop()
-		sel := newTestSelector("sel", net, "coordinator", testTimings(), fx)
+		sel := newTestSelector("sel", net, "coordinator", testTimings())
 		defer sel.Stop()
 		if _, err := net.Call("test", "coordinator", "register-aggregator", "agg"); err != nil {
 			t.Fatal(err)
@@ -602,7 +602,6 @@ func TestNoDPAggregationBitIdentical(t *testing.T) {
 				Selectors:    []string{"sel"},
 				State:        client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 				Random:       rand.Reader,
-				Stream:       fx.stream,
 			}
 			res, err := dev.RunOnce(time.Now())
 			if err != nil {

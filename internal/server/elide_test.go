@@ -28,6 +28,21 @@ import (
 // backends implement it; the in-memory Network does not).
 type statser interface{ Stats() transport.Stats }
 
+// assertAcksElided is the wire-rhythm proof: a networked backend really
+// skipped acks (non-final chunks queued no-ack, and the serving half
+// suppressed replies for them); in memory there is no wire and no counter
+// to move.
+func assertAcksElided(t *testing.T, fx fabricFactory, net testFabric) {
+	t.Helper()
+	st, ok := net.(statser)
+	if ok != fx.networked() {
+		t.Fatalf("fabric %s: Stats() present = %v", fx.name, ok)
+	}
+	if ok && st.Stats().AcksElided == 0 {
+		t.Fatalf("fabric %s elided no acks", fx.name)
+	}
+}
+
 // TestAckElisionDegradation runs a many-chunk streamed upload on every
 // conformance fabric and asserts (a) the upload completes and aggregates,
 // (b) a session offers elision exactly on the networked backends, and (c)
@@ -47,7 +62,7 @@ func testAckElisionDegradation(t *testing.T, fx fabricFactory) {
 			defer coord.Stop()
 			agg := server.NewAggregator("agg", net, "coordinator", testTimings())
 			defer agg.Stop()
-			sel := newTestSelector("sel", net, "coordinator", testTimings(), fx)
+			sel := newTestSelector("sel", net, "coordinator", testTimings())
 			defer sel.Stop()
 			if _, err := net.Call("test", "coordinator", "register-aggregator", "agg"); err != nil {
 				t.Fatal(err)
@@ -108,7 +123,6 @@ func testAckElisionDegradation(t *testing.T, fx fabricFactory) {
 				Selectors:    []string{"sel"},
 				State:        client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 				Random:       rand.Reader,
-				Stream:       true,
 			}
 			res, err := dev.RunOnce(time.Now())
 			if err != nil {
@@ -125,17 +139,7 @@ func testAckElisionDegradation(t *testing.T, fx fabricFactory) {
 				t.Fatalf("version = %d after one chunked upload", v)
 			}
 
-			// The wire-rhythm proof: networked backends really skipped acks
-			// (11 non-final chunks queued no-ack, and the serving half
-			// suppressed replies for them); in memory there is no wire and
-			// no counter to move.
-			st, ok := net.(statser)
-			if ok != fx.networked() {
-				t.Fatalf("fabric %s: Stats() present = %v", fx.name, ok)
-			}
-			if ok && st.Stats().AcksElided == 0 {
-				t.Fatalf("fabric %s elided no acks", fx.name)
-			}
+			assertAcksElided(t, fx, net)
 		})
 	}
 }

@@ -15,9 +15,9 @@ package server_test
 //      releases every buffer leased for a session orphaned by the fault).
 //
 // The drills run on a reduced backend set — the deterministic in-memory
-// fabric and the streaming HTTP fabric — crossed with both selector modes;
-// the full 8-fabric conformance crossing already proves backend parity for
-// the non-fault paths.
+// fabric and the HTTP fabric, each under forEachFabric's two mode names;
+// the full conformance crossing already proves backend parity for the
+// non-fault paths.
 
 import (
 	"errors"
@@ -54,20 +54,8 @@ func fabricByName(t *testing.T, name string) fabricFactory {
 }
 
 func forEachFailoverFabric(t *testing.T, run func(t *testing.T, fx fabricFactory)) {
-	modes := []struct {
-		name    string
-		routing bool
-	}{
-		{name: "direct", routing: false},
-		{name: "via-selector", routing: true},
-	}
 	for _, name := range []string{"inmem", "http-stream"} {
-		base := fabricByName(t, name)
-		for _, mode := range modes {
-			fx := base
-			fx.routing = mode.routing
-			t.Run(base.name+"/"+mode.name, func(t *testing.T) { run(t, fx) })
-		}
+		runBothModes(t, fabricByName(t, name), run)
 	}
 }
 
@@ -85,7 +73,7 @@ func newFailoverWorld(t *testing.T, fx fabricFactory, nAggs, nSels int) *world {
 		}
 	}
 	for i := 0; i < nSels; i++ {
-		w.sels = append(w.sels, newTestSelector(selName(i), w.net, "coordinator", failoverTimings(), fx))
+		w.sels = append(w.sels, newTestSelector(selName(i), w.net, "coordinator", failoverTimings()))
 	}
 	t.Cleanup(func() {
 		for _, a := range w.aggs {
@@ -190,7 +178,7 @@ var failoverDrills = []failoverDrill{
 			if _, err := w.net.Call("test", "coordinator", "register-aggregator", owner); err != nil {
 				t.Fatalf("re-registering restarted aggregator: %v", err)
 			}
-			sel := newTestSelector(selName(0), w.net, "coordinator", failoverTimings(), fx)
+			sel := newTestSelector(selName(0), w.net, "coordinator", failoverTimings())
 			t.Cleanup(sel.Stop)
 		},
 	},
@@ -221,7 +209,7 @@ func runFailoverDrill(t *testing.T, fx fabricFactory, drill failoverDrill) {
 	spec.UploadChunkSize = 37 // 144 params -> 4 chunks: faults land mid-reassembly
 	w.createTask(spec)
 
-	// A concurrent streamed fleet hammers the plane for the whole drill.
+	// A concurrent fleet hammers the plane for the whole drill.
 	// Transport failures surface as ErrNoSelector while a fault is live;
 	// anything else is a hard client error and fails the drill.
 	var (
@@ -239,7 +227,6 @@ func runFailoverDrill(t *testing.T, fx fabricFactory, drill failoverDrill) {
 			defer wg.Done()
 			for !stopDrivers.Load() {
 				dev := w.device(1000+nextID.Add(1), corpus, 6)
-				dev.Stream = true
 				res, err := dev.RunOnce(time.Now())
 				if err != nil {
 					if errors.Is(err, client.ErrNoSelector) {

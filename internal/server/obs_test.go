@@ -35,7 +35,7 @@ func testTracePropagation(t *testing.T, fx fabricFactory) {
 	net := fx.make(t, 23)
 	coord := server.NewCoordinator("coordinator", net, testTimings(), 7, false)
 	agg := server.NewAggregator("agg", net, "coordinator", testTimings())
-	sel := newTestSelector("sel", net, "coordinator", testTimings(), fx)
+	sel := newTestSelector("sel", net, "coordinator", testTimings())
 	defer func() {
 		sel.Stop()
 		agg.Stop()
@@ -65,7 +65,6 @@ func testTracePropagation(t *testing.T, fx fabricFactory) {
 		State:        client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 		Random:       rand.Reader,
 		Compress:     []string{"none"},
-		Stream:       fx.stream,
 	}
 	res, err := dev.RunOnce(time.Now())
 	if err != nil {
@@ -123,7 +122,7 @@ func TestReapCountedDistinctFromCleanClose(t *testing.T) {
 	net := fx.make(t, 31)
 	coord := server.NewCoordinator("coordinator", net, tm, 7, false)
 	agg := server.NewAggregator(node, net, "coordinator", tm)
-	sel := newTestSelector("sel-obsreap", net, "coordinator", tm, fx)
+	sel := newTestSelector("sel-obsreap", net, "coordinator", tm)
 	defer func() {
 		sel.Stop()
 		agg.Stop()

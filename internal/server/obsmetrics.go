@@ -129,7 +129,7 @@ func (o *aggObs) span(trace uint64, name, task string, session uint64, start tim
 }
 
 // selObs is one selector's resolved metric children; constructed in
-// NewSelectorWith.
+// NewSelector.
 type selObs struct {
 	node             string
 	checkinSeconds   *metrics.Histogram

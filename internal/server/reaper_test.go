@@ -41,7 +41,7 @@ func newReaperWorld(t *testing.T, fx fabricFactory, spec server.TaskSpec, tm ser
 	net := fx.make(t, 11)
 	coord := server.NewCoordinator("coordinator", net, tm, 7, false)
 	agg := server.NewAggregator("agg", net, "coordinator", tm)
-	sel := newTestSelector("sel", net, "coordinator", tm, fx)
+	sel := newTestSelector("sel", net, "coordinator", tm)
 	t.Cleanup(func() {
 		sel.Stop()
 		agg.Stop()

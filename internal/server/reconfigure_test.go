@@ -61,7 +61,7 @@ func testRuntimeModeSwitch(t *testing.T, fx fabricFactory) {
 			t.Fatalf("sync upload %d rejected: %s", i, ur.Reason)
 		}
 	}
-	if info := w.taskInfo("switch"); info.Version != 1 {
+	if info := w.mustTaskInfo("switch"); info.Version != 1 {
 		t.Fatalf("version after sync round = %d", info.Version)
 	}
 
@@ -79,13 +79,13 @@ func testRuntimeModeSwitch(t *testing.T, fx fabricFactory) {
 			t.Fatalf("async upload %d rejected: %s", i, ur.Reason)
 		}
 	}
-	if info := w.taskInfo("switch"); info.Version != 1 {
+	if info := w.mustTaskInfo("switch"); info.Version != 1 {
 		t.Fatalf("async released early: version = %d", info.Version)
 	}
 	if ur := uploadOne(t, w, "switch", 12); !ur.OK {
 		t.Fatalf("async upload rejected: %s", ur.Reason)
 	}
-	if info := w.taskInfo("switch"); info.Version != 2 {
+	if info := w.mustTaskInfo("switch"); info.Version != 2 {
 		t.Fatalf("async K=3 release did not happen: version = %d", info.Version)
 	}
 
@@ -100,7 +100,7 @@ func testRuntimeModeSwitch(t *testing.T, fx fabricFactory) {
 			t.Fatalf("post-switch sync upload rejected: %s", ur.Reason)
 		}
 	}
-	if info := w.taskInfo("switch"); info.Version != 3 {
+	if info := w.mustTaskInfo("switch"); info.Version != 3 {
 		t.Fatalf("sync round after switch-back did not close: version = %d", info.Version)
 	}
 }
@@ -148,7 +148,7 @@ func testSwitchWithOverfullBuffer(t *testing.T, fx fabricFactory) {
 	if ur := uploadOne(t, w, "overfull", 99); !ur.OK {
 		t.Fatalf("upload rejected: %s", ur.Reason)
 	}
-	if info := w.taskInfo("overfull"); info.Version != 1 {
+	if info := w.mustTaskInfo("overfull"); info.Version != 1 {
 		t.Fatalf("overfull buffer never released: version = %d", info.Version)
 	}
 }

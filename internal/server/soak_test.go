@@ -70,7 +70,7 @@ func runSoak(t *testing.T, fx fabricFactory, checkLeases bool) []float32 {
 	net := fx.make(t, 17)
 	coord := server.NewCoordinator("coordinator", net, soakTimings(), 7, false)
 	agg := server.NewAggregator("agg", net, "coordinator", soakTimings())
-	sel := newTestSelector("sel", net, "coordinator", soakTimings(), fx)
+	sel := newTestSelector("sel", net, "coordinator", soakTimings())
 	defer func() {
 		sel.Stop()
 		agg.Stop()
@@ -175,7 +175,6 @@ func runSoak(t *testing.T, fx fabricFactory, checkLeases bool) []float32 {
 					State:        client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 					Random:       rand.Reader,
 					Compress:     []string{"none"},
-					Stream:       true,
 				}
 				for {
 					res, err := dev.RunOnce(time.Now())
@@ -270,20 +269,10 @@ func TestStreamSoak(t *testing.T) {
 	}
 	goroutineBase := runtime.NumGoroutine()
 
-	inmemFx := fabricFactory{name: "inmem", make: fabricMaker("inmem")}
-	want := runSoak(t, inmemFx, true)
+	want := runSoak(t, fabricByName(t, "inmem"), true)
 
-	// Two of the three networked cells run the selector in routing mode, so
-	// the pooled-session tier soaks under the full 208-session concurrent
-	// load (and under -race in CI) while the others keep the direct-mode
-	// reference coverage.
-	backends := []fabricFactory{
-		{name: "http-stream", routing: true, make: fabricMaker("http-stream")},
-		{name: "tcp", make: fabricMaker("tcp")},
-		{name: "tcp-bin-deflate", routing: true, make: fabricMaker("tcp-bin-deflate")},
-	}
-	for _, fx := range backends {
-		fx := fx
+	for _, name := range []string{"http-stream", "tcp", "tcp-bin-deflate"} {
+		fx := fabricByName(t, name)
 		t.Run(fx.name, func(t *testing.T) {
 			got := runSoak(t, fx, true)
 			if len(got) != len(want) {

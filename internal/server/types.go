@@ -318,11 +318,8 @@ type MapResponse struct {
 }
 
 // AgentListResponse is the Coordinator's answer to list-agents: the live
-// aggregator set, sorted by name. Routing-tier Selectors refresh it
-// alongside the assignment map — it is the node set their rendezvous
-// route hints hash over (internal/placement) and the set their pooled
-// sessions are pinned to; an aggregator leaving the list triggers a drain
-// of its sessions.
+// aggregator set, sorted by name — the node set placement hashes over
+// (internal/placement). `papaya fleet` polls it to time an agent's rejoin.
 type AgentListResponse struct {
 	Agents []string
 }
@@ -331,11 +328,10 @@ type AgentListResponse struct {
 // deadlines, the Appendix E.4 recovery period) so tests can shrink them
 // and deployments can tune them.
 type Timings struct {
-	Heartbeat        time.Duration // aggregator report cadence
-	FailureDeadline  time.Duration // missed-report window before reassignment
-	MapRefresh       time.Duration // selector assignment-map refresh cadence
-	RecoveryPeriod   time.Duration // coordinator state rebuild window (E.4)
-	SelectorJoinWait time.Duration // retry backoff for selector routing
+	Heartbeat       time.Duration // aggregator report cadence
+	FailureDeadline time.Duration // missed-report window before reassignment
+	MapRefresh      time.Duration // selector assignment-map refresh cadence
+	RecoveryPeriod  time.Duration // coordinator state rebuild window (E.4)
 	// SessionTTL reaps virtual sessions with no client activity (join,
 	// download, report, or chunk) for this long, releasing their slot and
 	// leased reassembly vector. A client that dies silently mid-session —
@@ -355,11 +351,10 @@ type Timings struct {
 // shorter ones.
 func DefaultTimings() Timings {
 	return Timings{
-		Heartbeat:        1 * time.Second,
-		FailureDeadline:  5 * time.Second,
-		MapRefresh:       2 * time.Second,
-		RecoveryPeriod:   30 * time.Second,
-		SelectorJoinWait: 100 * time.Millisecond,
-		SessionTTL:       10 * time.Minute,
+		Heartbeat:       1 * time.Second,
+		FailureDeadline: 5 * time.Second,
+		MapRefresh:      2 * time.Second,
+		RecoveryPeriod:  30 * time.Second,
+		SessionTTL:      10 * time.Minute,
 	}
 }

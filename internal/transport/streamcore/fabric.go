@@ -144,11 +144,19 @@ func (f *Fabric) Unregister(name string) {
 }
 
 // AddRoute teaches this fabric that node lives at a peer fabric's address
-// (with or without the backend's scheme prefix).
+// (with or without the backend's scheme prefix). When that moves the node
+// (a process restarted on a new port), the idle sessions pooled toward its
+// old address are dropped: no call would reuse them, and parked sessions
+// hold their sockets until Close.
 func (f *Fabric) AddRoute(node, addr string) {
+	addr = strings.TrimPrefix(addr, f.scheme)
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.routes[node] = strings.TrimPrefix(addr, f.scheme)
+	old := f.routes[node]
+	f.routes[node] = addr
+	f.mu.Unlock()
+	if old != "" && old != addr {
+		f.pool.DropIdle(sessionKey(old, node))
+	}
 }
 
 // Nodes returns the locally served, non-crashed node names, sorted.

@@ -75,6 +75,23 @@ func (p *Pool) Discard(s *Session) {
 	s.Teardown()
 }
 
+// DropIdle tears down every idle session parked under key: the fabric
+// calls it when key's node moved to another address, after which nothing
+// would Take them again. (A call in flight across the move still parks its
+// session under the old key; that one waits for Close.)
+func (p *Pool) DropIdle(key string) {
+	p.mu.Lock()
+	idle := p.idle[key]
+	delete(p.idle, key)
+	for _, s := range idle {
+		delete(p.all, s)
+	}
+	p.mu.Unlock()
+	for _, s := range idle {
+		s.Teardown()
+	}
+}
+
 // Close marks the pool closed and tears down every tracked session. It is
 // idempotent; sessions opened after Close fail Track and never register.
 func (p *Pool) Close() {

@@ -14,8 +14,8 @@
 //     executes on a parallel worker pool (Config.Workers, default
 //     GOMAXPROCS) feeding sharded aggregation (Config.AggShards); results
 //     are bit-for-bit identical for any worker count, so parallelism is
-//     purely a wall-clock knob. `papaya bench` records the measured
-//     speedup as JSON.
+//     purely a wall-clock knob (benchmark/ measures the speedup as
+//     core.workers_speedup).
 //   - Workload: NewPopulation models ~10^8 devices with correlated
 //     speed/data-volume heterogeneity; NewCorpus generates the non-IID
 //     federated language corpus; NewBilinearLM / NewLSTMLM are pure-Go
@@ -235,15 +235,6 @@ func NewAggregator(name string, net Fabric, coordinator string, timings Timings)
 // NewSelector starts a selector node.
 func NewSelector(name string, net Fabric, coordinator string, timings Timings) *Selector {
 	return server.NewSelector(name, net, coordinator, timings)
-}
-
-// SelectorOptions configures optional selector behaviours — Routing turns
-// a selector into the standalone routing tier (`papaya selector`).
-type SelectorOptions = server.SelectorOptions
-
-// NewSelectorWith starts a selector node with explicit options.
-func NewSelectorWith(name string, net Fabric, coordinator string, timings Timings, opts SelectorOptions) *Selector {
-	return server.NewSelectorWith(name, net, coordinator, timings, opts)
 }
 
 // DefaultTimings returns production-flavoured control-plane intervals.

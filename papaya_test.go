@@ -99,11 +99,10 @@ func TestFacadeSecAgg(t *testing.T) {
 func TestFacadeProductionPlane(t *testing.T) {
 	net := papaya.NewNetwork(1)
 	timings := papaya.Timings{
-		Heartbeat:        10 * time.Millisecond,
-		FailureDeadline:  60 * time.Millisecond,
-		MapRefresh:       15 * time.Millisecond,
-		RecoveryPeriod:   50 * time.Millisecond,
-		SelectorJoinWait: 5 * time.Millisecond,
+		Heartbeat:       10 * time.Millisecond,
+		FailureDeadline: 60 * time.Millisecond,
+		MapRefresh:      15 * time.Millisecond,
+		RecoveryPeriod:  50 * time.Millisecond,
 	}
 	coord := papaya.NewCoordinator("coordinator", net, timings, 1, false)
 	defer coord.Stop()
