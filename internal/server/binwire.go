@@ -12,7 +12,9 @@ package server
 //
 // Decoders lease model-sized vectors (UploadChunk.Data/Masked) from
 // internal/vecpool; the transport returns them after the handler has
-// copied what it keeps (wire.BufferLease). Every decoder validates
+// copied what it keeps (wire.BufferLease). Inside a route envelope, which
+// only a relaying selector decodes, a chunk's vectors are validated and
+// left as bytes instead. Every decoder validates
 // declared lengths against the remaining frame before allocating, so a
 // hostile frame cannot buy a huge decode.
 
@@ -432,8 +434,12 @@ func (UploadChunk) BinaryID() byte { return binIDUploadChunk }
 
 // AppendBinary implements wire.BinaryMessage: the hottest message on the
 // serving path. Vector payloads (Data/Masked) are bulk little-endian
-// copies; absent fields cost one flag bit.
+// copies; absent fields cost one flag bit. A chunk decoded for relay
+// appends the body it arrived with.
 func (c UploadChunk) AppendBinary(dst []byte) []byte {
+	if c.relayed != nil {
+		return append(dst, c.relayed...)
+	}
 	dst = wire.AppendString(dst, c.TaskID)
 	dst = wire.AppendUvarint(dst, c.SessionID)
 	dst = wire.AppendVarint(dst, int64(c.Offset))
@@ -473,68 +479,124 @@ func (c UploadChunk) AppendBinary(dst []byte) []byte {
 }
 
 func decodeUploadChunkBinary(b []byte) (any, error) {
+	c, err := decodeUploadChunk(b, true)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// decodeUploadChunk parses an UploadChunk body. With lease set the vectors
+// are leased from vecpool (the aggregator's decode). Without, the vector
+// and byte fields are validated and skipped, and the chunk keeps the body
+// it came from: the selector's decode inside a route envelope, which reads
+// the scalar fields and relays the rest as bytes.
+func decodeUploadChunk(b []byte, lease bool) (UploadChunk, error) {
 	var c UploadChunk
 	var err error
 	var v int64
+	body := b
 	if c.TaskID, b, err = wire.ReadString(b); err != nil {
-		return nil, err
+		return c, err
 	}
 	if c.SessionID, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, err
+		return c, err
 	}
 	if v, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
+		return c, err
 	}
 	c.Offset = int(v)
 	if v, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
+		return c, err
 	}
 	c.NumExamples = int(v)
 	if len(b) < 1 {
-		return nil, errors.New("server: truncated upload-chunk flags")
+		return c, errors.New("server: truncated upload-chunk flags")
 	}
 	flags := b[0]
-	b = b[1:]
 	c.Done = flags&chunkFlagDone != 0
+	if !lease {
+		c.relayed = body
+		return c, skipChunkFields(b[1:], flags)
+	}
+	return c, readChunkFields(&c, b[1:], flags)
+}
+
+// readChunkFields decodes the flagged fields after a chunk's flags byte,
+// returning every leased vector if the frame turns out malformed.
+func readChunkFields(c *UploadChunk, b []byte, flags byte) error {
+	var err error
 	if flags&chunkFlagData != 0 {
 		// Lease the vector from the pool: the aggregator copies it into the
 		// session's reassembly buffer and the transport releases it via
 		// ReleaseBinaryBuffers once the handler returns.
 		if c.Data, b, err = wire.ReadFloat32s(b, vecpool.GetFloats); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if flags&chunkFlagMasked != 0 {
 		if c.Masked, b, err = wire.ReadUint32s(b, vecpool.GetUints); err != nil {
-			releaseChunkVectors(&c)
-			return nil, err
+			releaseChunkVectors(c)
+			return err
 		}
 	}
 	if flags&chunkFlagPacked != 0 {
 		if c.Packed, b, err = wire.ReadBytes(b); err != nil {
-			releaseChunkVectors(&c)
-			return nil, err
+			releaseChunkVectors(c)
+			return err
 		}
 	}
 	if flags&chunkFlagSecAgg != 0 {
 		if c.SecAggIndex, b, err = wire.ReadUvarint(b); err != nil {
-			releaseChunkVectors(&c)
-			return nil, err
+			releaseChunkVectors(c)
+			return err
 		}
 		if c.SecAggCompleting, b, err = wire.ReadBytes(b); err != nil {
-			releaseChunkVectors(&c)
-			return nil, err
+			releaseChunkVectors(c)
+			return err
 		}
 		if c.SecAggEncSeed, b, err = wire.ReadBytes(b); err != nil {
-			releaseChunkVectors(&c)
-			return nil, err
+			releaseChunkVectors(c)
+			return err
 		}
 	}
 	if err := done(b); err != nil {
-		releaseChunkVectors(&c)
-		return nil, err
+		releaseChunkVectors(c)
+		return err
 	}
-	return c, nil
+	return nil
+}
+
+// skipChunkFields validates the flagged fields after a chunk's flags byte
+// under the same bounds readChunkFields applies, copying nothing.
+func skipChunkFields(b []byte, flags byte) error {
+	var err error
+	if flags&chunkFlagData != 0 {
+		if b, err = wire.Skip(b, 4); err != nil {
+			return err
+		}
+	}
+	if flags&chunkFlagMasked != 0 {
+		if b, err = wire.Skip(b, 4); err != nil {
+			return err
+		}
+	}
+	if flags&chunkFlagPacked != 0 {
+		if b, err = wire.Skip(b, 1); err != nil {
+			return err
+		}
+	}
+	if flags&chunkFlagSecAgg != 0 {
+		if _, b, err = wire.ReadUvarint(b); err != nil {
+			return err
+		}
+		for i := 0; i < 2; i++ {
+			if b, err = wire.Skip(b, 1); err != nil {
+				return err
+			}
+		}
+	}
+	return done(b)
 }
 
 func releaseChunkVectors(c *UploadChunk) {
@@ -633,6 +695,15 @@ func decodeRouteRequestBinary(b []byte) (any, error) {
 	}
 	if r.TraceID, b, err = wire.ReadUvarint(b); err != nil {
 		return nil, err
+	}
+	// Only a selector decodes a route envelope, and it relays the nested
+	// call: a chunk's scalar fields are read for routing and tracing, its
+	// vectors stay the bytes they arrived as.
+	if len(b) > 0 && b[0] == binIDUploadChunk {
+		if r.Payload, err = decodeUploadChunk(b[1:], false); err != nil {
+			return nil, err
+		}
+		return r, nil
 	}
 	if r.Payload, err = wire.DecodePayloadBinary(b); err != nil {
 		return nil, err

@@ -15,10 +15,12 @@ import (
 // Coordinator and the call retried once; if that fails too, the client
 // retries through a different Selector (Appendix E.4 "Client Routing").
 //
-// Every forwarded call is one Fabric.Call: on a networked fabric that is a
-// pooled long-lived session per aggregator, so the same code serves the
-// in-process selectors of `papaya serve` and the standalone ingress tier
-// (`papaya selector`, Section 3).
+// The selector decides where an in-session call goes and the fabric moves
+// it (transport.Forward): in memory as one plain Call, on a networked
+// fabric as a relay over an upstream session pinned to the client's, which
+// carries an elided chunk train as one train and answers as the bytes the
+// aggregator sent. The same code serves the in-process selectors of `papaya
+// serve` and the standalone ingress tier (`papaya selector`, Section 3).
 type Selector struct {
 	name    string
 	net     transport.Fabric
@@ -144,35 +146,52 @@ func (s *Selector) checkin(req CheckinRequest) (any, error) {
 	}, nil
 }
 
-// route forwards a session call to the owning aggregator, refreshing the
-// assignment map once on failure (stale map after a task moved) or on a
-// map miss. After a refresh only the map's entry is trusted, so a
-// genuinely unknown task reports "no assignment".
-func (s *Selector) route(req RouteRequest) (out any, err error) {
+// route answers a session call with a relay directive toward the owning
+// aggregator; the fabric moves the call and hands the client the
+// aggregator's answer. A failed forward is retried once after refreshing
+// the assignment map (stale map after a task moved); a map miss refreshes
+// before the first attempt instead. After a refresh only the map's entry is
+// trusted, so a genuinely unknown task reports "no assignment". The route
+// span and histogram cover the forwarded exchange: the directive's Done
+// closes them.
+func (s *Selector) route(req RouteRequest) (any, error) {
 	start := time.Now()
-	defer func() {
-		s.obs.routeSeconds.Observe(time.Since(start).Seconds())
-		errText := ""
-		if err != nil {
-			errText = err.Error()
-		}
-		s.obs.span(req.TraceID, "route/"+req.Method, req.TaskID, start, errText)
-	}()
+	fwd := transport.Forward{
+		Method:  req.Method,
+		Payload: req.Payload,
+		Done: func(err error) {
+			s.obs.routeSeconds.Observe(time.Since(start).Seconds())
+			errText := ""
+			if err != nil {
+				errText = err.Error()
+			}
+			s.obs.span(req.TraceID, "route/"+req.Method, req.TaskID, start, errText)
+		},
+	}
 	if asg, ok := s.lookup(req.TaskID); ok {
-		out, err := s.net.Call(s.name, asg.Aggregator, req.Method, req.Payload)
-		if err == nil {
-			return out, nil
-		}
+		fwd.To = asg.Aggregator
+		fwd.Reresolve = func() (string, error) { return s.resolve(req.TaskID) }
+		return fwd, nil
 	}
-	// Stale or missing: refresh and retry once.
+	to, err := s.resolve(req.TaskID)
+	if err != nil {
+		fwd.Done(err)
+		return nil, err
+	}
+	fwd.To = to
+	return fwd, nil
+}
+
+// resolve refreshes the assignment map and names the task's owner.
+func (s *Selector) resolve(taskID string) (string, error) {
 	if err := s.refreshMap(); err != nil {
-		return nil, fmt.Errorf("selector %s: map refresh failed: %w", s.name, err)
+		return "", fmt.Errorf("selector %s: map refresh failed: %w", s.name, err)
 	}
-	asg, ok := s.lookup(req.TaskID)
+	asg, ok := s.lookup(taskID)
 	if !ok {
-		return nil, fmt.Errorf("selector %s: no assignment for task %q", s.name, req.TaskID)
+		return "", fmt.Errorf("selector %s: no assignment for task %q", s.name, taskID)
 	}
-	return s.net.Call(s.name, asg.Aggregator, req.Method, req.Payload)
+	return asg.Aggregator, nil
 }
 
 func (s *Selector) lookup(taskID string) (Assignment, bool) {

@@ -195,6 +195,13 @@ type UploadChunk struct {
 	SecAggIndex      uint64
 	SecAggCompleting []byte
 	SecAggEncSeed    []byte
+
+	// relayed is set on a chunk a selector decoded out of a route envelope:
+	// its binary body as it arrived (aliasing the inbound frame), which
+	// AppendBinary writes on in place of the fields. Such a chunk carries
+	// only the scalar fields; Data, Masked, Packed and the SecAgg bytes stay
+	// inside relayed.
+	relayed []byte
 }
 
 // UploadResponse acknowledges a chunk (participation stage 4; a rejection

@@ -103,6 +103,9 @@ func (s *callSession) Close() error {
 type Stats struct {
 	// Calls counts outbound RPCs, acknowledged or not.
 	Calls uint64
+	// RoundTrips counts the outbound calls that waited for their response
+	// frame: Calls less the no-ack sends.
+	RoundTrips uint64
 	// BytesSent counts request payload bytes written.
 	BytesSent uint64
 	// BytesReceived counts response payload bytes read.

@@ -250,42 +250,17 @@ func (f *Fabric) Call(from, to, method string, payload any) (any, error) {
 }
 
 // callAt borrows a pooled session to node at addr (or dials one) for one
-// exchange. A stale pooled session (the peer restarted since it was parked)
-// whose failure happened before any bytes went out is discarded and the
-// call retried on a fresh connection.
+// exchange; a stale pooled session is replaced as upstream.roundTripAt
+// describes. The session goes back to the pool once the answer is decoded
+// (discarded instead if the exchange or the decode broke it).
 func (f *Fabric) callAt(addr, from, node, method string, payload any) (any, error) {
-	key := sessionKey(addr, node)
-	for {
-		s, fresh := f.pool.Take(key), false
-		if s == nil {
-			var err error
-			if s, err = f.dialSession(addr, node); err != nil {
-				return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, node, err)
-			}
-			fresh = true
-		}
-		out, err, wrote := s.Do(from, method, payload)
-		if err == nil {
-			// Success stands even if a deadline marked the session broken
-			// afterwards; Release keeps or discards accordingly.
-			f.pool.Release(key, s)
-			return out, nil
-		}
-		if !s.Broken() {
-			// Application or wire-kind error over a healthy session.
-			f.pool.Release(key, s)
-			return nil, err
-		}
-		f.pool.Discard(s)
-		if !fresh && !wrote {
-			// Stale pooled conn, nothing sent: safe to retry on another
-			// connection. Once bytes may have reached the peer the call is
-			// never resent — at-most-once; component failover owns the
-			// retry decision.
-			continue
-		}
+	u := upstream{f: f, from: from}
+	defer u.unpin()
+	rflags, raw, err := u.roundTripAt(addr, node, method, payload)
+	if err != nil {
 		return nil, err
 	}
+	return u.s.decode(rflags, raw)
 }
 
 // boundSession is a transport.Session pinned to a (from, to) pair over a
@@ -361,7 +336,8 @@ func (f *Fabric) OpenSession(from, to string) (transport.Session, error) {
 // ServeConn runs one accepted connection whose frames address node until
 // the peer closes its end or the connection breaks; the caller owns conn
 // cleanup. Every frame goes through the same fault-check dispatch,
-// including the no-ack suppression path.
+// including the no-ack suppression path, and node's transport.Forward
+// answers are relayed from here.
 func (f *Fabric) ServeConn(node string, conn Conn) {
 	Serve(conn, ServeConfig{
 		MaxFrame: MaxFrame,
@@ -370,6 +346,7 @@ func (f *Fabric) ServeConn(node string, conn Conn) {
 		Invoke: func(req *wire.Request) *wire.Response {
 			return f.dispatch(node, req)
 		},
+		relay: &upstream{f: f, from: node},
 	})
 }
 

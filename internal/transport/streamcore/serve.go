@@ -20,6 +20,11 @@ type ServeConfig struct {
 	// Invoke runs one decoded request through the fabric's fault-check
 	// dispatch, so fault parity holds frame by frame.
 	Invoke func(req *wire.Request) *wire.Response
+
+	// relay executes the transport.Forward answers Invoke returns, for the
+	// node the session addresses. ServeConn sets it; only a fabric's
+	// handlers forward.
+	relay *upstream
 }
 
 // Serve runs one inbound streaming session: pipelined request frames
@@ -37,11 +42,22 @@ type ServeConfig struct {
 // acknowledged frame, always, so the two ends can never disagree about
 // framing.
 //
+// A frame whose handler answers with a transport.Forward is relayed: a
+// no-ack frame rides on, unanswered, over one upstream session pinned to
+// this session for the train, and the acknowledged frame that ends the
+// train is exchanged on that same session, its response frame written back
+// exactly as it arrived. A failed no-ack forward is held like any failed
+// no-ack call. The pinned session is torn down, not pooled, if this session
+// ends with frames on it unanswered.
+//
 // Serve returns when the peer closes its end (the session's natural close
 // signal) or the connection breaks; the caller owns conn cleanup.
 func Serve(conn Conn, cfg ServeConfig) {
 	var out []byte
 	var held []byte // encoded response to the first failed no-ack call
+	if cfg.relay != nil {
+		defer cfg.relay.unpin()
+	}
 	for {
 		flags, payload, err := conn.ReadFrame(cfg.MaxFrame)
 		if err != nil {
@@ -71,12 +87,24 @@ func Serve(conn Conn, cfg ServeConfig) {
 			return
 		}
 		resp := cfg.Invoke(req)
+		if fwd, ok := resp.Payload.(transport.Forward); ok {
+			held, err = cfg.relay.relay(conn, fwd, flags, cfg.Prefix)
+			releaseLeases(resp, req)
+			if err != nil {
+				return
+			}
+			continue
+		}
 		if noAck && suppressible(resp) {
 			releaseLeases(resp, req)
 			cfg.Counters.AcksElided.Add(1)
 			continue
 		}
-		out, err = appendResponseFrame(out[:0], resp, req, flags, cfg.Prefix)
+		out, err = appendResponseFrame(out[:0], resp, flags, cfg.Prefix)
+		// The response frame is fully encoded: pooled response vectors (a
+		// download's model snapshot) and the request's leased decode
+		// vectors go back to their pools.
+		releaseLeases(resp, req)
 		if err != nil {
 			return
 		}
@@ -113,14 +141,10 @@ func releaseLeases(resp *wire.Response, req *wire.Request) {
 }
 
 // appendResponseFrame encodes one response as a complete stream frame into
-// dst: wire.Binary body in a pooled buffer, leases released once the body
-// is encoded, the request's deflate choice mirrored back.
-func appendResponseFrame(dst []byte, resp *wire.Response, req *wire.Request, reqFlags byte, prefix string) ([]byte, error) {
+// dst: wire.Binary body in a pooled buffer, the request's deflate choice
+// mirrored back.
+func appendResponseFrame(dst []byte, resp *wire.Response, reqFlags byte, prefix string) ([]byte, error) {
 	body, err := wire.Binary{}.AppendResponse(GetFrame(), resp)
-	// The response frame is fully encoded: pooled response vectors (a
-	// download's model snapshot) and the request's leased decode vectors go
-	// back to their pools.
-	releaseLeases(resp, req)
 	if err != nil {
 		// Encoding an already-handled response failed (unregistered return
 		// type): surface it as an application error instead of silence.

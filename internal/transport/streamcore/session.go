@@ -81,50 +81,77 @@ func (s *Session) Node() string { return s.cfg.Node }
 func (s *Session) Do(from, method string, payload any) (out any, err error, wrote bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	rflags, raw, err, wrote := s.exchangeLocked(from, method, payload)
+	if err != nil {
+		return nil, err, wrote
+	}
+	out, err = s.decode(rflags, raw)
+	return out, err, true
+}
+
+// exchange is Do without the decode: the response frame comes back as its
+// flags and payload, aliasing the conn's read buffer and valid until the
+// session's next read. The relay writes it on as it arrived; the caller
+// must hold the session exclusively (pinned, or checked out of the pool)
+// until it has used the frame.
+func (s *Session) exchange(from, method string, payload any) (rflags byte, raw []byte, err error, wrote bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.exchangeLocked(from, method, payload)
+}
+
+func (s *Session) exchangeLocked(from, method string, payload any) (rflags byte, raw []byte, err error, wrote bool) {
 	if s.closed.Load() || s.broken.Load() {
-		return nil, fmt.Errorf("%w: %s: stream closed", transport.ErrCrashed, s.cfg.Node), false
+		return 0, nil, fmt.Errorf("%w: %s: stream closed", transport.ErrCrashed, s.cfg.Node), false
 	}
 	frame, err := s.encodeFrame(s.outBuf[:0], from, method, payload, 0)
 	if err != nil {
 		// An unregistered payload is a caller bug, not a broken session.
-		return nil, fmt.Errorf("%s: encoding %s call to %s: %w", s.cfg.Prefix, method, s.cfg.Node, err), false
+		return 0, nil, fmt.Errorf("%s: encoding %s call to %s: %w", s.cfg.Prefix, method, s.cfg.Node, err), false
 	}
 	if cap(frame) > cap(s.outBuf) {
 		s.outBuf = frame
 	}
 	s.cfg.Counters.Calls.Add(1)
+	s.cfg.Counters.RoundTrips.Add(1)
 	s.cfg.Counters.BytesSent.Add(uint64(len(frame)))
 
 	n, werr := s.writeLocked(frame)
 	if werr != nil {
-		return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, s.cfg.Node, werr), n > 0
+		return 0, nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, s.cfg.Node, werr), n > 0
 	}
-	wrote = true
-	rflags, raw, err := s.conn.ReadFrame(s.cfg.MaxFrame)
+	rflags, raw, err = s.conn.ReadFrame(s.cfg.MaxFrame)
 	if err != nil {
 		s.broken.Store(true)
-		return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, s.cfg.Node, err), true
+		return 0, nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, s.cfg.Node, err), true
 	}
 	s.clearDeadline()
 	s.cfg.Counters.BytesReceived.Add(uint64(len(raw)))
+	return rflags, raw, nil, true
+}
+
+// decode turns a response frame from exchange into Do's result; a frame
+// that does not inflate or parse marks the session broken.
+func (s *Session) decode(rflags byte, raw []byte) (any, error) {
+	var err error
 	if rflags&wire.StreamFlagDeflate != 0 {
 		if raw, err = compress.InflateBytes(raw, int64(s.cfg.MaxFrame)); err != nil {
 			s.broken.Store(true)
-			return nil, fmt.Errorf("%s: inflating stream response from %s: %w", s.cfg.Prefix, s.cfg.Node, err), true
+			return nil, fmt.Errorf("%s: inflating stream response from %s: %w", s.cfg.Prefix, s.cfg.Node, err)
 		}
 	}
 	resp, err := wire.Binary{}.DecodeResponse(raw)
 	if err != nil {
 		s.broken.Store(true)
-		return nil, fmt.Errorf("%s: decoding stream response from %s: %w", s.cfg.Prefix, s.cfg.Node, err), true
+		return nil, fmt.Errorf("%s: decoding stream response from %s: %w", s.cfg.Prefix, s.cfg.Node, err)
 	}
 	if resp.Kind != "" {
-		return nil, transport.KindToError(resp.Kind, resp.Err), true
+		return nil, transport.KindToError(resp.Kind, resp.Err)
 	}
 	if resp.Err != "" {
-		return nil, errors.New(resp.Err), true
+		return nil, errors.New(resp.Err)
 	}
-	return resp.Payload, nil, true
+	return resp.Payload, nil
 }
 
 // SendNoAck queues one call to ride the stream without an acknowledgement

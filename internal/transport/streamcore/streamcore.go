@@ -25,9 +25,17 @@
 //   - Deadline-per-call timeouts: every call arms Conn.SetDeadline for the
 //     fabric's CallTimeout and clears it on completion.
 //
+//   - Relay (relay.go): a handler that answers with a transport.Forward
+//     (the selector's in-session routing) has the server loop move the
+//     frame. No-ack frames ride on unanswered over one upstream session
+//     pinned to the inbound session for the train; the acknowledged frame
+//     that ends the train is one exchange on that session, and its response
+//     frame goes back to the caller as it arrived, never decoded. An elided
+//     train therefore costs the second hop one round trip, like the first.
+//
 // Fault parity with the in-memory Network holds on both ends: checkCall
-// runs client-side before every call, elided or not, and the server loop
-// routes every decoded frame through the same dispatch.
+// runs client-side before every call, elided, relayed or not, and the
+// server loop routes every decoded frame through the same dispatch.
 package streamcore
 
 import (
@@ -88,6 +96,7 @@ type Conn interface {
 // snapshots it for transport.Stats.
 type Counters struct {
 	Calls           atomic.Uint64
+	RoundTrips      atomic.Uint64
 	BytesSent       atomic.Uint64
 	BytesReceived   atomic.Uint64
 	AcksElided      atomic.Uint64
@@ -98,6 +107,7 @@ type Counters struct {
 func (c *Counters) Snapshot() transport.Stats {
 	return transport.Stats{
 		Calls:           c.Calls.Load(),
+		RoundTrips:      c.RoundTrips.Load(),
 		BytesSent:       c.BytesSent.Load(),
 		BytesReceived:   c.BytesReceived.Load(),
 		AcksElided:      c.AcksElided.Load(),

@@ -21,8 +21,33 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// Handler processes one request addressed to a node.
+// Handler processes one request addressed to a node. Instead of an answer
+// it may return a Forward, which the fabric executes.
 type Handler func(method string, payload any) (any, error)
+
+// Forward is a handler's answer that relays the call it is serving to
+// another node: the selector's in-session routing (Appendix E.4 "Client
+// Routing"). The handler decides where the call goes; the fabric moves it
+// and hands the caller the target's answer as if it had called the target
+// itself. The in-memory Network executes a Forward as one plain Call from
+// the relaying node. A networked fabric executes it on an upstream session
+// pinned to the inbound one, so an elided chunk train crosses the second
+// hop as one train and the answer travels back as the bytes it arrived as.
+type Forward struct {
+	// To is the node the call is relayed to; Method and Payload are the
+	// relayed call.
+	To, Method string
+	Payload    any
+	// Reresolve, when non-nil, names a new target after a forward that
+	// failed while nothing else was outstanding toward the old one; the
+	// fabric retries there once.
+	Reresolve func() (string, error)
+	// Done, when non-nil, observes the end of the forwarded exchange with
+	// the error its caller sees (nil for a good answer). For a call sent
+	// without an acknowledgement the exchange ends when the frame is queued
+	// upstream.
+	Done func(error)
+}
 
 // Fabric is the RPC surface the control plane is written against: named
 // nodes exchanging synchronous request/response calls (the paper's
@@ -211,6 +236,9 @@ func (n *Network) Call(from, to, method string, payload any) (any, error) {
 		time.Sleep(latency)
 	}
 	out, err := h(method, payload)
+	if fwd, ok := out.(Forward); ok && err == nil {
+		return n.forward(to, fwd)
+	}
 	// Mirror the networked fabrics' response-lease lifecycle: they release
 	// pooled response vectors once the frame is encoded and the caller
 	// decodes an independent copy. In-process there is no encode, so
@@ -221,6 +249,23 @@ func (n *Network) Call(from, to, method string, payload any) (any, error) {
 	if snap, ok := out.(wire.ResponseSnapshot); ok {
 		out = snap.SnapshotResponseBuffers()
 		snap.ReleaseResponseBuffers()
+	}
+	return out, err
+}
+
+// forward executes a handler's Forward as one plain Call from the relaying
+// node, retried once at the re-resolved target when it fails. The answer is
+// the target's own, already snapshotted by that Call.
+func (n *Network) forward(from string, fwd Forward) (any, error) {
+	out, err := n.Call(from, fwd.To, fwd.Method, fwd.Payload)
+	if err != nil && fwd.Reresolve != nil {
+		var to string
+		if to, err = fwd.Reresolve(); err == nil {
+			out, err = n.Call(from, to, fwd.Method, fwd.Payload)
+		}
+	}
+	if fwd.Done != nil {
+		fwd.Done(err)
 	}
 	return out, err
 }

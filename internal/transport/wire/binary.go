@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // BinaryMessage is implemented by messages that have a hand-rolled binary
@@ -212,6 +213,26 @@ func (Binary) DecodeResponse(b []byte) (*Response, error) {
 		return nil, err
 	}
 	return &Response{Payload: payload, Err: errStr, Kind: kind}, nil
+}
+
+// ResponseHeadLen is the length of a successful response frame's head: the
+// magic, version and kind bytes plus the two empty strings. ResponseStatus
+// needs no more than this to report success.
+const ResponseHeadLen = 6
+
+// ResponseStatus reads only the Err and Kind fields at the head of a
+// response frame, leaving the payload undecoded: how a relay tells a
+// failed answer from a good one without materialising what it forwards.
+func (Binary) ResponseStatus(b []byte) (errStr, kind string, err error) {
+	body, err := checkBinaryHeader(b, binFrameResponse)
+	if err != nil {
+		return "", "", err
+	}
+	if errStr, body, err = ReadString(body); err != nil {
+		return "", "", err
+	}
+	kind, _, err = ReadString(body)
+	return errStr, kind, err
 }
 
 // --- payload encoding ---
@@ -435,6 +456,20 @@ func ReadBytes(b []byte) ([]byte, []byte, error) {
 	return out, rest[n:], nil
 }
 
+// Skip steps over one length-prefixed field of elemSize-byte elements (1 for
+// AppendBytes, 4 for the vector fields) under the same bounds as reading
+// it, without copying: a relay validates what it forwards as bytes.
+func Skip(b []byte, elemSize int) ([]byte, error) {
+	n, rest, err := ReadUvarint(b)
+	if err != nil {
+		return nil, err
+	}
+	if n > maxBinaryElems || n*uint64(elemSize) > uint64(len(rest)) {
+		return nil, errors.New("wire: field length exceeds frame")
+	}
+	return rest[n*uint64(elemSize):], nil
+}
+
 // AppendStringSlice appends a length-prefixed slice of strings.
 func AppendStringSlice(dst []byte, src []string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
@@ -469,11 +504,28 @@ func ReadStringSlice(b []byte) ([]string, []byte, error) {
 	return out, rest, nil
 }
 
+// hostLittleEndian is decided once per process: on a little-endian host a
+// vector's memory already is its wire form, so the vector fields below
+// encode and decode with one copy through a byte view of the vector; a
+// big-endian host swaps element by element.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// vectorBytes is the byte view of a 4-byte-element vector's memory.
+func vectorBytes[T float32 | uint32](v []T) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
+}
+
 // AppendFloat32s appends a length-prefixed []float32 as packed
 // little-endian IEEE 754 bits — the bulk copy that replaces gob's
 // per-element reflection on model-sized vectors.
 func AppendFloat32s(dst []byte, src []float32) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
+	if hostLittleEndian {
+		return append(dst, vectorBytes(src)...)
+	}
 	off := len(dst)
 	dst = append(dst, make([]byte, 4*len(src))...)
 	for i, v := range src {
@@ -505,6 +557,10 @@ func ReadFloat32s(b []byte, alloc func(int) []float32) ([]float32, []byte, error
 	} else {
 		out = make([]float32, n)
 	}
+	if hostLittleEndian {
+		copy(vectorBytes(out), rest[:4*n])
+		return out, rest[4*n:], nil
+	}
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(rest[4*i:]))
 	}
@@ -515,6 +571,9 @@ func ReadFloat32s(b []byte, alloc func(int) []float32) ([]float32, []byte, error
 // words (SecAgg masked vectors).
 func AppendUint32s(dst []byte, src []uint32) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
+	if hostLittleEndian {
+		return append(dst, vectorBytes(src)...)
+	}
 	off := len(dst)
 	dst = append(dst, make([]byte, 4*len(src))...)
 	for i, v := range src {
@@ -542,6 +601,10 @@ func ReadUint32s(b []byte, alloc func(int) []uint32) ([]uint32, []byte, error) {
 		out = alloc(n)
 	} else {
 		out = make([]uint32, n)
+	}
+	if hostLittleEndian {
+		copy(vectorBytes(out), rest[:4*n])
+		return out, rest[4*n:], nil
 	}
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint32(rest[4*i:])

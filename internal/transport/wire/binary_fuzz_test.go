@@ -47,12 +47,44 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add(respFrame)
 	f.Add([]byte{'P', 'B', 1, 1})
 	f.Add([]byte{'P', 'B', 1, 1, 0, 0, 24, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	// The frames a relaying selector decodes and forwards: route envelopes
+	// around every nested shape (a chunk with each vector and byte field, a
+	// download, a task-info), and the answers it passes back undecoded.
+	for _, r := range routeEnvelopes() {
+		frame, err := bin.AppendRequest(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	for _, payload := range []any{benchDownload(64), server.TaskInfo{Version: 3, Params: []float32{1, 2}}} {
+		frame, err := bin.AppendResponse(nil, &wire.Response{Payload: payload})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		if req, err := bin.DecodeRequest(frame); err == nil {
 			// Round-trip property: whatever decoded must re-encode.
 			if _, err := bin.AppendRequest(nil, req); err != nil {
 				t.Fatalf("decoded request does not re-encode: %v", err)
+			}
+			// Relay property: a chunk the selector accepts inside a route
+			// envelope is one the aggregator accepts once forwarded.
+			if rr, ok := req.Payload.(server.RouteRequest); ok {
+				if chunk, ok := rr.Payload.(server.UploadChunk); ok {
+					fwd, err := bin.AppendRequest(nil, &wire.Request{From: "sel-0", Method: rr.Method, Payload: chunk})
+					if err != nil {
+						t.Fatalf("relayed chunk does not encode: %v", err)
+					}
+					up, err := bin.DecodeRequest(fwd)
+					if err != nil {
+						t.Fatalf("relayed chunk the selector accepted fails at the aggregator: %v", err)
+					}
+					releasePayload(up.Payload)
+				}
 			}
 			releasePayload(req.Payload)
 		}
@@ -62,4 +94,24 @@ func FuzzBinaryDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// routeEnvelopes are client route calls around every payload shape a
+// selector relays.
+func routeEnvelopes() []*wire.Request {
+	chunk := benchChunk(8)
+	chunk.Data = nil
+	chunk.Masked = []uint32{1, 2, 3}
+	chunk.Packed = []byte{'P', 'Z', 1, 1, 1, 0}
+	chunk.SecAggIndex, chunk.SecAggCompleting, chunk.SecAggEncSeed = 4, []byte{5, 6}, []byte{7}
+	route := func(method string, payload any) *wire.Request {
+		return &wire.Request{From: "client-1", Method: "route", Payload: server.RouteRequest{
+			TaskID: "t", Method: method, Payload: payload, TraceID: 11,
+		}}
+	}
+	return []*wire.Request{
+		route("upload-chunk", chunk),
+		route("download", server.DownloadRequest{TaskID: "t", SessionID: 3}),
+		route("task-info", "t"),
+	}
 }

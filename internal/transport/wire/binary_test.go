@@ -9,6 +9,8 @@ package wire_test
 // lives in benchmark/replay.go (wire.encode_chunk_us and friends).
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/server"
@@ -158,13 +160,17 @@ func TestBinaryRejectsHostileFrames(t *testing.T) {
 }
 
 // TestBinaryNestedRouteStaysBinary: the selector route envelope around an
-// UploadChunk — the actual client wire shape — round-trips with the inner
-// concrete type intact.
+// UploadChunk — the actual client wire shape — decodes with the inner
+// concrete type and its scalar fields intact, while the chunk's vector stays
+// bytes: only a selector decodes a route envelope, and it relays the nested
+// call without materialising it. Re-encoding the envelope gives back the
+// frame byte for byte, and the call the selector sends on is byte-identical
+// to the one the client's own chunk makes, decoding in full at the
+// aggregator.
 func TestBinaryNestedRouteStaysBinary(t *testing.T) {
 	bin := wire.Binary{}
-	in := server.RouteRequest{
-		TaskID: "default", Method: "upload-chunk", Payload: benchChunk(128),
-	}
+	sent := benchChunk(128)
+	in := server.RouteRequest{TaskID: "default", Method: "upload-chunk", Payload: sent, TraceID: 9}
 	frame, err := bin.AppendRequest(nil, &wire.Request{From: "client-1", Method: "route", Payload: in})
 	if err != nil {
 		t.Fatal(err)
@@ -181,8 +187,35 @@ func TestBinaryNestedRouteStaysBinary(t *testing.T) {
 	if !ok {
 		t.Fatalf("inner payload type %T", rr.Payload)
 	}
-	if len(chunk.Data) != 128 || !chunk.Done || chunk.TaskID != "default" {
-		t.Fatalf("inner chunk mangled: %d elems done=%v", len(chunk.Data), chunk.Done)
+	if rr.TraceID != 9 || chunk.TaskID != "default" || chunk.SessionID != 42 || !chunk.Done || chunk.NumExamples != 8 {
+		t.Fatalf("inner chunk scalars mangled: %+v", chunk)
 	}
+	if chunk.Data != nil {
+		t.Fatalf("the selector's decode materialised %d vector elements", len(chunk.Data))
+	}
+	again, err := bin.AppendRequest(nil, req)
+	if err != nil || !bytes.Equal(again, frame) {
+		t.Fatalf("re-encoded envelope differs from its frame (err %v)", err)
+	}
+
+	relayed, err := bin.AppendRequest(nil, &wire.Request{From: "sel-0", Method: "upload-chunk", Payload: chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := bin.AppendRequest(nil, &wire.Request{From: "sel-0", Method: "upload-chunk", Payload: sent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(relayed, direct) {
+		t.Fatal("the relayed call is not byte-identical to the chunk's own encoding")
+	}
+	up, err := bin.DecodeRequest(relayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := up.Payload.(server.UploadChunk); !slices.Equal(got.Data, sent.Data) || got.Offset != sent.Offset {
+		t.Fatalf("aggregator-side decode of the relayed chunk mangled: %d elems", len(got.Data))
+	}
+	releasePayload(up.Payload)
 	releasePayload(req.Payload)
 }

@@ -14,6 +14,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/server"
 	"repro/internal/transport/wire"
 )
 
@@ -46,6 +47,29 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add(wire.AppendUvarint(nil, 1<<40))                 // length bomb
 	f.Add([]byte{0x80, 0x80, 0x80})                       // truncated varint
 	f.Add(append(wire.AppendUvarint(nil, 3), 0xFF, 1, 2)) // unknown flags
+	// What a relaying selector reads and writes: a train of routed chunks,
+	// no-ack but the last, then a routed download and task-info, and the
+	// aggregator's answers it passes back as they arrived.
+	var relayed []byte
+	routes := routeEnvelopes()
+	for i, r := range append(append([]*wire.Request(nil), routes[0], routes[0]), routes...) {
+		frame, err := bin.AppendRequest(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		flags := byte(wire.StreamFlagNoAck)
+		if i >= 2 {
+			flags = 0
+		}
+		relayed = wire.AppendStreamFrame(relayed, flags, frame)
+	}
+	infoFrame, err := bin.AppendResponse(nil, &wire.Response{Payload: server.TaskInfo{Version: 2, Params: []float32{3}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	relayed = wire.AppendStreamFrame(relayed, 0, respFrame)
+	relayed = wire.AppendStreamFrame(relayed, wire.StreamFlagDeflate, infoFrame)
+	f.Add(relayed)
 
 	const maxFrame = 1 << 20
 	f.Fuzz(func(t *testing.T, data []byte) {

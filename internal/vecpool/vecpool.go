@@ -41,15 +41,15 @@ import (
 // to the copy the vector exists for.
 //
 // Caveat: the counters track capacity class, not provenance. A foreign
-// slice that happens to have an exact power-of-two capacity (e.g. a
-// gob-decoded chunk of power-of-two length released via
-// wire.BufferLease) is legitimately adopted by the pool on Put and
-// decrements the count without a matching Get. Assertions that demand
-// exact balance must therefore drive workloads whose foreign payload
-// lengths avoid power-of-two sizes (the reaper and soak tests do), use
-// the pooled bin decode path end to end, or enable the SetDebug
-// provenance lease table, which tracks exactly which slices this package
-// handed out and quarantines foreign Puts instead of adopting them.
+// slice that happens to have an exact power-of-two capacity is adopted by
+// the pool on Put and decrements the count without a matching Get. No
+// path in this repository Puts a foreign slice — vectors are released
+// only by the code that leased them, and the relaying selector never
+// decodes a model vector (the server's relay tests pin the balance at
+// power-of-two sizes) — but the caveat stands for new callers: an
+// assertion that demands exact balance can enable the SetDebug provenance
+// lease table, which tracks exactly which slices this package handed out
+// and quarantines foreign Puts instead of adopting them.
 var (
 	outFloats atomic.Int64
 	outUints  atomic.Int64
