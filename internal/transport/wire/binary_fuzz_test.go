@@ -45,8 +45,8 @@ func FuzzBinaryDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(respFrame)
-	f.Add([]byte{'P', 'B', 1, 1})
-	f.Add([]byte{'P', 'B', 1, 1, 0, 0, 24, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{'P', 'B', wire.Version, 1})
+	f.Add([]byte{'P', 'B', wire.Version, 1, 0, 0, 24, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	// The frames a relaying selector decodes and forwards: route envelopes
 	// around every nested shape (a chunk with each vector and byte field, a
 	// download, a task-info), and the answers it passes back undecoded.
@@ -62,6 +62,11 @@ func FuzzBinaryDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		f.Add(frame)
+	}
+	// The golden corpus (golden_test.go), after the seeds above so their
+	// seed numbers keep naming the same frames.
+	for _, frame := range goldenFrames(f) {
 		f.Add(frame)
 	}
 
