@@ -1,10 +1,8 @@
 package secagg
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -61,7 +59,8 @@ type Upload struct {
 // meaningfully cross a process boundary (an enclave does not serialize, and
 // shipping a private attestation key would defeat its purpose). What a task
 // spec carries over the network is therefore a *recipe*: the public
-// protocol parameters. The receiving host launches a fresh TSA from the
+// protocol parameters (internal/server's TaskSpec field walk writes Params
+// and nothing else). The receiving host launches a fresh TSA from the
 // recipe, and clients pick up that host's trust material through the normal
 // report path (ReportResponse.SecAggTrust), so every deployment stays
 // self-consistent. This mirrors the paper's operational reality: each
@@ -72,10 +71,6 @@ type Upload struct {
 // clients verify against the deployment's own log, so a fixed label keeps
 // reconstructed deployments self-consistent.
 var wireBinary = []byte("papaya-tsa-binary-wire/v1")
-
-type deploymentRecipe struct {
-	Params Params
-}
 
 // Live returns a deployment ready to serve: d itself when its enclave is
 // running, otherwise a fresh local launch from the recipe. Decoding is
@@ -91,27 +86,6 @@ func (d *Deployment) Live() (*Deployment, error) {
 		return nil, fmt.Errorf("secagg: launching deployment from wire recipe: %w", err)
 	}
 	return nd, nil
-}
-
-// GobEncode implements gob.GobEncoder: only the parameter recipe crosses
-// the wire (see the recipe comment above).
-func (d *Deployment) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(deploymentRecipe{Params: d.Params}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder: the result is an inert recipe
-// (Params only); call Live before serving traffic from it.
-func (d *Deployment) GobDecode(b []byte) error {
-	var r deploymentRecipe
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
-		return err
-	}
-	*d = Deployment{Params: r.Params}
-	return nil
 }
 
 // --- enclave boundary payload encodings ---

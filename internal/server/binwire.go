@@ -1,298 +1,192 @@
 package server
 
-// The hand-rolled wire forms for the hot client-session messages
-// (wire.Binary's hot half). internal/server owns these message types, so
-// it owns their hand-rolled encoding too: fixed field
-// order, varint integers, length-prefixed strings, bulk little-endian
-// vector copies — no reflection anywhere. Cold control-plane messages
-// (task specs, heartbeat reports) intentionally have no binary form; they
-// ride wire.Binary's in-frame gob fallback, which keeps the hand-rolled
-// surface exactly the per-session hot path: check-in, join, download,
-// report, chunked upload, and the selector route envelope around them.
+// The wire layout of every message internal/server puts on the network:
+// internal/server owns the message types, so it owns their encoding too.
+// Each message states its layout once, as a field walk over a wire.Fields
+// cursor — fixed field order, varint integers, length-prefixed strings and
+// bytes, bulk little-endian vectors, a presence byte before each optional
+// nested value, maps in sorted-key order. Its AppendBinary runs the walk in
+// append mode and its registered decoder (wire.go) runs it in decode mode;
+// a relaying selector runs UploadChunk's walk in skip mode, validating the
+// chunk's vectors and byte fields but leaving them bytes. Reading modes
+// check every declared length against the rest of the frame before
+// allocating, so a hostile frame cannot buy a huge decode.
 //
-// Decoders lease model-sized vectors (UploadChunk.Data/Masked) from
-// internal/vecpool; the transport returns them after the handler has
-// copied what it keeps (wire.BufferLease). Inside a route envelope, which
-// only a relaying selector decodes, a chunk's vectors are validated and
-// left as bytes instead. Every decoder validates
-// declared lengths against the remaining frame before allocating, so a
-// hostile frame cannot buy a huge decode.
+// Only the aggregator's UploadChunk decoder leases its vectors from
+// internal/vecpool (the transport returns them after the handler has copied
+// what it keeps: wire.BufferLease). Cold vectors — checkpoints, InitParams,
+// TaskInfo.Params — decode into plain allocations the handler may keep.
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
-	"fmt"
-	"math"
+	"slices"
 
-	"repro/internal/core"
+	"repro/internal/attest"
+	"repro/internal/dh"
+	"repro/internal/dp"
+	"repro/internal/merklelog"
 	"repro/internal/secagg"
 	"repro/internal/transport/wire"
 	"repro/internal/vecpool"
 )
 
-// appendFloat64 encodes a float64 as its IEEE-754 bit pattern in a
-// uvarint; the DP fields are the first float64 scalars on the hot wire.
-func appendFloat64(dst []byte, f float64) []byte {
-	return wire.AppendUvarint(dst, math.Float64bits(f))
-}
-
-// readFloat64 reverses appendFloat64.
-func readFloat64(b []byte) (float64, []byte, error) {
-	bits, rest, err := wire.ReadUvarint(b)
-	return math.Float64frombits(bits), rest, err
-}
-
-// Binary message IDs (wire.RegisterBinary). Stable wire constants: never
-// renumber — retire an ID and allocate a fresh one instead.
-const (
-	binIDCheckinRequest   = 16
-	binIDCheckinResponse  = 17
-	binIDJoinRequest      = 18
-	binIDJoinResponse     = 19
-	binIDDownloadRequest  = 20
-	binIDDownloadResponse = 21
-	binIDReportRequest    = 22
-	binIDReportResponse   = 23
-	binIDUploadChunk      = 24
-	binIDUploadResponse   = 25
-	binIDFailRequest      = 26
-	binIDRouteRequest     = 27
-	binIDTaskInfo         = 28
-)
-
-func init() {
-	wire.RegisterBinary(binIDCheckinRequest, decodeCheckinRequestBinary)
-	wire.RegisterBinary(binIDCheckinResponse, decodeCheckinResponseBinary)
-	wire.RegisterBinary(binIDJoinRequest, decodeJoinRequestBinary)
-	wire.RegisterBinary(binIDJoinResponse, decodeJoinResponseBinary)
-	wire.RegisterBinary(binIDDownloadRequest, decodeDownloadRequestBinary)
-	wire.RegisterBinary(binIDDownloadResponse, decodeDownloadResponseBinary)
-	wire.RegisterBinary(binIDReportRequest, decodeReportRequestBinary)
-	wire.RegisterBinary(binIDReportResponse, decodeReportResponseBinary)
-	wire.RegisterBinary(binIDUploadChunk, decodeUploadChunkBinary)
-	wire.RegisterBinary(binIDUploadResponse, decodeUploadResponseBinary)
-	wire.RegisterBinary(binIDFailRequest, decodeFailRequestBinary)
-	wire.RegisterBinary(binIDRouteRequest, decodeRouteRequestBinary)
-	wire.RegisterBinary(binIDTaskInfo, decodeTaskInfoBinary)
-}
-
-// errTrailing rejects frames with bytes left over after a complete
-// message: a binary frame either parses exactly or not at all.
-var errTrailing = errors.New("server: trailing bytes after binary message")
-
-// gobBlob encodes a nested structure (SecAgg report material) as an opaque
-// byte field inside a binary message.
-func gobBlob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+// present walks the presence byte of an optional nested value, allocating
+// it when a frame carries one.
+func present[T any](f *wire.Fields, p **T) bool {
+	ok := *p != nil
+	f.Bool(&ok)
+	if ok && *p == nil {
+		*p = new(T)
 	}
-	return buf.Bytes(), nil
+	return ok
 }
 
-// gobUnblob reverses gobBlob.
-func gobUnblob(b []byte, into any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(into)
-}
-
-func done(rest []byte) error {
-	if len(rest) != 0 {
-		return errTrailing
+// sortedKeys appends m's keys to dst in order: maps encode in sorted-key
+// order, so equal maps always encode to equal bytes.
+func sortedKeys[V any](dst []string, m map[string]V) []string {
+	for k := range m {
+		dst = append(dst, k)
 	}
-	return nil
+	slices.Sort(dst)
+	return dst
 }
 
 // --- CheckinRequest ---
 
-// BinaryID implements wire.BinaryMessage.
-func (CheckinRequest) BinaryID() byte { return binIDCheckinRequest }
+func (r *CheckinRequest) fields(f *wire.Fields) {
+	f.Varint(&r.ClientID)
+	f.Strings(&r.Capabilities)
+	f.Uvarint(&r.TraceID)
+}
 
 // AppendBinary implements wire.BinaryMessage.
 func (r CheckinRequest) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendVarint(dst, r.ClientID)
-	dst = wire.AppendStringSlice(dst, r.Capabilities)
-	return wire.AppendUvarint(dst, r.TraceID)
+	f := wire.AppendFields(dst, binIDCheckinRequest)
+	r.fields(&f)
+	return f.Appended()
 }
 
-func decodeCheckinRequestBinary(b []byte) (any, error) {
+func decodeCheckinRequest(b []byte) (any, error) {
 	var r CheckinRequest
-	var err error
-	if r.ClientID, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	if r.Capabilities, b, err = wire.ReadStringSlice(b); err != nil {
-		return nil, err
-	}
-	if r.TraceID, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, err
-	}
-	return r, done(b)
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
 }
 
 // --- CheckinResponse ---
 
-// BinaryID implements wire.BinaryMessage.
-func (CheckinResponse) BinaryID() byte { return binIDCheckinResponse }
+func (r *CheckinResponse) fields(f *wire.Fields) {
+	f.Bool(&r.Accepted)
+	f.String(&r.Reason)
+	f.String(&r.TaskID)
+	f.String(&r.Aggregator)
+	f.Uvarint(&r.SessionID)
+	f.Int(&r.Version)
+	f.Uvarint(&r.TraceID)
+	f.Int(&r.RetryAfterMs)
+}
 
 // AppendBinary implements wire.BinaryMessage.
 func (r CheckinResponse) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendBool(dst, r.Accepted)
-	dst = wire.AppendString(dst, r.Reason)
-	dst = wire.AppendString(dst, r.TaskID)
-	dst = wire.AppendString(dst, r.Aggregator)
-	dst = wire.AppendUvarint(dst, r.SessionID)
-	dst = wire.AppendVarint(dst, int64(r.Version))
-	dst = wire.AppendUvarint(dst, r.TraceID)
-	return wire.AppendVarint(dst, int64(r.RetryAfterMs))
+	f := wire.AppendFields(dst, binIDCheckinResponse)
+	r.fields(&f)
+	return f.Appended()
 }
 
-func decodeCheckinResponseBinary(b []byte) (any, error) {
+func decodeCheckinResponse(b []byte) (any, error) {
 	var r CheckinResponse
-	var err error
-	var v int64
-	if r.Accepted, b, err = wire.ReadBool(b); err != nil {
-		return nil, err
-	}
-	if r.Reason, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	if r.TaskID, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	if r.Aggregator, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	if r.SessionID, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, err
-	}
-	if v, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	r.Version = int(v)
-	if r.TraceID, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, err
-	}
-	if v, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	r.RetryAfterMs = int(v)
-	return r, done(b)
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
 }
 
 // --- JoinRequest ---
 
-// BinaryID implements wire.BinaryMessage.
-func (JoinRequest) BinaryID() byte { return binIDJoinRequest }
+func (r *JoinRequest) fields(f *wire.Fields) {
+	f.String(&r.TaskID)
+	f.Varint(&r.ClientID)
+	f.Uvarint(&r.TraceID)
+}
 
 // AppendBinary implements wire.BinaryMessage.
 func (r JoinRequest) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendString(dst, r.TaskID)
-	dst = wire.AppendVarint(dst, r.ClientID)
-	return wire.AppendUvarint(dst, r.TraceID)
+	f := wire.AppendFields(dst, binIDJoinRequest)
+	r.fields(&f)
+	return f.Appended()
 }
 
-func decodeJoinRequestBinary(b []byte) (any, error) {
+func decodeJoinRequest(b []byte) (any, error) {
 	var r JoinRequest
-	var err error
-	if r.TaskID, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	if r.ClientID, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	if r.TraceID, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, err
-	}
-	return r, done(b)
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
 }
 
 // --- JoinResponse ---
 
-// BinaryID implements wire.BinaryMessage.
-func (JoinResponse) BinaryID() byte { return binIDJoinResponse }
+func (r *JoinResponse) fields(f *wire.Fields) {
+	f.Bool(&r.Accepted)
+	f.String(&r.Reason)
+	f.Uvarint(&r.SessionID)
+	f.Int(&r.Version)
+	f.Int(&r.RetryAfterMs)
+}
 
 // AppendBinary implements wire.BinaryMessage.
 func (r JoinResponse) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendBool(dst, r.Accepted)
-	dst = wire.AppendString(dst, r.Reason)
-	dst = wire.AppendUvarint(dst, r.SessionID)
-	dst = wire.AppendVarint(dst, int64(r.Version))
-	return wire.AppendVarint(dst, int64(r.RetryAfterMs))
+	f := wire.AppendFields(dst, binIDJoinResponse)
+	r.fields(&f)
+	return f.Appended()
 }
 
-func decodeJoinResponseBinary(b []byte) (any, error) {
+func decodeJoinResponse(b []byte) (any, error) {
 	var r JoinResponse
-	var err error
-	var v int64
-	if r.Accepted, b, err = wire.ReadBool(b); err != nil {
-		return nil, err
-	}
-	if r.Reason, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	if r.SessionID, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, err
-	}
-	if v, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	r.Version = int(v)
-	if v, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	r.RetryAfterMs = int(v)
-	return r, done(b)
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
 }
 
 // --- DownloadRequest ---
 
-// BinaryID implements wire.BinaryMessage.
-func (DownloadRequest) BinaryID() byte { return binIDDownloadRequest }
+func (r *DownloadRequest) fields(f *wire.Fields) {
+	f.String(&r.TaskID)
+	f.Uvarint(&r.SessionID)
+}
 
 // AppendBinary implements wire.BinaryMessage.
 func (r DownloadRequest) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendString(dst, r.TaskID)
-	return wire.AppendUvarint(dst, r.SessionID)
+	f := wire.AppendFields(dst, binIDDownloadRequest)
+	r.fields(&f)
+	return f.Appended()
 }
 
-func decodeDownloadRequestBinary(b []byte) (any, error) {
+func decodeDownloadRequest(b []byte) (any, error) {
 	var r DownloadRequest
-	var err error
-	if r.TaskID, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	if r.SessionID, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, err
-	}
-	return r, done(b)
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
 }
 
 // --- DownloadResponse ---
 
-// BinaryID implements wire.BinaryMessage.
-func (DownloadResponse) BinaryID() byte { return binIDDownloadResponse }
-
-// AppendBinary implements wire.BinaryMessage: the model vector ships as
-// one bulk little-endian copy instead of gob's per-element walk — the
+// fields: the model vector ships as one bulk little-endian copy — the
 // download half of the serving hot path.
-func (r DownloadResponse) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendFloat32s(dst, r.Params)
-	return wire.AppendVarint(dst, int64(r.Version))
+func (r *DownloadResponse) fields(f *wire.Fields) {
+	f.Float32s(&r.Params)
+	f.Int(&r.Version)
 }
 
-func decodeDownloadResponseBinary(b []byte) (any, error) {
+// AppendBinary implements wire.BinaryMessage.
+func (r DownloadResponse) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, binIDDownloadResponse)
+	r.fields(&f)
+	return f.Appended()
+}
+
+func decodeDownloadResponse(b []byte) (any, error) {
 	var r DownloadResponse
-	var err error
-	var v int64
-	if r.Params, b, err = wire.ReadFloat32s(b, nil); err != nil {
-		return nil, err
-	}
-	if v, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	r.Version = int(v)
-	return r, done(b)
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
 }
 
 // ReleaseResponseBuffers implements wire.ResponseBufferLease: the
@@ -312,115 +206,107 @@ func (r DownloadResponse) SnapshotResponseBuffers() any {
 
 // --- ReportRequest ---
 
-// BinaryID implements wire.BinaryMessage.
-func (ReportRequest) BinaryID() byte { return binIDReportRequest }
+func (r *ReportRequest) fields(f *wire.Fields) {
+	f.String(&r.TaskID)
+	f.Uvarint(&r.SessionID)
+	f.Strings(&r.Compress)
+}
 
 // AppendBinary implements wire.BinaryMessage.
 func (r ReportRequest) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendString(dst, r.TaskID)
-	dst = wire.AppendUvarint(dst, r.SessionID)
-	return wire.AppendStringSlice(dst, r.Compress)
+	f := wire.AppendFields(dst, binIDReportRequest)
+	r.fields(&f)
+	return f.Appended()
 }
 
-func decodeReportRequestBinary(b []byte) (any, error) {
+func decodeReportRequest(b []byte) (any, error) {
 	var r ReportRequest
-	var err error
-	if r.TaskID, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	if r.SessionID, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, err
-	}
-	if r.Compress, b, err = wire.ReadStringSlice(b); err != nil {
-		return nil, err
-	}
-	return r, done(b)
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
 }
 
 // --- ReportResponse ---
 
-// BinaryID implements wire.BinaryMessage.
-func (ReportResponse) BinaryID() byte { return binIDReportResponse }
+// fields: the SecAgg material (bundle and trust) follows exactly when
+// SecAggEnabled is set.
+func (r *ReportResponse) fields(f *wire.Fields) {
+	f.Bool(&r.OK)
+	f.String(&r.Reason)
+	f.Int(&r.ChunkSize)
+	f.Int(&r.CurrentVersion)
+	f.String(&r.Compress)
+	f.Float64(&r.DPClip)
+	f.Float64(&r.DPLocalNoise)
+	f.Bool(&r.SecAggEnabled)
+	if r.SecAggEnabled {
+		if present(f, &r.SecAggBundle) {
+			bundleFields(f, r.SecAggBundle)
+		}
+		trustFields(f, &r.SecAggTrust)
+	}
+}
 
-// AppendBinary implements wire.BinaryMessage. The simple upload
-// configuration is hand-rolled; the SecAgg material (bundle + trust — deep
-// crypto structures that change with the SecAgg protocol, not the wire) is
-// carried as a nested gob blob, present exactly when SecAggEnabled is set.
+// AppendBinary implements wire.BinaryMessage.
 func (r ReportResponse) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendBool(dst, r.OK)
-	dst = wire.AppendString(dst, r.Reason)
-	dst = wire.AppendVarint(dst, int64(r.ChunkSize))
-	dst = wire.AppendVarint(dst, int64(r.CurrentVersion))
-	dst = wire.AppendString(dst, r.Compress)
-	dst = appendFloat64(dst, r.DPClip)
-	dst = appendFloat64(dst, r.DPLocalNoise)
-	dst = wire.AppendBool(dst, r.SecAggEnabled)
-	if r.SecAggEnabled {
-		blob, err := gobBlob(secAggReportBlob{Bundle: r.SecAggBundle, Trust: r.SecAggTrust})
-		if err != nil {
-			// SecAgg material that cannot gob-encode is a programming error
-			// (the same material already crosses inside cold gob messages);
-			// encode an empty blob so the decoder rejects the frame loudly.
-			blob = nil
-		}
-		dst = wire.AppendBytes(dst, blob)
-	}
-	return dst
+	f := wire.AppendFields(dst, binIDReportResponse)
+	r.fields(&f)
+	return f.Appended()
 }
 
-// secAggReportBlob is the gob-carried SecAgg half of a ReportResponse.
-type secAggReportBlob struct {
-	Bundle *secagg.InitialBundle
-	Trust  secagg.ClientTrust
-}
-
-func decodeReportResponseBinary(b []byte) (any, error) {
+func decodeReportResponse(b []byte) (any, error) {
 	var r ReportResponse
-	var err error
-	var v int64
-	if r.OK, b, err = wire.ReadBool(b); err != nil {
-		return nil, err
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
+}
+
+func bundleFields(f *wire.Fields, b *secagg.InitialBundle) {
+	dhInitialFields(f, &b.DH)
+	f.Bytes(&b.DHVerifyKey)
+	quoteFields(f, &b.Quote)
+	f.Hash((*[32]byte)(&b.LogRoot))
+	f.Uvarint(&b.LogSize)
+	f.Uvarint(&b.LeafIndex)
+	n := f.Count(len(b.Inclusion), merklelog.HashSize)
+	if f.Decoding() && n > 0 {
+		b.Inclusion = make([]merklelog.Hash, n)
 	}
-	if r.Reason, b, err = wire.ReadString(b); err != nil {
-		return nil, err
+	for i := 0; i < n; i++ {
+		f.Hash((*[32]byte)(&b.Inclusion[i]))
 	}
-	if v, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	r.ChunkSize = int(v)
-	if v, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	r.CurrentVersion = int(v)
-	if r.Compress, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	if r.DPClip, b, err = readFloat64(b); err != nil {
-		return nil, err
-	}
-	if r.DPLocalNoise, b, err = readFloat64(b); err != nil {
-		return nil, err
-	}
-	if r.SecAggEnabled, b, err = wire.ReadBool(b); err != nil {
-		return nil, err
-	}
-	if r.SecAggEnabled {
-		var blob []byte
-		if blob, b, err = wire.ReadBytes(b); err != nil {
-			return nil, err
-		}
-		var sec secAggReportBlob
-		if err := gobUnblob(blob, &sec); err != nil {
-			return nil, fmt.Errorf("server: decoding SecAgg report material: %w", err)
-		}
-		r.SecAggBundle, r.SecAggTrust = sec.Bundle, sec.Trust
-	}
-	return r, done(b)
+}
+
+func dhInitialFields(f *wire.Fields, m *dh.InitialMessage) {
+	f.Uvarint(&m.Index)
+	f.Bytes(&m.PublicKey)
+	f.Bytes(&m.Signature)
+}
+
+func quoteFields(f *wire.Fields, q *attest.Quote) {
+	f.Hash(&q.BinaryHash)
+	f.Hash(&q.ParamsHash)
+	f.Hash(&q.ReportData)
+	f.Bytes(&q.Signature)
+}
+
+func trustFields(f *wire.Fields, t *secagg.ClientTrust) {
+	f.Bytes((*[]byte)(&t.Collateral))
+	f.Hash((*[32]byte)(&t.LogRoot))
+	f.Uvarint(&t.LogSize)
+	secAggParamsFields(f, &t.Params)
+}
+
+func secAggParamsFields(f *wire.Fields, p *secagg.Params) {
+	f.Int(&p.VecLen)
+	f.Int(&p.Threshold)
+	f.Float64(&p.Scale)
+	f.Bool(&p.OneShot)
 }
 
 // --- UploadChunk ---
 
-// Flag bits in an UploadChunk binary frame.
+// Flag bits in an UploadChunk's flag byte.
 const (
 	chunkFlagDone   = 1 << 0
 	chunkFlagData   = 1 << 1
@@ -429,21 +315,13 @@ const (
 	chunkFlagSecAgg = 1 << 4
 )
 
-// BinaryID implements wire.BinaryMessage.
-func (UploadChunk) BinaryID() byte { return binIDUploadChunk }
-
-// AppendBinary implements wire.BinaryMessage: the hottest message on the
-// serving path. Vector payloads (Data/Masked) are bulk little-endian
-// copies; absent fields cost one flag bit. A chunk decoded for relay
-// appends the body it arrived with.
-func (c UploadChunk) AppendBinary(dst []byte) []byte {
-	if c.relayed != nil {
-		return append(dst, c.relayed...)
-	}
-	dst = wire.AppendString(dst, c.TaskID)
-	dst = wire.AppendUvarint(dst, c.SessionID)
-	dst = wire.AppendVarint(dst, int64(c.Offset))
-	dst = wire.AppendVarint(dst, int64(c.NumExamples))
+// fields walks the hottest message on the serving path. One flag byte
+// says which optional fields follow, so an absent field costs one bit.
+func (c *UploadChunk) fields(f *wire.Fields) {
+	f.String(&c.TaskID)
+	f.Uvarint(&c.SessionID)
+	f.Int(&c.Offset)
+	f.Int(&c.NumExamples)
 	var flags byte
 	if c.Done {
 		flags |= chunkFlagDone
@@ -460,260 +338,160 @@ func (c UploadChunk) AppendBinary(dst []byte) []byte {
 	if c.SecAggIndex != 0 || len(c.SecAggCompleting) > 0 || len(c.SecAggEncSeed) > 0 {
 		flags |= chunkFlagSecAgg
 	}
-	dst = append(dst, flags)
+	f.Byte(&flags)
+	c.Done = flags&chunkFlagDone != 0
 	if flags&chunkFlagData != 0 {
-		dst = wire.AppendFloat32s(dst, c.Data)
+		f.Float32s(&c.Data)
 	}
 	if flags&chunkFlagMasked != 0 {
-		dst = wire.AppendUint32s(dst, c.Masked)
+		f.Uint32s(&c.Masked)
 	}
 	if flags&chunkFlagPacked != 0 {
-		dst = wire.AppendBytes(dst, c.Packed)
+		f.Bytes(&c.Packed)
 	}
 	if flags&chunkFlagSecAgg != 0 {
-		dst = wire.AppendUvarint(dst, c.SecAggIndex)
-		dst = wire.AppendBytes(dst, c.SecAggCompleting)
-		dst = wire.AppendBytes(dst, c.SecAggEncSeed)
+		f.Uvarint(&c.SecAggIndex)
+		f.Bytes(&c.SecAggCompleting)
+		f.Bytes(&c.SecAggEncSeed)
 	}
-	return dst
 }
 
-func decodeUploadChunkBinary(b []byte) (any, error) {
-	c, err := decodeUploadChunk(b, true)
-	if err != nil {
+// AppendBinary implements wire.BinaryMessage. A chunk decoded for relay
+// appends the body it arrived with.
+func (c UploadChunk) AppendBinary(dst []byte) []byte {
+	if c.relayed != nil {
+		return append(append(dst, binIDUploadChunk), c.relayed...)
+	}
+	f := wire.AppendFields(dst, binIDUploadChunk)
+	c.fields(&f)
+	return f.Appended()
+}
+
+// decodeUploadChunk is the aggregator's decode: the vectors are leased from
+// vecpool, and every lease is returned if the frame turns out malformed.
+func decodeUploadChunk(b []byte) (any, error) {
+	var c UploadChunk
+	f := wire.DecodeFields(b)
+	f.Lease(vecpool.GetFloats, vecpool.GetUints)
+	c.fields(&f)
+	if err := f.Done(); err != nil {
+		c.ReleaseBinaryBuffers()
 		return nil, err
 	}
 	return c, nil
 }
 
-// decodeUploadChunk parses an UploadChunk body. With lease set the vectors
-// are leased from vecpool (the aggregator's decode). Without, the vector
-// and byte fields are validated and skipped, and the chunk keeps the body
-// it came from: the selector's decode inside a route envelope, which reads
-// the scalar fields and relays the rest as bytes.
-func decodeUploadChunk(b []byte, lease bool) (UploadChunk, error) {
-	var c UploadChunk
-	var err error
-	var v int64
-	body := b
-	if c.TaskID, b, err = wire.ReadString(b); err != nil {
-		return c, err
-	}
-	if c.SessionID, b, err = wire.ReadUvarint(b); err != nil {
-		return c, err
-	}
-	if v, b, err = wire.ReadVarint(b); err != nil {
-		return c, err
-	}
-	c.Offset = int(v)
-	if v, b, err = wire.ReadVarint(b); err != nil {
-		return c, err
-	}
-	c.NumExamples = int(v)
-	if len(b) < 1 {
-		return c, errors.New("server: truncated upload-chunk flags")
-	}
-	flags := b[0]
-	c.Done = flags&chunkFlagDone != 0
-	if !lease {
-		c.relayed = body
-		return c, skipChunkFields(b[1:], flags)
-	}
-	return c, readChunkFields(&c, b[1:], flags)
-}
-
-// readChunkFields decodes the flagged fields after a chunk's flags byte,
-// returning every leased vector if the frame turns out malformed.
-func readChunkFields(c *UploadChunk, b []byte, flags byte) error {
-	var err error
-	if flags&chunkFlagData != 0 {
-		// Lease the vector from the pool: the aggregator copies it into the
-		// session's reassembly buffer and the transport releases it via
-		// ReleaseBinaryBuffers once the handler returns.
-		if c.Data, b, err = wire.ReadFloat32s(b, vecpool.GetFloats); err != nil {
-			return err
-		}
-	}
-	if flags&chunkFlagMasked != 0 {
-		if c.Masked, b, err = wire.ReadUint32s(b, vecpool.GetUints); err != nil {
-			releaseChunkVectors(c)
-			return err
-		}
-	}
-	if flags&chunkFlagPacked != 0 {
-		if c.Packed, b, err = wire.ReadBytes(b); err != nil {
-			releaseChunkVectors(c)
-			return err
-		}
-	}
-	if flags&chunkFlagSecAgg != 0 {
-		if c.SecAggIndex, b, err = wire.ReadUvarint(b); err != nil {
-			releaseChunkVectors(c)
-			return err
-		}
-		if c.SecAggCompleting, b, err = wire.ReadBytes(b); err != nil {
-			releaseChunkVectors(c)
-			return err
-		}
-		if c.SecAggEncSeed, b, err = wire.ReadBytes(b); err != nil {
-			releaseChunkVectors(c)
-			return err
-		}
-	}
-	if err := done(b); err != nil {
-		releaseChunkVectors(c)
-		return err
-	}
-	return nil
-}
-
-// skipChunkFields validates the flagged fields after a chunk's flags byte
-// under the same bounds readChunkFields applies, copying nothing.
-func skipChunkFields(b []byte, flags byte) error {
-	var err error
-	if flags&chunkFlagData != 0 {
-		if b, err = wire.Skip(b, 4); err != nil {
-			return err
-		}
-	}
-	if flags&chunkFlagMasked != 0 {
-		if b, err = wire.Skip(b, 4); err != nil {
-			return err
-		}
-	}
-	if flags&chunkFlagPacked != 0 {
-		if b, err = wire.Skip(b, 1); err != nil {
-			return err
-		}
-	}
-	if flags&chunkFlagSecAgg != 0 {
-		if _, b, err = wire.ReadUvarint(b); err != nil {
-			return err
-		}
-		for i := 0; i < 2; i++ {
-			if b, err = wire.Skip(b, 1); err != nil {
-				return err
-			}
-		}
-	}
-	return done(b)
-}
-
-func releaseChunkVectors(c *UploadChunk) {
-	vecpool.PutFloats(c.Data)
-	vecpool.PutUints(c.Masked)
-	c.Data, c.Masked = nil, nil
+// relayChunk is the selector's decode of a chunk inside a route envelope:
+// the walk in skip mode reads the scalar fields for routing and tracing,
+// and the chunk keeps the body it came from to relay as bytes.
+func relayChunk(body []byte) (UploadChunk, error) {
+	c := UploadChunk{relayed: body}
+	f := wire.SkipFields(body)
+	c.fields(&f)
+	return c, f.Done()
 }
 
 // ReleaseBinaryBuffers implements wire.BufferLease: returns the leased
 // Data/Masked vectors after the aggregator has copied them into the
 // session's reassembly buffer. Safe on any decode origin — slices that did
-// not come from the pool (gob decodes, in-memory payloads never pass here)
-// are discarded by the pool's capacity check.
-func (c UploadChunk) ReleaseBinaryBuffers() { releaseChunkVectors(&c) }
+// not come from the pool (in-memory payloads never pass here) are
+// discarded by the pool's capacity check.
+func (c UploadChunk) ReleaseBinaryBuffers() {
+	vecpool.PutFloats(c.Data)
+	vecpool.PutUints(c.Masked)
+}
 
 // --- UploadResponse ---
 
-// BinaryID implements wire.BinaryMessage.
-func (UploadResponse) BinaryID() byte { return binIDUploadResponse }
+func (r *UploadResponse) fields(f *wire.Fields) {
+	f.Bool(&r.OK)
+	f.String(&r.Reason)
+}
 
 // AppendBinary implements wire.BinaryMessage.
 func (r UploadResponse) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendBool(dst, r.OK)
-	return wire.AppendString(dst, r.Reason)
+	f := wire.AppendFields(dst, binIDUploadResponse)
+	r.fields(&f)
+	return f.Appended()
 }
 
-func decodeUploadResponseBinary(b []byte) (any, error) {
+func decodeUploadResponse(b []byte) (any, error) {
 	var r UploadResponse
-	var err error
-	if r.OK, b, err = wire.ReadBool(b); err != nil {
-		return nil, err
-	}
-	if r.Reason, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	return r, done(b)
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
 }
 
 // --- FailRequest ---
 
-// BinaryID implements wire.BinaryMessage.
-func (FailRequest) BinaryID() byte { return binIDFailRequest }
+func (r *FailRequest) fields(f *wire.Fields) {
+	f.String(&r.TaskID)
+	f.Uvarint(&r.SessionID)
+}
 
 // AppendBinary implements wire.BinaryMessage.
 func (r FailRequest) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendString(dst, r.TaskID)
-	return wire.AppendUvarint(dst, r.SessionID)
+	f := wire.AppendFields(dst, binIDFailRequest)
+	r.fields(&f)
+	return f.Appended()
 }
 
-func decodeFailRequestBinary(b []byte) (any, error) {
+func decodeFailRequest(b []byte) (any, error) {
 	var r FailRequest
-	var err error
-	if r.TaskID, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	if r.SessionID, b, err = wire.ReadUvarint(b); err != nil {
-		return nil, err
-	}
-	return r, done(b)
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
 }
 
 // --- RouteRequest ---
 
-// BinaryID implements wire.BinaryMessage.
-func (RouteRequest) BinaryID() byte { return binIDRouteRequest }
+// fields walks the envelope's own fields. The nested payload follows them
+// and runs to the end of the frame, so TraceID rides before it.
+func (r *RouteRequest) fields(f *wire.Fields) {
+	f.String(&r.TaskID)
+	f.String(&r.Method)
+	f.Uvarint(&r.TraceID)
+}
 
 // AppendBinary implements wire.BinaryMessage: the forwarded payload is
-// encoded recursively with the same tag scheme as a top-level payload, so
-// a routed UploadChunk stays on the zero-reflection path end to end.
+// encoded with the same tag scheme as a top-level payload, so a routed
+// UploadChunk stays on the zero-reflection path end to end.
 func (r RouteRequest) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendString(dst, r.TaskID)
-	dst = wire.AppendString(dst, r.Method)
-	// TraceID rides before the nested payload: the payload decode
-	// consumes the remainder of the frame, so trailing fields cannot be
-	// appended after it.
-	dst = wire.AppendUvarint(dst, r.TraceID)
-	out, err := wire.AppendPayloadBinary(dst, r.Payload)
+	f := wire.AppendFields(dst, binIDRouteRequest)
+	r.fields(&f)
+	out, err := wire.AppendPayloadBinary(f.Appended(), r.Payload)
 	if err != nil {
-		// An unregistered nested payload cannot encode; emit a frame the
-		// decoder rejects (nested decode fails on the empty payload) rather
-		// than panicking mid-encode. Reaching this is a registry bug that
-		// the wire round-trip tests catch.
-		return append(dst, 255)
+		// An unregistered nested payload cannot encode; emit an ID no
+		// decoder knows rather than panicking mid-encode. Reaching this is
+		// a registry bug that the wire round-trip tests catch.
+		return append(f.Appended(), 255)
 	}
 	return out
 }
 
-func decodeRouteRequestBinary(b []byte) (any, error) {
+func decodeRouteRequest(b []byte) (any, error) {
 	var r RouteRequest
-	var err error
-	if r.TaskID, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	if r.Method, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	if r.TraceID, b, err = wire.ReadUvarint(b); err != nil {
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	rest, err := f.Rest()
+	if err != nil {
 		return nil, err
 	}
 	// Only a selector decodes a route envelope, and it relays the nested
-	// call: a chunk's scalar fields are read for routing and tracing, its
-	// vectors stay the bytes they arrived as.
-	if len(b) > 0 && b[0] == binIDUploadChunk {
-		if r.Payload, err = decodeUploadChunk(b[1:], false); err != nil {
-			return nil, err
-		}
-		return r, nil
+	// call: a chunk's vectors stay the bytes they arrived as.
+	if len(rest) > 0 && rest[0] == binIDUploadChunk {
+		r.Payload, err = relayChunk(rest[1:])
+	} else {
+		r.Payload, err = wire.DecodePayloadBinary(rest)
 	}
-	if r.Payload, err = wire.DecodePayloadBinary(b); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
 // ReleaseBinaryBuffers implements wire.BufferLease by delegating to the
-// forwarded payload (a routed UploadChunk's vectors are leased like a
-// direct one's).
+// forwarded payload.
 func (r RouteRequest) ReleaseBinaryBuffers() {
 	if lease, ok := r.Payload.(wire.BufferLease); ok {
 		lease.ReleaseBinaryBuffers()
@@ -722,67 +500,32 @@ func (r RouteRequest) ReleaseBinaryBuffers() {
 
 // --- TaskInfo ---
 
-// BinaryID implements wire.BinaryMessage.
-func (TaskInfo) BinaryID() byte { return binIDTaskInfo }
+func (r *TaskInfo) fields(f *wire.Fields) {
+	f.Int(&r.Version)
+	f.Varint(&r.Updates)
+	f.Int(&r.Active)
+	f.Float32s(&r.Params)
+	f.String((*string)(&r.Mode))
+	f.Bool(&r.DPEnabled)
+	f.Float64(&r.DPEpsilon)
+	f.Float64(&r.DPDelta)
+	f.Int(&r.DPReleases)
+	f.Float64(&r.DPBudget)
+	f.Bool(&r.DPExhausted)
+}
 
 // AppendBinary implements wire.BinaryMessage.
 func (r TaskInfo) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendVarint(dst, int64(r.Version))
-	dst = wire.AppendVarint(dst, r.Updates)
-	dst = wire.AppendVarint(dst, int64(r.Active))
-	dst = wire.AppendFloat32s(dst, r.Params)
-	dst = wire.AppendString(dst, string(r.Mode))
-	dst = wire.AppendBool(dst, r.DPEnabled)
-	dst = appendFloat64(dst, r.DPEpsilon)
-	dst = appendFloat64(dst, r.DPDelta)
-	dst = wire.AppendVarint(dst, int64(r.DPReleases))
-	dst = appendFloat64(dst, r.DPBudget)
-	return wire.AppendBool(dst, r.DPExhausted)
+	f := wire.AppendFields(dst, binIDTaskInfo)
+	r.fields(&f)
+	return f.Appended()
 }
 
-func decodeTaskInfoBinary(b []byte) (any, error) {
+func decodeTaskInfo(b []byte) (any, error) {
 	var r TaskInfo
-	var err error
-	var v int64
-	if v, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	r.Version = int(v)
-	if r.Updates, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	if v, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	r.Active = int(v)
-	if r.Params, b, err = wire.ReadFloat32s(b, nil); err != nil {
-		return nil, err
-	}
-	var mode string
-	if mode, b, err = wire.ReadString(b); err != nil {
-		return nil, err
-	}
-	r.Mode = core.Algorithm(mode)
-	if r.DPEnabled, b, err = wire.ReadBool(b); err != nil {
-		return nil, err
-	}
-	if r.DPEpsilon, b, err = readFloat64(b); err != nil {
-		return nil, err
-	}
-	if r.DPDelta, b, err = readFloat64(b); err != nil {
-		return nil, err
-	}
-	if v, b, err = wire.ReadVarint(b); err != nil {
-		return nil, err
-	}
-	r.DPReleases = int(v)
-	if r.DPBudget, b, err = readFloat64(b); err != nil {
-		return nil, err
-	}
-	if r.DPExhausted, b, err = wire.ReadBool(b); err != nil {
-		return nil, err
-	}
-	return r, done(b)
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
 }
 
 // ReleaseResponseBuffers implements wire.ResponseBufferLease; Params is
@@ -796,4 +539,287 @@ func (r TaskInfo) SnapshotResponseBuffers() any {
 	out.Params = make([]float32, len(r.Params))
 	copy(out.Params, r.Params)
 	return out
+}
+
+// --- TaskSpec ---
+
+// fields: a SecAgg deployment crosses as its recipe, the public
+// parameters. The decoded deployment is inert until secagg.Deployment.Live
+// launches an enclave from it.
+func (s *TaskSpec) fields(f *wire.Fields) {
+	f.String(&s.ID)
+	f.String((*string)(&s.Mode))
+	f.Int(&s.NumParams)
+	f.Int(&s.Concurrency)
+	f.Int(&s.AggregationGoal)
+	f.Int(&s.MaxStaleness)
+	f.String(&s.Capability)
+	f.Float32s(&s.InitParams)
+	f.Int(&s.AggShards)
+	f.Int(&s.UploadChunkSize)
+	if present(f, &s.SecAgg) {
+		secAggParamsFields(f, &s.SecAgg.Params)
+	}
+	f.String(&s.Compress)
+	f.String(&s.Aggregation)
+	f.Float64(&s.AggParam)
+	if present(f, &s.DP) {
+		dpConfigFields(f, s.DP)
+	}
+}
+
+// AppendBinary implements wire.BinaryMessage.
+func (s TaskSpec) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, binIDTaskSpec)
+	s.fields(&f)
+	return f.Appended()
+}
+
+func decodeTaskSpec(b []byte) (any, error) {
+	var s TaskSpec
+	f := wire.DecodeFields(b)
+	s.fields(&f)
+	return s, f.Done()
+}
+
+func dpConfigFields(f *wire.Fields, c *dp.Config) {
+	f.Float64(&c.Clip)
+	f.Float64(&c.NoiseMultiplier)
+	f.Float64(&c.Delta)
+	f.Uvarint(&c.Seed)
+	f.Float64(&c.EpsilonBudget)
+	f.Bool(&c.Local)
+}
+
+// --- Assignment ---
+
+func (a *Assignment) fields(f *wire.Fields) {
+	f.String(&a.TaskID)
+	f.String(&a.Aggregator)
+	f.Uvarint(&a.Seq)
+}
+
+// AppendBinary implements wire.BinaryMessage.
+func (a Assignment) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, binIDAssignment)
+	a.fields(&f)
+	return f.Appended()
+}
+
+func decodeAssignment(b []byte) (any, error) {
+	var a Assignment
+	f := wire.DecodeFields(b)
+	a.fields(&f)
+	return a, f.Done()
+}
+
+// --- AggReport ---
+
+func (r *AggReport) fields(f *wire.Fields) {
+	f.String(&r.Aggregator)
+	var scratch [8]string
+	keys := sortedKeys(scratch[:0], r.Tasks)
+	n := f.Count(len(keys), 2)
+	if f.Decoding() && n > 0 {
+		r.Tasks = make(map[string]TaskReport, n)
+	}
+	for i := 0; i < n; i++ {
+		var k string
+		var t TaskReport
+		if !f.Decoding() {
+			k, t = keys[i], r.Tasks[keys[i]]
+		}
+		f.String(&k)
+		t.fields(f)
+		if f.Decoding() {
+			r.Tasks[k] = t
+		}
+	}
+}
+
+func (t *TaskReport) fields(f *wire.Fields) {
+	t.Spec.fields(f)
+	f.Uvarint(&t.Seq)
+	f.Int(&t.ActiveClients)
+	f.Int(&t.Demand)
+	f.Int(&t.Version)
+	f.Varint(&t.Updates)
+	f.Float32s(&t.Checkpoint)
+}
+
+// AppendBinary implements wire.BinaryMessage.
+func (r AggReport) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, binIDAggReport)
+	r.fields(&f)
+	return f.Appended()
+}
+
+func decodeAggReport(b []byte) (any, error) {
+	var r AggReport
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
+}
+
+// --- AggDirective ---
+
+func (r *AggDirective) fields(f *wire.Fields) { f.Strings(&r.DropTasks) }
+
+// AppendBinary implements wire.BinaryMessage.
+func (r AggDirective) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, binIDAggDirective)
+	r.fields(&f)
+	return f.Appended()
+}
+
+func decodeAggDirective(b []byte) (any, error) {
+	var r AggDirective
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
+}
+
+// --- AssignTaskRequest ---
+
+func (r *AssignTaskRequest) fields(f *wire.Fields) {
+	r.Spec.fields(f)
+	f.Uvarint(&r.Seq)
+	f.Float32s(&r.Checkpoint)
+	f.Int(&r.Version)
+}
+
+// AppendBinary implements wire.BinaryMessage.
+func (r AssignTaskRequest) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, binIDAssignTaskRequest)
+	r.fields(&f)
+	return f.Appended()
+}
+
+func decodeAssignTaskRequest(b []byte) (any, error) {
+	var r AssignTaskRequest
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
+}
+
+// --- AssignClientRequest ---
+
+func (r *AssignClientRequest) fields(f *wire.Fields) {
+	f.Varint(&r.ClientID)
+	f.Strings(&r.Capabilities)
+}
+
+// AppendBinary implements wire.BinaryMessage.
+func (r AssignClientRequest) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, binIDAssignClientRequest)
+	r.fields(&f)
+	return f.Appended()
+}
+
+func decodeAssignClientRequest(b []byte) (any, error) {
+	var r AssignClientRequest
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
+}
+
+// --- AssignClientResponse ---
+
+func (r *AssignClientResponse) fields(f *wire.Fields) {
+	f.Bool(&r.Assigned)
+	f.String(&r.TaskID)
+	f.String(&r.Aggregator)
+	f.Uvarint(&r.Seq)
+}
+
+// AppendBinary implements wire.BinaryMessage.
+func (r AssignClientResponse) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, binIDAssignClientResp)
+	r.fields(&f)
+	return f.Appended()
+}
+
+func decodeAssignClientResponse(b []byte) (any, error) {
+	var r AssignClientResponse
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
+}
+
+// --- MapResponse ---
+
+func (r *MapResponse) fields(f *wire.Fields) {
+	var scratch [8]string
+	keys := sortedKeys(scratch[:0], r.Assignments)
+	n := f.Count(len(keys), 2)
+	if f.Decoding() && n > 0 {
+		r.Assignments = make(map[string]Assignment, n)
+	}
+	for i := 0; i < n; i++ {
+		var k string
+		var a Assignment
+		if !f.Decoding() {
+			k, a = keys[i], r.Assignments[keys[i]]
+		}
+		f.String(&k)
+		a.fields(f)
+		if f.Decoding() {
+			r.Assignments[k] = a
+		}
+	}
+}
+
+// AppendBinary implements wire.BinaryMessage.
+func (r MapResponse) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, binIDMapResponse)
+	r.fields(&f)
+	return f.Appended()
+}
+
+func decodeMapResponse(b []byte) (any, error) {
+	var r MapResponse
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
+}
+
+// --- AgentListResponse ---
+
+func (r *AgentListResponse) fields(f *wire.Fields) { f.Strings(&r.Agents) }
+
+// AppendBinary implements wire.BinaryMessage.
+func (r AgentListResponse) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, binIDAgentListResponse)
+	r.fields(&f)
+	return f.Appended()
+}
+
+func decodeAgentListResponse(b []byte) (any, error) {
+	var r AgentListResponse
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
+}
+
+// --- ReconfigureRequest ---
+
+func (r *ReconfigureRequest) fields(f *wire.Fields) {
+	f.String(&r.TaskID)
+	f.String((*string)(&r.Mode))
+	f.Int(&r.AggregationGoal)
+	f.Int(&r.MaxStaleness)
+}
+
+// AppendBinary implements wire.BinaryMessage.
+func (r ReconfigureRequest) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, binIDReconfigureRequest)
+	r.fields(&f)
+	return f.Appended()
+}
+
+func decodeReconfigureRequest(b []byte) (any, error) {
+	var r ReconfigureRequest
+	f := wire.DecodeFields(b)
+	r.fields(&f)
+	return r, f.Done()
 }

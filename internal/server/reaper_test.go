@@ -98,8 +98,8 @@ func (w *reaperWorld) waitReaped(taskID string, sessionID uint64, probe server.U
 }
 
 // reaperSpec builds a task whose dimensions deliberately avoid power-of-two
-// chunk lengths, so gob-decoded chunk slices can never alias a vecpool
-// size class and distort the outstanding-lease accounting.
+// chunk lengths, so plainly allocated chunk slices can never alias a
+// vecpool size class and distort the outstanding-lease accounting.
 func reaperSpec(id string, useSecAgg bool, t *testing.T) server.TaskSpec {
 	const numParams = 144
 	spec := server.TaskSpec{

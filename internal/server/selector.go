@@ -216,8 +216,8 @@ func (s *Selector) refreshMap() error {
 	}
 	m := resp.(MapResponse)
 	if m.Assignments == nil {
-		// An empty map arrives as nil over wire codecs that elide empty
-		// containers (gob); learn() must still be able to write into it.
+		// An empty map decodes as nil (wire versioning rule 3); learn()
+		// must still be able to write into it.
 		m.Assignments = make(map[string]Assignment)
 	}
 	s.mu.Lock()

@@ -60,7 +60,6 @@ type TaskSpec struct {
 	// Aggregation names the fedopt.Aggregation rule weighting accepted
 	// uploads: "" (the default staleness-weighted FedBuff), "fedavg",
 	// "fedbuff", or "fedprox". Unknown names are rejected at placement.
-	// TaskSpec is a cold gob message, so adding the field is wire-safe.
 	Aggregation string
 	// AggParam is the rule's knob (FedBuff staleness exponent, FedProx
 	// proximal mu); 0 selects the rule's default.
@@ -72,11 +71,9 @@ type TaskSpec struct {
 	// refusing further releases once DP.EpsilonBudget is exhausted (the
 	// task completes with status "budget_exhausted"). Validated at
 	// placement like Aggregation; incompatible with SecAgg (the server
-	// cannot clip masked updates). Cold gob field (versioning rule 2):
-	// an older peer's decoder drops it, so DP tasks must not be placed on
-	// mixed-version fleets. A spec that crosses the wire should leave
-	// DP.Seed zero — the mechanism then seeds from crypto/rand, since a
-	// spec-carried seed is visible to every client (see dp.Config.Seed).
+	// cannot clip masked updates). A spec that crosses the wire should
+	// leave DP.Seed zero — the mechanism then seeds from crypto/rand, since
+	// a spec-carried seed is visible to every client (see dp.Config.Seed).
 	DP *dp.Config
 }
 
@@ -105,9 +102,7 @@ type JoinRequest struct {
 
 	// TraceID carries the client-minted session trace ID to the
 	// aggregator, which stores it on the session and records spans for
-	// every later in-session call (internal/obs). Cold field on a cold
-	// gob message, so adding it is wire-safe (versioning rule 2); 0
-	// means untraced.
+	// every later in-session call (internal/obs). 0 means untraced.
 	TraceID uint64
 }
 

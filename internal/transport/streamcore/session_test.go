@@ -18,16 +18,36 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// ack is a cold (gob-in-frame) response that opts its acknowledgement out
-// of the wire when OK, like server.UploadResponse does.
+// ack is a response that opts its acknowledgement out of the wire when OK,
+// like server.UploadResponse does. It crosses under a test-only ID.
 type ack struct {
 	OK     bool
 	Reason string
 }
 
+const ackID = 240
+
+func (a *ack) fields(f *wire.Fields) {
+	f.Bool(&a.OK)
+	f.String(&a.Reason)
+}
+
+func (a ack) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, ackID)
+	a.fields(&f)
+	return f.Appended()
+}
+
 func (a ack) AckElidable() bool { return a.OK }
 
-func init() { wire.Register("papaya/test/streamcore.ack", ack{}) }
+func init() {
+	wire.Register(ackID, "papaya/test/streamcore.ack", func(b []byte) (any, error) {
+		var a ack
+		f := wire.DecodeFields(b)
+		a.fields(&f)
+		return a, f.Done()
+	})
+}
 
 // pipeSession returns a client Session whose peer is a Serve loop running
 // invoke, both over one net.Pipe; served is closed when the loop exits.

@@ -1,25 +1,21 @@
 // The one frame format. Profiling the loopback loadtest showed the serving
-// path CPU-bound inside encoding/gob: every hot RPC (check-in, report, chunk
-// upload, download) paid reflection over interface-typed payloads, and
-// model-sized []float32 fields were walked element by element. Binary
-// replaces that with a hand-rolled little-endian wire form for the hot
-// messages — fixed headers, length-prefixed fields, bulk vector copies, zero
-// reflection — and keeps a gob envelope as the in-frame fallback for cold
-// messages (task specs, heartbeat reports), so every registered message
-// still crosses.
+// path CPU-bound inside encoding/gob: every RPC paid reflection over
+// interface-typed payloads, and model-sized []float32 fields were walked
+// element by element. Binary replaces that with one little-endian wire form
+// for every message — fixed headers, varint scalars, length-prefixed
+// fields, bulk vector copies, zero reflection.
 //
-// Hot messages register a hand-rolled encoder/decoder pair here via
-// BinaryMessage + RegisterBinary (internal/server owns the message types,
-// so it owns their binary form too — see internal/server/binwire.go).
-// Decoders lease vector buffers from internal/vecpool; the transport
+// Each message states its layout once, as a field walk over a Fields
+// cursor (internal/server owns the message types, so it owns their walks
+// too — see internal/server/binwire.go). The same walk appends the message,
+// decodes it, and validates-and-skips it for a relay. Only a decoder given
+// a lease allocator leases vectors from internal/vecpool; the transport
 // returns them once the handler is done (see BufferLease).
 
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -27,14 +23,11 @@ import (
 	"unsafe"
 )
 
-// BinaryMessage is implemented by messages that have a hand-rolled binary
-// wire form. AppendBinary must be the exact inverse of the decoder
-// registered for BinaryID, and must not fail: binary messages are built
-// from plain data fields only.
+// BinaryMessage is implemented by every registered message type.
+// AppendBinary appends the message's ID byte and its fields (through
+// AppendFields and the message's walk) and must not fail: the registered
+// decoder for that ID reverses it.
 type BinaryMessage interface {
-	// BinaryID is the message's one-byte identifier in binary payloads
-	// (>= BinaryIDMin; smaller values are wire-internal tags).
-	BinaryID() byte
 	// AppendBinary appends the message's binary encoding to dst.
 	AppendBinary(dst []byte) []byte
 }
@@ -79,16 +72,16 @@ type ResponseSnapshot interface {
 	SnapshotResponseBuffers() any
 }
 
-// BinaryIDMin is the first message ID available to RegisterBinary; smaller
+// BinaryIDMin is the first message ID available to Register; smaller
 // values are payload tags owned by this package.
 const BinaryIDMin = 16
 
-// Payload tags below BinaryIDMin.
+// Payload tags below BinaryIDMin. Tag 1 (the retired gob envelope) is
+// unassigned.
 const (
-	binTagNil  = 0 // nil payload (map-request style calls)
-	binTagGob  = 1 // gob-envelope fallback for messages without a binary form
-	binTagStr  = 2 // bare string payload (register-aggregator, task-info)
-	binTagBool = 3 // bare bool payload (acks)
+	tagNil  = 0 // nil payload (map-request style calls)
+	tagStr  = 2 // bare string payload (register-aggregator, task-info)
+	tagBool = 3 // bare bool payload (acks)
 )
 
 // Frame kinds (byte 3 of the header).
@@ -102,63 +95,33 @@ const (
 // not buy a huge allocation before length validation.
 const maxBinaryElems = 1 << 27
 
-// --- binary message registry ---
-
-var (
-	binMu       sync.RWMutex
-	binDecoders [256]func([]byte) (any, error)
-)
-
-// RegisterBinary records the decode half of a hand-rolled binary message
-// under its one-byte ID. The encode half is the message's own AppendBinary.
-// Re-registering an ID panics — a wire-format bug, caught at init time.
-func RegisterBinary(id byte, dec func(body []byte) (any, error)) {
-	if id < BinaryIDMin {
-		panic(fmt.Sprintf("wire: binary ID %d is reserved (min %d)", id, BinaryIDMin))
-	}
-	if dec == nil {
-		panic("wire: nil binary decoder")
-	}
-	binMu.Lock()
-	defer binMu.Unlock()
-	if binDecoders[id] != nil {
-		panic(fmt.Sprintf("wire: binary ID %d already registered", id))
-	}
-	binDecoders[id] = dec
-}
-
-func binaryDecoder(id byte) func([]byte) (any, error) {
-	binMu.RLock()
-	defer binMu.RUnlock()
-	return binDecoders[id]
-}
-
 // --- the codec ---
 
 // Binary is the frame format every networked fabric speaks: "PB" magic,
-// envelope version and frame kind, then length-prefixed fields — bulk
-// []float32/[]uint32 copies for the hot control-plane messages, gob inside
-// the frame for everything else. The Append methods encode into a
-// caller-provided buffer so the transport recycles frame buffers.
+// envelope version and frame kind, then the envelope's strings and the
+// payload's field walk. The Append methods encode into a caller-provided
+// buffer so the transport recycles frame buffers.
 type Binary struct{}
 
 // AppendRequest appends an encoded request frame to dst.
 func (Binary) AppendRequest(dst []byte, r *Request) ([]byte, error) {
-	dst = append(dst, 'P', 'B', Version, binFrameRequest)
-	dst = AppendString(dst, r.From)
-	dst = AppendString(dst, r.Method)
-	return AppendPayloadBinary(dst, r.Payload)
+	f := Fields{buf: append(dst, 'P', 'B', Version, binFrameRequest)}
+	f.String(&r.From)
+	f.String(&r.Method)
+	return AppendPayloadBinary(f.buf, r.Payload)
 }
 
 // AppendResponse appends an encoded response frame to dst.
 func (Binary) AppendResponse(dst []byte, r *Response) ([]byte, error) {
-	dst = append(dst, 'P', 'B', Version, binFrameResponse)
-	dst = AppendString(dst, r.Err)
-	dst = AppendString(dst, r.Kind)
-	return AppendPayloadBinary(dst, r.Payload)
+	f := Fields{buf: append(dst, 'P', 'B', Version, binFrameResponse)}
+	f.String(&r.Err)
+	f.String(&r.Kind)
+	return AppendPayloadBinary(f.buf, r.Payload)
 }
 
-func checkBinaryHeader(b []byte, kind byte) ([]byte, error) {
+// readHeader checks a frame's magic, version and kind and reads the two
+// envelope strings that follow, returning the payload bytes.
+func readHeader(b []byte, kind byte, s1, s2 *string) ([]byte, error) {
 	if len(b) < 4 || b[0] != 'P' || b[1] != 'B' {
 		return nil, errors.New("wire: not a papaya binary frame")
 	}
@@ -168,51 +131,38 @@ func checkBinaryHeader(b []byte, kind byte) ([]byte, error) {
 	if b[3] != kind {
 		return nil, fmt.Errorf("wire: binary frame kind %d, want %d", b[3], kind)
 	}
-	return b[4:], nil
+	f := DecodeFields(b[4:])
+	f.String(s1)
+	f.String(s2)
+	return f.buf, f.err
 }
 
 // DecodeRequest parses a request frame, rejecting an unknown magic,
 // envelope version or frame kind (versioning rule 1).
 func (Binary) DecodeRequest(b []byte) (*Request, error) {
-	body, err := checkBinaryHeader(b, binFrameRequest)
+	r := new(Request)
+	body, err := readHeader(b, binFrameRequest, &r.From, &r.Method)
 	if err != nil {
 		return nil, err
 	}
-	from, body, err := ReadString(body)
-	if err != nil {
+	if r.Payload, err = DecodePayloadBinary(body); err != nil {
 		return nil, err
 	}
-	method, body, err := ReadString(body)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := DecodePayloadBinary(body)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{From: from, Method: method, Payload: payload}, nil
+	return r, nil
 }
 
 // DecodeResponse parses a response frame under the same checks as
 // DecodeRequest.
 func (Binary) DecodeResponse(b []byte) (*Response, error) {
-	body, err := checkBinaryHeader(b, binFrameResponse)
+	r := new(Response)
+	body, err := readHeader(b, binFrameResponse, &r.Err, &r.Kind)
 	if err != nil {
 		return nil, err
 	}
-	errStr, body, err := ReadString(body)
-	if err != nil {
+	if r.Payload, err = DecodePayloadBinary(body); err != nil {
 		return nil, err
 	}
-	kind, body, err := ReadString(body)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := DecodePayloadBinary(body)
-	if err != nil {
-		return nil, err
-	}
-	return &Response{Payload: payload, Err: errStr, Kind: kind}, nil
+	return r, nil
 }
 
 // ResponseHeadLen is the length of a successful response frame's head: the
@@ -224,63 +174,38 @@ const ResponseHeadLen = 6
 // response frame, leaving the payload undecoded: how a relay tells a
 // failed answer from a good one without materialising what it forwards.
 func (Binary) ResponseStatus(b []byte) (errStr, kind string, err error) {
-	body, err := checkBinaryHeader(b, binFrameResponse)
-	if err != nil {
-		return "", "", err
-	}
-	if errStr, body, err = ReadString(body); err != nil {
-		return "", "", err
-	}
-	kind, _, err = ReadString(body)
+	_, err = readHeader(b, binFrameResponse, &errStr, &kind)
 	return errStr, kind, err
 }
 
 // --- payload encoding ---
 
-// binGobPayload wraps the gob-fallback payload so interface-typed values
-// encode with their registered concrete type (wire.Register already
-// gob-registers every message).
-type binGobPayload struct{ V any }
-
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // AppendPayloadBinary appends the binary payload encoding of v: a one-byte
 // tag followed by the message body, which extends to the end of the
-// buffer. Hot messages (BinaryMessage implementers) get their hand-rolled
-// form; strings, bools, and nil have wire-native tags; everything else
-// rides a gob envelope inside the frame. Exported so nested-payload
+// buffer. Strings, bools and nil have wire-native tags; every other
+// payload must be a registered BinaryMessage. Exported so nested-payload
 // messages (server.RouteRequest) can reuse it.
 func AppendPayloadBinary(dst []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		return append(dst, binTagNil), nil
+		return append(dst, tagNil), nil
 	case string:
-		return AppendString(append(dst, binTagStr), x), nil
+		f := AppendFields(dst, tagStr)
+		f.String(&x)
+		return f.buf, nil
 	case bool:
-		return AppendBool(append(dst, binTagBool), x), nil
-	}
-	if bm, ok := v.(BinaryMessage); ok {
-		id := bm.BinaryID()
-		if id < BinaryIDMin {
-			return nil, fmt.Errorf("wire: %T declares reserved binary ID %d", v, id)
+		f := AppendFields(dst, tagBool)
+		f.Bool(&x)
+		return f.buf, nil
+	case BinaryMessage:
+		start := len(dst)
+		dst = x.AppendBinary(dst)
+		if len(dst) == start || dst[start] < BinaryIDMin || registry[dst[start]].dec == nil {
+			return nil, fmt.Errorf("wire: %T encodes no registered message ID", v)
 		}
-		if binaryDecoder(id) == nil {
-			return nil, fmt.Errorf("wire: %T encodes binary ID %d but no decoder is registered", v, id)
-		}
-		return bm.AppendBinary(append(dst, id)), nil
+		return dst, nil
 	}
-	// Cold path: gob envelope. The message must still be registered —
-	// only the explicit registry may cross the network.
-	if _, err := lookupName(v); err != nil {
-		return nil, err
-	}
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	defer gobBufPool.Put(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(&binGobPayload{V: v}); err != nil {
-		return nil, err
-	}
-	return append(append(dst, binTagGob), buf.Bytes()...), nil
+	return nil, fmt.Errorf("wire: message type %T is not registered", v)
 }
 
 // DecodePayloadBinary reverses AppendPayloadBinary, consuming the whole
@@ -290,46 +215,32 @@ func DecodePayloadBinary(b []byte) (any, error) {
 	if len(b) == 0 {
 		return nil, errors.New("wire: truncated binary payload")
 	}
-	tag, body := b[0], b[1:]
-	switch tag {
-	case binTagNil:
-		if len(body) != 0 {
+	if b[0] == tagNil {
+		if len(b) != 1 {
 			return nil, errors.New("wire: trailing bytes after nil payload")
 		}
 		return nil, nil
-	case binTagStr:
-		s, rest, err := ReadString(body)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, errors.New("wire: trailing bytes after string payload")
-		}
-		return s, nil
-	case binTagBool:
-		v, rest, err := ReadBool(body)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, errors.New("wire: trailing bytes after bool payload")
-		}
-		return v, nil
-	case binTagGob:
-		var w binGobPayload
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&w); err != nil {
-			return nil, fmt.Errorf("wire: decoding gob-fallback payload: %w", err)
-		}
-		return w.V, nil
 	}
-	dec := binaryDecoder(tag)
+	dec := registry[b[0]].dec
 	if dec == nil {
-		return nil, fmt.Errorf("wire: unregistered binary message ID %d", tag)
+		return nil, fmt.Errorf("wire: unregistered binary message ID %d", b[0])
 	}
-	return dec(body)
+	return dec(b[1:])
 }
 
-// --- field helpers (shared with the message owners) ---
+func decodeString(b []byte) (any, error) {
+	var s string
+	f := DecodeFields(b)
+	f.String(&s)
+	return s, f.Done()
+}
+
+func decodeBool(b []byte) (any, error) {
+	var v bool
+	f := DecodeFields(b)
+	f.Bool(&v)
+	return v, f.Done()
+}
 
 // String interning for the short identifiers that repeat on every RPC
 // (task IDs, method names, node names, abort reasons): decoding them must
@@ -371,137 +282,242 @@ func intern(b []byte) string {
 // AppendUvarint appends v as an unsigned varint.
 func AppendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 
-// ReadUvarint reads an unsigned varint, returning the remaining bytes.
-func ReadUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, errors.New("wire: truncated varint")
+// --- the field cursor ---
+
+// Fields is the cursor a message's field walk runs on. One walk serves
+// three modes: append (AppendFields) writes each field; decode
+// (DecodeFields) reads each field into the value; skip (SkipFields) reads
+// the scalar and string fields but only validates and steps over byte and
+// vector fields, copying nothing — how a relay reads what it forwards as
+// bytes. Reading modes check every declared length against the rest of the
+// frame before allocating, and the first error sticks: later fields read
+// as zero and Done reports it. Appending never writes through the walk's
+// pointers, so a walk may run over values other goroutines are reading.
+type Fields struct {
+	buf  []byte // append: the encoding so far; reading: the unread bytes
+	mode uint8
+	err  error
+
+	floats func(int) []float32 // decode destinations, when leased
+	uints  func(int) []uint32
+}
+
+const (
+	modeAppend = iota
+	modeDecode
+	modeSkip
+)
+
+// AppendFields returns an append-mode cursor that has written the message
+// ID id to dst.
+func AppendFields(dst []byte, id byte) Fields { return Fields{buf: append(dst, id)} }
+
+// DecodeFields returns a decode-mode cursor over a message body.
+func DecodeFields(body []byte) Fields { return Fields{buf: body, mode: modeDecode} }
+
+// SkipFields returns a skip-mode cursor over a message body.
+func SkipFields(body []byte) Fields { return Fields{buf: body, mode: modeSkip} }
+
+// Lease makes a decode-mode cursor take vector fields' memory from floats
+// and uints (vecpool.GetFloats and GetUints) instead of plain allocations;
+// the decoded message must then implement BufferLease.
+func (f *Fields) Lease(floats func(int) []float32, uints func(int) []uint32) {
+	f.floats, f.uints = floats, uints
+}
+
+// Appended returns an append-mode cursor's encoding.
+func (f *Fields) Appended() []byte { return f.buf }
+
+// Decoding reports whether the cursor reads a frame (decode or skip mode).
+func (f *Fields) Decoding() bool { return f.mode != modeAppend }
+
+// Done ends a read: the first error the walk hit, or an error if bytes are
+// left over after a complete message.
+func (f *Fields) Done() error {
+	if f.err == nil && len(f.buf) != 0 {
+		f.err = errors.New("wire: trailing bytes after binary message")
 	}
-	return v, b[n:], nil
+	return f.err
 }
 
-// AppendVarint appends v as a zigzag-encoded signed varint.
-func AppendVarint(dst []byte, v int64) []byte { return binary.AppendVarint(dst, v) }
+// Rest ends a read whose message is followed by a nested payload: the
+// first error the walk hit, or the unread bytes.
+func (f *Fields) Rest() ([]byte, error) { return f.buf, f.err }
 
-// ReadVarint reads a zigzag-encoded signed varint.
-func ReadVarint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, errors.New("wire: truncated varint")
+func (f *Fields) fail(msg string) {
+	if f.err == nil {
+		f.err = errors.New("wire: " + msg)
 	}
-	return v, b[n:], nil
 }
 
-// AppendString appends a length-prefixed string.
-func AppendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
+// uvarint reads one unsigned varint in a reading mode.
+func (f *Fields) uvarint() uint64 {
+	if f.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(f.buf)
+	if n <= 0 {
+		f.fail("truncated varint")
+		return 0
+	}
+	f.buf = f.buf[n:]
+	return v
 }
 
-// ReadString reads a length-prefixed string. Short strings are interned,
+// count reads a length prefix in a reading mode and checks that n elements
+// of size bytes each fit in the rest of the frame; 0 on error.
+func (f *Fields) count(size int) int {
+	n := f.uvarint()
+	if n > maxBinaryElems || n*uint64(size) > uint64(len(f.buf)) {
+		f.fail("field length exceeds frame")
+		return 0
+	}
+	return int(n)
+}
+
+// take consumes n bytes the caller has already bounds-checked.
+func (f *Fields) take(n int) []byte {
+	b := f.buf[:n]
+	f.buf = f.buf[n:]
+	return b
+}
+
+// fixed consumes an n-byte field in a reading mode: nil once the walk has
+// failed or if the frame is shorter.
+func (f *Fields) fixed(n int) []byte {
+	if f.err == nil && len(f.buf) < n {
+		f.fail("truncated fixed-size field")
+	}
+	if f.err != nil {
+		return nil
+	}
+	return f.take(n)
+}
+
+// Uvarint walks an unsigned varint.
+func (f *Fields) Uvarint(v *uint64) {
+	if f.mode == modeAppend {
+		f.buf = binary.AppendUvarint(f.buf, *v)
+		return
+	}
+	*v = f.uvarint()
+}
+
+// Varint walks a zigzag-encoded signed varint.
+func (f *Fields) Varint(v *int64) {
+	if f.mode == modeAppend {
+		f.buf = binary.AppendVarint(f.buf, *v)
+		return
+	}
+	u := f.uvarint()
+	*v = int64(u>>1) ^ -int64(u&1)
+}
+
+// Int walks an int as a signed varint.
+func (f *Fields) Int(v *int) {
+	x := int64(*v)
+	if f.Varint(&x); f.mode != modeAppend {
+		*v = int(x)
+	}
+}
+
+// Byte walks one raw byte.
+func (f *Fields) Byte(v *byte) {
+	if f.mode == modeAppend {
+		f.buf = append(f.buf, *v)
+		return
+	}
+	*v = 0
+	if b := f.fixed(1); b != nil {
+		*v = b[0]
+	}
+}
+
+// Bool walks a bool as one byte, rejecting values other than 0 and 1 so
+// flags and presence bytes stay canonical.
+func (f *Fields) Bool(v *bool) {
+	b := byte(0)
+	if *v {
+		b = 1
+	}
+	if f.Byte(&b); f.mode == modeAppend {
+		return
+	}
+	if b > 1 {
+		f.fail(fmt.Sprintf("bool byte %d", b))
+	}
+	*v = b == 1
+}
+
+// Float64 walks a float64 as its IEEE-754 bit pattern in an unsigned
+// varint.
+func (f *Fields) Float64(v *float64) {
+	bits := math.Float64bits(*v)
+	if f.Uvarint(&bits); f.mode != modeAppend {
+		*v = math.Float64frombits(bits)
+	}
+}
+
+// String walks a length-prefixed string. Reading interns short strings,
 // so repeated identifiers (task IDs, methods) decode without allocating.
-func ReadString(b []byte) (string, []byte, error) {
-	n, rest, err := ReadUvarint(b)
-	if err != nil {
-		return "", nil, err
+func (f *Fields) String(v *string) {
+	if f.mode == modeAppend {
+		f.buf = append(binary.AppendUvarint(f.buf, uint64(len(*v))), *v...)
+		return
 	}
-	if n > uint64(len(rest)) {
-		return "", nil, errors.New("wire: string length exceeds frame")
-	}
-	return intern(rest[:n]), rest[n:], nil
+	*v = intern(f.take(f.count(1)))
 }
 
-// AppendBool appends a bool as one byte.
-func AppendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-// ReadBool reads a one-byte bool, rejecting values other than 0 and 1 so
-// flags stay canonical.
-func ReadBool(b []byte) (bool, []byte, error) {
-	if len(b) < 1 {
-		return false, nil, errors.New("wire: truncated bool")
-	}
-	if b[0] > 1 {
-		return false, nil, fmt.Errorf("wire: bool byte %d", b[0])
-	}
-	return b[0] == 1, b[1:], nil
-}
-
-// AppendBytes appends a length-prefixed byte slice.
-func AppendBytes(dst []byte, src []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	return append(dst, src...)
-}
-
-// ReadBytes reads a length-prefixed byte slice, copying out of the frame
-// (frame buffers are pooled and recycled; decoded messages must not alias
-// them). Empty decodes as nil, per versioning rule 3.
-func ReadBytes(b []byte) ([]byte, []byte, error) {
-	n, rest, err := ReadUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(rest)) {
-		return nil, nil, errors.New("wire: byte-field length exceeds frame")
-	}
-	if n == 0 {
-		return nil, rest, nil
-	}
-	out := make([]byte, n)
-	copy(out, rest[:n])
-	return out, rest[n:], nil
-}
-
-// Skip steps over one length-prefixed field of elemSize-byte elements (1 for
-// AppendBytes, 4 for the vector fields) under the same bounds as reading
-// it, without copying: a relay validates what it forwards as bytes.
-func Skip(b []byte, elemSize int) ([]byte, error) {
-	n, rest, err := ReadUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxBinaryElems || n*uint64(elemSize) > uint64(len(rest)) {
-		return nil, errors.New("wire: field length exceeds frame")
-	}
-	return rest[n*uint64(elemSize):], nil
-}
-
-// AppendStringSlice appends a length-prefixed slice of strings.
-func AppendStringSlice(dst []byte, src []string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	for _, s := range src {
-		dst = AppendString(dst, s)
-	}
-	return dst
-}
-
-// ReadStringSlice reads a length-prefixed slice of strings. Empty decodes
-// as nil.
-func ReadStringSlice(b []byte) ([]string, []byte, error) {
-	n, rest, err := ReadUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Each element costs at least its 1-byte length prefix, so a tiny
-	// hostile frame cannot declare a huge slice.
-	if n > uint64(len(rest)) {
-		return nil, nil, errors.New("wire: string-slice length exceeds frame")
-	}
-	if n == 0 {
-		return nil, rest, nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i], rest, err = ReadString(rest)
-		if err != nil {
-			return nil, nil, err
+// Strings walks a length-prefixed slice of strings. Empty reads as nil.
+func (f *Fields) Strings(v *[]string) {
+	n := f.Count(len(*v), 1)
+	if f.mode != modeAppend {
+		*v = nil
+		if n > 0 {
+			*v = make([]string, n)
 		}
 	}
-	return out, rest, nil
+	for i := 0; i < n; i++ {
+		f.String(&(*v)[i])
+	}
+}
+
+// Count walks a collection's element count: append writes n; reading
+// returns the count read, once n elements of at least min bytes each are
+// known to fit in the rest of the frame (0 on error). The walk then visits
+// the elements itself.
+func (f *Fields) Count(n, min int) int {
+	if f.mode == modeAppend {
+		f.buf = binary.AppendUvarint(f.buf, uint64(n))
+		return n
+	}
+	return f.count(min)
+}
+
+// Bytes walks a length-prefixed byte slice. Decoding copies out of the
+// frame (frame buffers are recycled; decoded messages must not alias
+// them); skipping steps over it. Empty decodes as nil.
+func (f *Fields) Bytes(v *[]byte) {
+	if f.mode == modeAppend {
+		f.buf = append(binary.AppendUvarint(f.buf, uint64(len(*v))), *v...)
+		return
+	}
+	b := f.take(f.count(1))
+	if f.mode == modeSkip || len(b) == 0 {
+		*v = nil
+		return
+	}
+	*v = append([]byte(nil), b...)
+}
+
+// Hash walks a fixed 32-byte field (a SHA-256 digest) with no prefix.
+func (f *Fields) Hash(v *[32]byte) {
+	if f.mode == modeAppend {
+		f.buf = append(f.buf, v[:]...)
+		return
+	}
+	*v = [32]byte{}
+	copy(v[:], f.fixed(len(v)))
 }
 
 // hostLittleEndian is decided once per process: on a little-endian host a
@@ -518,96 +534,77 @@ func vectorBytes[T float32 | uint32](v []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
 }
 
-// AppendFloat32s appends a length-prefixed []float32 as packed
-// little-endian IEEE 754 bits — the bulk copy that replaces gob's
-// per-element reflection on model-sized vectors.
-func AppendFloat32s(dst []byte, src []float32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	if hostLittleEndian {
-		return append(dst, vectorBytes(src)...)
+// Float32s walks a length-prefixed []float32 as packed little-endian IEEE
+// 754 bits — one bulk copy on a little-endian host. Decoding leases the
+// vector when the cursor has a lease allocator and allocates it otherwise;
+// skipping steps over it. Empty decodes as nil.
+func (f *Fields) Float32s(v *[]float32) {
+	if f.mode == modeAppend {
+		f.appendWords(vectorBytes(*v))
+		return
 	}
-	off := len(dst)
-	dst = append(dst, make([]byte, 4*len(src))...)
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(dst[off+4*i:], math.Float32bits(v))
+	n, raw := f.readWords()
+	if *v = nil; raw == nil {
+		return
 	}
-	return dst
-}
-
-// ReadFloat32s reads a length-prefixed packed []float32. alloc supplies
-// the destination slice for a given element count (pass vecpool.GetFloats
-// to lease from the pool, or nil for a plain allocation); the declared
-// count is validated against the remaining frame bytes before alloc runs.
-// Empty decodes as nil.
-func ReadFloat32s(b []byte, alloc func(int) []float32) ([]float32, []byte, error) {
-	n64, rest, err := ReadUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n64 > maxBinaryElems || 4*n64 > uint64(len(rest)) {
-		return nil, nil, errors.New("wire: float vector exceeds frame")
-	}
-	n := int(n64)
-	if n == 0 {
-		return nil, rest, nil
-	}
-	var out []float32
-	if alloc != nil {
-		out = alloc(n)
+	if f.floats != nil {
+		*v = f.floats(n)
 	} else {
-		out = make([]float32, n)
+		*v = make([]float32, n)
 	}
-	if hostLittleEndian {
-		copy(vectorBytes(out), rest[:4*n])
-		return out, rest[4*n:], nil
-	}
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(rest[4*i:]))
-	}
-	return out, rest[4*n:], nil
+	copyWords(vectorBytes(*v), raw)
 }
 
-// AppendUint32s appends a length-prefixed []uint32 as packed little-endian
-// words (SecAgg masked vectors).
-func AppendUint32s(dst []byte, src []uint32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	if hostLittleEndian {
-		return append(dst, vectorBytes(src)...)
+// Uint32s walks a length-prefixed []uint32 as packed little-endian words
+// (SecAgg masked vectors), under Float32s' rules.
+func (f *Fields) Uint32s(v *[]uint32) {
+	if f.mode == modeAppend {
+		f.appendWords(vectorBytes(*v))
+		return
 	}
-	off := len(dst)
-	dst = append(dst, make([]byte, 4*len(src))...)
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(dst[off+4*i:], v)
+	n, raw := f.readWords()
+	if *v = nil; raw == nil {
+		return
 	}
-	return dst
-}
-
-// ReadUint32s reads a length-prefixed packed []uint32; see ReadFloat32s
-// for the alloc contract (pass vecpool.GetUints to lease from the pool).
-func ReadUint32s(b []byte, alloc func(int) []uint32) ([]uint32, []byte, error) {
-	n64, rest, err := ReadUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n64 > maxBinaryElems || 4*n64 > uint64(len(rest)) {
-		return nil, nil, errors.New("wire: uint vector exceeds frame")
-	}
-	n := int(n64)
-	if n == 0 {
-		return nil, rest, nil
-	}
-	var out []uint32
-	if alloc != nil {
-		out = alloc(n)
+	if f.uints != nil {
+		*v = f.uints(n)
 	} else {
-		out = make([]uint32, n)
+		*v = make([]uint32, n)
 	}
+	copyWords(vectorBytes(*v), raw)
+}
+
+// appendWords appends a vector's memory, given as its byte view, as a
+// count and little-endian 4-byte words.
+func (f *Fields) appendWords(mem []byte) {
+	f.buf = binary.AppendUvarint(f.buf, uint64(len(mem)/4))
 	if hostLittleEndian {
-		copy(vectorBytes(out), rest[:4*n])
-		return out, rest[4*n:], nil
+		f.buf = append(f.buf, mem...)
+		return
 	}
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(rest[4*i:])
+	for i := 0; i < len(mem); i += 4 {
+		f.buf = binary.LittleEndian.AppendUint32(f.buf, binary.NativeEndian.Uint32(mem[i:]))
 	}
-	return out, rest[4*n:], nil
+}
+
+// readWords reads a vector's count and steps over its words, returning
+// them only when decoding a non-empty vector.
+func (f *Fields) readWords() (n int, raw []byte) {
+	n = f.count(4)
+	raw = f.take(4 * n)
+	if f.mode == modeSkip || n == 0 {
+		return 0, nil
+	}
+	return n, raw
+}
+
+// copyWords copies little-endian words into a vector's byte view.
+func copyWords(mem, raw []byte) {
+	if hostLittleEndian {
+		copy(mem, raw)
+		return
+	}
+	for i := 0; i < len(raw); i += 4 {
+		binary.NativeEndian.PutUint32(mem[i:], binary.LittleEndian.Uint32(raw[i:]))
+	}
 }

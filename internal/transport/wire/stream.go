@@ -18,6 +18,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -52,10 +53,11 @@ func AppendStreamFrame(dst []byte, flags byte, payload []byte) []byte {
 // the declared payload length so a hostile length prefix cannot buy a huge
 // read downstream.
 func ReadStreamFrame(b []byte, max int) (flags byte, payload, rest []byte, err error) {
-	n64, rest, err := ReadUvarint(b)
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("wire: stream frame length: %w", err)
+	n64, k := binary.Uvarint(b)
+	if k <= 0 {
+		return 0, nil, nil, errors.New("wire: stream frame length: truncated varint")
 	}
+	rest = b[k:]
 	if n64 == 0 {
 		return 0, nil, nil, errors.New("wire: empty stream frame")
 	}
@@ -142,8 +144,9 @@ var streamHelloMagic = []byte{'P', 'S', 'H', Version}
 // AppendStreamHello appends a hello payload opening a stream to node.
 // Callers wrap it in a stream frame like any other payload.
 func AppendStreamHello(dst []byte, node string) []byte {
-	dst = append(dst, streamHelloMagic...)
-	return AppendString(dst, node)
+	f := Fields{buf: append(dst, streamHelloMagic...)}
+	f.String(&node)
+	return f.buf
 }
 
 // ParseStreamHello parses a hello payload back into the target node name.
@@ -154,12 +157,8 @@ func ParseStreamHello(b []byte) (string, error) {
 	if b[3] != Version {
 		return "", fmt.Errorf("wire: stream hello version %d, this build speaks %d", b[3], Version)
 	}
-	node, rest, err := ReadString(b[len(streamHelloMagic):])
-	if err != nil {
-		return "", err
-	}
-	if len(rest) != 0 {
-		return "", errors.New("wire: trailing bytes after stream hello")
-	}
-	return node, nil
+	f := DecodeFields(b[len(streamHelloMagic):])
+	var node string
+	f.String(&node)
+	return node, f.Done()
 }

@@ -58,19 +58,25 @@ func TestVectorFieldsMatchElementLoop(t *testing.T) {
 		}
 		ref := referenceVector(bits)
 		vectorPaths(t, func(t *testing.T) {
-			prefix := []byte{0xAA}
-			if got := AppendFloat32s(prefix, floats); !bytes.Equal(got[1:], ref) || got[0] != 0xAA {
-				t.Fatalf("n=%d: AppendFloat32s differs from the reference", n)
+			enc := Fields{buf: []byte{0xAA}}
+			enc.Float32s(&floats)
+			if got := enc.Appended(); !bytes.Equal(got[1:], ref) || got[0] != 0xAA {
+				t.Fatalf("n=%d: Float32s appends bytes that differ from the reference", n)
 			}
-			if got := AppendUint32s(nil, bits); !bytes.Equal(got, ref) {
-				t.Fatalf("n=%d: AppendUint32s differs from the reference", n)
+			enc = Fields{}
+			enc.Uint32s(&bits)
+			if got := enc.Appended(); !bytes.Equal(got, ref) {
+				t.Fatalf("n=%d: Uint32s appends bytes that differ from the reference", n)
 			}
 			frame := append(append([]byte(nil), ref...), 0xEE)
 			pooled := func(k int) []float32 { return make([]float32, k, k+5) }
-			for _, alloc := range []func(int) []float32{nil, pooled} {
-				got, rest, err := ReadFloat32s(frame, alloc)
-				if err != nil || !bytes.Equal(rest, []byte{0xEE}) || len(got) != n {
-					t.Fatalf("n=%d: ReadFloat32s = %d elems, rest %x, %v", n, len(got), rest, err)
+			for _, lease := range []func(int) []float32{nil, pooled} {
+				dec := DecodeFields(frame)
+				dec.Lease(lease, nil)
+				var got []float32
+				dec.Float32s(&got)
+				if rest, err := dec.Rest(); err != nil || !bytes.Equal(rest, []byte{0xEE}) || len(got) != n {
+					t.Fatalf("n=%d: Float32s decodes %d elems, rest %x, %v", n, len(got), rest, err)
 				}
 				for i, v := range got {
 					if math.Float32bits(v) != bits[i] {
@@ -78,21 +84,31 @@ func TestVectorFieldsMatchElementLoop(t *testing.T) {
 					}
 				}
 			}
-			gotU, rest, err := ReadUint32s(frame, nil)
-			if err != nil || !bytes.Equal(rest, []byte{0xEE}) || len(gotU) != n {
-				t.Fatalf("n=%d: ReadUint32s = %d elems, rest %x, %v", n, len(gotU), rest, err)
+			dec := DecodeFields(frame)
+			var gotU []uint32
+			dec.Uint32s(&gotU)
+			if rest, err := dec.Rest(); err != nil || !bytes.Equal(rest, []byte{0xEE}) || len(gotU) != n {
+				t.Fatalf("n=%d: Uint32s decodes %d elems, rest %x, %v", n, len(gotU), rest, err)
 			}
 			for i, v := range gotU {
 				if v != bits[i] {
 					t.Fatalf("n=%d: word %d decoded as %#x, want %#x", n, i, v, bits[i])
 				}
 			}
-			// Every length check stays: a vector one byte short is refused.
+			// Every length check stays: a vector one byte short is refused,
+			// in each reading mode.
 			if n > 0 {
-				if _, _, err := ReadFloat32s(ref[:len(ref)-1], nil); err == nil {
-					t.Fatalf("n=%d: truncated float vector decoded", n)
+				short := ref[:len(ref)-1]
+				for _, f := range []Fields{DecodeFields(short), SkipFields(short)} {
+					var got []float32
+					f.Float32s(&got)
+					if f.Done() == nil {
+						t.Fatalf("n=%d: truncated float vector read", n)
+					}
 				}
-				if _, _, err := ReadUint32s(ref[:len(ref)-1], nil); err == nil {
+				f := DecodeFields(short)
+				f.Uint32s(&gotU)
+				if f.Done() == nil {
 					t.Fatalf("n=%d: truncated uint vector decoded", n)
 				}
 			}
@@ -108,19 +124,25 @@ func BenchmarkFloat32Vector(b *testing.B) {
 		for i := range vec {
 			vec[i] = float32(i) * 0.001
 		}
-		frame := AppendFloat32s(nil, vec)
+		enc := Fields{}
+		enc.Float32s(&vec)
+		frame := enc.Appended()
 		b.Run(fmt.Sprintf("encode/%dKiB", 4*n>>10), func(b *testing.B) {
 			b.SetBytes(int64(4 * n))
 			buf := make([]byte, 0, len(frame))
 			for i := 0; i < b.N; i++ {
-				buf = AppendFloat32s(buf[:0], vec)
+				f := Fields{buf: buf[:0]}
+				f.Float32s(&vec)
+				buf = f.Appended()
 			}
 		})
 		b.Run(fmt.Sprintf("decode/%dKiB", 4*n>>10), func(b *testing.B) {
 			b.SetBytes(int64(4 * n))
+			var out []float32
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ReadFloat32s(frame, nil); err != nil {
-					b.Fatal(err)
+				f := DecodeFields(frame)
+				if f.Float32s(&out); f.Done() != nil {
+					b.Fatal(f.Done())
 				}
 			}
 		})

@@ -183,22 +183,21 @@ func TestEveryRegisteredMessageRoundTrips(t *testing.T) {
 	sam := samples(t, w)
 
 	// The sample set and the registry must cover each other exactly.
-	names := wire.Names()
-	for _, name := range names {
+	registered := make(map[string]bool)
+	for _, name := range wire.Names() {
+		registered[name] = true
 		if _, ok := sam[name]; !ok {
 			t.Errorf("registered message %q has no round-trip sample", name)
 		}
 	}
-	if len(sam) != len(names) {
-		for name := range sam {
-			if _, err := wire.NewValue(name); err != nil {
-				t.Errorf("sample %q is not a registered message", name)
-			}
+	for name := range sam {
+		if !registered[name] {
+			t.Errorf("sample %q is not a registered message", name)
 		}
 	}
 
-	// Every registered name crosses wire.Binary — hot form or gob-in-frame
-	// — as a request payload and as a response payload.
+	// Every registered name crosses wire.Binary in its field walk, as a
+	// request payload and as a response payload.
 	bin := wire.Binary{}
 	t.Run("bin", func(t *testing.T) {
 		for name, in := range sam {

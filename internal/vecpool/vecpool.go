@@ -20,8 +20,8 @@
 // into another's reassembly buffer.
 //
 // Pools are size-classed by power-of-two capacity. Put accepts only slices
-// whose capacity is an exact class size (anything else — e.g. a slice that
-// arrived from a gob decode — is silently discarded to the garbage
+// whose capacity is an exact class size (anything else — e.g. a slice a
+// plain wire decode allocated — is silently discarded to the garbage
 // collector), so Get can always re-slice a pooled buffer to the requested
 // length.
 package vecpool
@@ -182,9 +182,9 @@ func GetFloats(n int) []float32 {
 }
 
 // PutFloats returns a leased slice to its pool. Slices whose capacity is
-// not an exact class size (allocated elsewhere, e.g. by a gob decode) are
-// discarded to the GC, which keeps Put safe to call on any slice the
-// caller owns exclusively.
+// not an exact class size (allocated elsewhere, e.g. by a plain wire
+// decode) are discarded to the GC, which keeps Put safe to call on any
+// slice the caller owns exclusively.
 func PutFloats(s []float32) {
 	c := cap(s)
 	if c == 0 || c&(c-1) != 0 {

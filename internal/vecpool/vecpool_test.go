@@ -33,7 +33,7 @@ func TestGetReturnsZeroedRequestedLength(t *testing.T) {
 }
 
 func TestPutRejectsForeignCapacities(t *testing.T) {
-	// A gob-decoded slice can have any capacity; Put must silently discard
+	// A plainly allocated slice can have any capacity; Put must silently discard
 	// it rather than poison a size class.
 	foreign := make([]float32, 5, 5)
 	vecpool.PutFloats(foreign) // must not panic
