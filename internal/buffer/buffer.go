@@ -30,6 +30,7 @@ type Buffered struct {
 	shards    []shard
 	count     atomic.Int64
 	released  atomic.Int64 // number of Release calls, for stats
+	drained   atomic.Int64 // updates aggregated by those calls, for stats
 
 	releaseMu sync.Mutex // serializes Release against itself
 }
@@ -83,6 +84,9 @@ func (b *Buffered) Count() int { return int(b.count.Load()) }
 
 // Releases returns how many times the buffer has been released.
 func (b *Buffered) Releases() int { return int(b.released.Load()) }
+
+// Drained returns how many updates those releases aggregated in total.
+func (b *Buffered) Drained() int { return int(b.drained.Load()) }
 
 // Add accumulates one weighted client update. shardHint selects the
 // intermediate aggregate (any value; it is reduced modulo the shard count).
@@ -180,6 +184,7 @@ func (b *Buffered) ReleaseIntoStats(dst []float32) ReleaseStats {
 	}
 	b.count.Add(int64(-stats.N))
 	b.released.Add(1)
+	b.drained.Add(int64(stats.N))
 	vecf.Scale(update, float32(1/stats.TotalWeight))
 	return stats
 }

@@ -22,7 +22,7 @@ import (
 // sessionState tracks one client's virtual session on a task.
 type sessionState struct {
 	clientID     int64
-	startVersion int
+	startVersion int    // guarded by the task mutex
 	aborted      bool   // guarded by the task mutex
 	abortReason  string // guarded by the task mutex
 	// trace is the session's cross-tier trace ID (internal/obs), set
@@ -133,20 +133,42 @@ func (s *sessionState) close() {
 // taskState is a task's runtime state on its owning aggregator. Aggregators
 // are persistent and stateful (Section 6.3): the task stays here until the
 // Coordinator moves it.
+//
+// Three things guard it. mu, the task mutex, guards the session table and
+// the counters. stepMu, the step lock, owns the model: params, the
+// optimizer's moments, the DP accountant and the release scratch — only a
+// server step writes them, and cold readers (task-info, the heartbeat
+// checkpoint) copy them under it. published is what every download serves:
+// one record per model version, swapped by a single pointer store. Lock
+// order is mu before stepMu; the off-path stepper never holds both.
 type taskState struct {
 	mu   sync.Mutex
 	spec TaskSpec
 	seq  uint64
 
-	params  []float32
-	version int
-	opt     fedopt.Optimizer
-	buf     *buffer.Buffered
-	secAgg  *secagg.Aggregator
-	agg     fedopt.Aggregation
-	// scratch receives buffer releases (ReleaseInto), so a server step
-	// allocates nothing model-sized. Guarded by mu like params.
+	// published is the current model version and its download response,
+	// encoded once when the version is published. Its version is the
+	// task's model version everywhere.
+	published atomic.Pointer[modelVersion]
+
+	stepMu sync.Mutex
+	params []float32
+	opt    fedopt.Optimizer
+	// scratch receives buffer releases (ReleaseIntoStats), so a server step
+	// allocates nothing model-sized besides the new version's frame.
 	scratch []float32
+
+	buf    *buffer.Buffered
+	secAgg *secagg.Aggregator // guarded by mu: SecAgg adds and unmasks are task-atomic
+	agg    fedopt.Aggregation
+
+	// stepPending marks an AsyncFL server step running off the finishing
+	// session's path; settled is broadcast when it clears. draining, while
+	// open, is a release whose goal is met and whose drain is still owed;
+	// the stepper closes it once drained. All three use mu.
+	stepPending bool
+	settled     *sync.Cond
+	draining    chan struct{}
 
 	sessions    map[uint64]*sessionState
 	nextSession uint64
@@ -156,10 +178,9 @@ type taskState struct {
 
 	// dpMech is the task's central-DP mechanism (nil without a spec DP
 	// block). ClipUpdate is stateless and runs on the sharded accumulate
-	// path outside every lock; the noise and accounting calls run only
-	// inside serverStepLocked under mu — the exactly-one-finisher
-	// invariant is what serializes releases for the non-concurrency-safe
-	// mechanism.
+	// path outside every lock; the budget check, the noise and the
+	// accounting run only inside step, under stepMu, which is what
+	// serializes releases for the non-concurrency-safe mechanism.
 	dpMech *dp.Mechanism
 	// dpExhausted marks the task complete with status "budget_exhausted":
 	// the goal was met but one more release would exceed the epsilon
@@ -167,8 +188,8 @@ type taskState struct {
 	// uploads are refused. Guarded by mu.
 	dpExhausted bool
 	// dpEpsilonBits caches the cumulative epsilon as math.Float64bits,
-	// written under mu at each release and read lock-free by the
-	// scrape-time papaya_dp_epsilon gauge.
+	// written at each release and read lock-free by the scrape-time
+	// papaya_dp_epsilon gauge.
 	dpEpsilonBits atomic.Uint64
 
 	// lastClose and closeEWMAms feed the RetryAfterMs hint on join
@@ -176,6 +197,49 @@ type taskState struct {
 	// how soon a slot frees up when the task sits at max concurrency.
 	lastClose   time.Time
 	closeEWMAms float64
+}
+
+// version is the task's current model version: the published one.
+func (ts *taskState) version() int { return ts.published.Load().version }
+
+// settleLocked waits until no off-path server step is pending, so the
+// caller reads (or changes) a task between releases. Caller holds mu.
+func (ts *taskState) settleLocked() {
+	for ts.stepPending {
+		ts.settled.Wait()
+	}
+}
+
+// awaitDrainLocked waits, with mu released, until no release whose goal is
+// met is still waiting to be drained: a finisher that validates after a
+// goal was met adds into the next release, never into that one, so a
+// release holds what was buffered when its goal was met. The wait covers
+// the drain only, never the optimizer step or the encode. Caller holds mu.
+func (ts *taskState) awaitDrainLocked() {
+	for ch := ts.draining; ch != nil && !isClosed(ch); ch = ts.draining {
+		ts.mu.Unlock()
+		<-ch
+		ts.mu.Lock()
+	}
+}
+
+// armDrainLocked records that the buffer holds a release's worth of
+// updates and returns the channel its drain will close, reusing one still
+// open. Caller holds mu.
+func (ts *taskState) armDrainLocked() chan struct{} {
+	if ts.draining == nil || isClosed(ts.draining) {
+		ts.draining = make(chan struct{})
+	}
+	return ts.draining
+}
+
+func isClosed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // dropSessionLocked removes a session from the table and feeds the
@@ -262,14 +326,15 @@ func newTaskState(req AssignTaskRequest) (*taskState, error) {
 		buf:      buffer.New(spec.NumParams, spec.AggregationGoal, shards),
 		agg:      agg,
 		sessions: make(map[uint64]*sessionState),
-		version:  req.Version,
 		scratch:  make([]float32, spec.NumParams),
 	}
+	ts.settled = sync.NewCond(&ts.mu)
 	if req.Checkpoint != nil {
 		ts.params = vecf.Clone(req.Checkpoint)
 	} else {
 		ts.params = vecf.Clone(spec.InitParams)
 	}
+	ts.published.Store(newModelVersion(ts.params, req.Version))
 	if spec.SecAgg != nil {
 		ts.secAgg = spec.SecAgg.NewAggregator()
 	}
@@ -331,12 +396,18 @@ func NewAggregator(name string, net transport.Fabric, coordinator string, timing
 	return a
 }
 
-// Stop halts the heartbeat loop and unregisters the node. It is idempotent.
+// Stop halts the heartbeat loop, unregisters the node and waits for every
+// pending server step. It is idempotent.
 func (a *Aggregator) Stop() {
 	a.stopOnce.Do(func() {
 		close(a.stop)
 		a.wg.Wait()
 		a.net.Unregister(a.name)
+		for _, ts := range a.taskList() {
+			ts.mu.Lock()
+			ts.settleLocked()
+			ts.mu.Unlock()
+		}
 	})
 }
 
@@ -391,6 +462,9 @@ func (a *Aggregator) reconfigureTask(req ReconfigureRequest) (any, error) {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	// The switch lands between releases: a pending step finishes under the
+	// configuration that triggered it.
+	ts.settleLocked()
 	ts.spec.Mode = req.Mode
 	ts.spec.AggregationGoal = req.AggregationGoal
 	ts.spec.MaxStaleness = req.MaxStaleness
@@ -430,8 +504,10 @@ func (a *Aggregator) dropTask(taskID string) (any, error) {
 	delete(a.lastCkptVersion, taskID)
 	a.mu.Unlock()
 	if ts != nil {
-		// Return the dropped task's leased session buffers to the pool.
+		// Return the dropped task's leased session buffers to the pool once
+		// its last step has settled.
 		ts.mu.Lock()
+		ts.settleLocked()
 		sessions := make([]*sessionState, 0, len(ts.sessions))
 		for _, s := range ts.sessions {
 			sessions = append(sessions, s)
@@ -479,13 +555,18 @@ func (a *Aggregator) join(req JoinRequest) (any, error) {
 		return JoinResponse{Accepted: false, Reason: "task at max concurrency", RetryAfterMs: ts.retryAfterLocked()}, nil
 	}
 	ts.nextSession++
-	id := ts.nextSession
-	ts.sessions[id] = &sessionState{clientID: req.ClientID, startVersion: ts.version, lastActive: time.Now(), trace: req.TraceID}
+	id, version := ts.nextSession, ts.version()
+	ts.sessions[id] = &sessionState{clientID: req.ClientID, startVersion: version, lastActive: time.Now(), trace: req.TraceID}
 	a.obs.sessionsOpened.Inc()
 	a.obs.span(req.TraceID, "join", req.TaskID, id, start, "")
-	return JoinResponse{Accepted: true, SessionID: id, Version: ts.version}, nil
+	return JoinResponse{Accepted: true, SessionID: id, Version: version}, nil
 }
 
+// download serves the published model version: the task mutex covers only
+// the session lookup, and the answer is the version's record, whose
+// response frame was encoded once when the version was published. It never
+// waits for a pending server step; FedBuff's staleness weight exists for
+// exactly the client that trains one version behind.
 func (a *Aggregator) download(req DownloadRequest) (any, error) {
 	start := time.Now()
 	ts, err := a.task(req.TaskID)
@@ -493,25 +574,20 @@ func (a *Aggregator) download(req DownloadRequest) (any, error) {
 		return nil, err
 	}
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	s, ok := ts.sessions[req.SessionID]
 	if !ok {
+		ts.mu.Unlock()
 		return nil, fmt.Errorf("aggregator %s: unknown session %d", a.name, req.SessionID)
 	}
+	// The client trains against the version it downloads; if the model
+	// moved between join and download, restart the session at that version
+	// (equivalent to AFL's version check).
+	mv := ts.published.Load()
+	s.startVersion = mv.version
+	ts.mu.Unlock()
 	s.touch(time.Now())
-	// The client trains against the model version it joined with; if the
-	// model moved between join and download, restart the session at the
-	// current version (equivalent to AFL's version check).
-	s.startVersion = ts.version
-	// The snapshot is leased from the pool: over a networked fabric the
-	// transport returns it once the response frame is encoded
-	// (wire.ResponseBufferLease); the in-memory fabric hands the caller a
-	// plain copy and releases it (wire.ResponseSnapshot), so every backend
-	// balances the lease.
-	params := vecpool.GetFloats(len(ts.params))
-	copy(params, ts.params)
 	a.obs.span(s.trace, "download", req.TaskID, req.SessionID, start, "")
-	return DownloadResponse{Params: params, Version: ts.version}, nil
+	return mv, nil
 }
 
 // report hands the client its upload configuration (participation stage 3),
@@ -545,7 +621,7 @@ func (a *Aggregator) report(req ReportRequest) (any, error) {
 	resp := ReportResponse{
 		OK:             true,
 		ChunkSize:      chunk,
-		CurrentVersion: ts.version,
+		CurrentVersion: ts.version(),
 		// Upload-compression negotiation: the task's preference against
 		// what this client offered (Section 7's communication lever; an
 		// empty offer from an older client degrades to raw).
@@ -747,6 +823,7 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 	}
 
 	ts.mu.Lock()
+	ts.awaitDrainLocked()
 	if cur, live := ts.sessions[c.SessionID]; !live || cur != s {
 		ts.mu.Unlock()
 		release()
@@ -769,7 +846,7 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 		a.obs.sessionsClosed.Inc()
 		return UploadResponse{OK: false, Reason: "budget_exhausted"}, nil
 	}
-	staleness := ts.version - s.startVersion
+	staleness := ts.version() - s.startVersion
 	if ts.spec.MaxStaleness > 0 && staleness > ts.spec.MaxStaleness {
 		ts.dropSessionLocked(c.SessionID)
 		ts.mu.Unlock()
@@ -837,12 +914,18 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 		// so concurrent finishing sessions contend per shard. Whether the
 		// goal is met is decided from the buffered count once the counters
 		// are re-locked, which keeps exactly one finisher triggering each
-		// server step. One deliberate relaxation versus the old fully
-		// locked path: a concurrent server step can advance the version
-		// between the staleness check above and this Add, so an update may
-		// land one release late with a one-step-stale weight — exactly the
-		// arrival-order tolerance FedBuff is built on (Section 6.3), and
-		// bounded at one step by the staleness check still holding ts.mu.
+		// server step, and that step runs off this session's path.
+		//
+		// One deliberate relaxation versus a fully locked path: the version
+		// can advance between the staleness check above and this Add. A
+		// pending step may publish, or a finisher that passed the check
+		// just before another one triggered a step may race that step's
+		// drain, landing in it or in the release after. Either way the
+		// update's weight can be one step stale — exactly the
+		// arrival-order tolerance FedBuff is built on (Section 6.3). It
+		// stays bounded at one step: the staleness check reads the version
+		// under ts.mu, awaitDrainLocked kept this finisher out of any drain
+		// already running, and only one step is ever pending.
 		if received != ts.spec.NumParams {
 			ts.dropSessionLocked(c.SessionID)
 			ts.mu.Unlock()
@@ -868,8 +951,15 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 // ts.mu. The goal check reads live state under the lock (buffered count,
 // SecAgg received count, or the sync round counter) rather than a value
 // computed before locking, so concurrent async finishers cannot
-// double-trigger a release — the first one to lock sees the goal and
-// drains the buffer; the rest see the drained count.
+// double-trigger a release.
+//
+// Who runs the step follows from the task's mode. A sync round's close
+// (with its over-selection discard) and a SecAgg unmask are task-atomic, so
+// their finisher steps inline, under ts.mu, before it is answered. In
+// AsyncFL the finisher that meets the goal marks a step pending, starts it
+// on its own goroutine and is answered at once; a finisher that meets the
+// goal again while that step is pending only arms the next drain, because
+// the stepper re-checks the goal under ts.mu before it lets go.
 func (a *Aggregator) countAndMaybeStepLocked(ts *taskState, sessionID uint64) (any, error) {
 	var trace uint64
 	if s := ts.sessions[sessionID]; s != nil {
@@ -881,62 +971,129 @@ func (a *Aggregator) countAndMaybeStepLocked(ts *taskState, sessionID uint64) (a
 	a.obs.uploads.Inc()
 	a.obs.sessionsClosed.Inc()
 
-	var goalMet bool
 	switch {
-	case ts.spec.Mode == core.Sync:
-		goalMet = ts.roundReceived >= ts.spec.AggregationGoal
-	case ts.spec.SecAgg != nil:
-		goalMet = ts.secAgg.Received() >= ts.spec.AggregationGoal
-	default:
-		// Also covers a runtime goal change (Appendix E.3): a buffer
-		// already holding more than the new goal triggers on the next
-		// accepted upload.
-		goalMet = ts.buf.Count() >= ts.spec.AggregationGoal
-	}
-	// A mode switch can leave the round counter satisfied while the buffer
-	// is empty (the updates were released under the previous mode); a
-	// release on an empty buffer is a protocol bug, so skip the step.
-	if goalMet && ts.spec.SecAgg == nil && ts.buf.Count() == 0 {
-		goalMet = false
-	}
-	// Budget enforcement happens BEFORE the release: once one more release
-	// would exceed the epsilon budget, the buffered updates stay
-	// unreleased (releasing them un-noised would silently void the
-	// guarantee) and the task completes with status "budget_exhausted" —
-	// in-flight sessions are aborted with that reason, and join/upload
-	// refuse it from here on.
-	if goalMet && ts.dpMech != nil && !ts.dpMech.CanRelease() {
-		ts.dpExhausted = true
-		for _, s := range ts.sessions {
-			s.aborted = true
-			s.abortReason = "budget_exhausted"
-		}
-		log.Printf("aggregator %s: task %q epsilon budget exhausted after %d release(s) (eps=%.3f, budget=%.3f)",
-			a.name, ts.spec.ID, ts.dpMech.Releases(), ts.dpMech.Epsilon(), ts.dpMech.Budget())
-		goalMet = false
-	}
-	if goalMet {
-		stepStart := time.Now()
-		if err := a.serverStepLocked(ts); err != nil {
+	case !ts.goalMetLocked():
+	case ts.stepsInlineLocked():
+		released, err := a.timedStep(ts, nil, trace, sessionID)
+		if err != nil {
 			return nil, err
 		}
-		a.obs.stepSeconds.Observe(time.Since(stepStart).Seconds())
-		a.obs.aggregateSteps.Inc()
-		// The aggregate span is attributed to the session whose upload
-		// met the goal — the last hop of that session's trace.
-		a.obs.span(trace, "aggregate", ts.spec.ID, sessionID, stepStart, "")
+		a.afterStepLocked(ts, released)
+	case !ts.stepPending:
+		ts.stepPending = true
+		go a.stepLoop(ts, ts.armDrainLocked(), trace, sessionID)
+	default:
+		// The goal is met again while a step is pending: the stepper takes
+		// this release when it re-checks the goal, and finishers wait for
+		// its drain from here on.
+		ts.armDrainLocked()
 	}
 	return UploadResponse{OK: true}, nil
 }
 
-// serverStepLocked releases the buffer (or unmasks the secure aggregate) and
-// applies the server optimizer. Caller holds ts.mu.
-func (a *Aggregator) serverStepLocked(ts *taskState) error {
+// goalMetLocked reports whether the task holds a release's worth of
+// updates. Caller holds ts.mu.
+func (ts *taskState) goalMetLocked() bool {
+	if ts.dpExhausted {
+		return false
+	}
+	var met bool
+	switch {
+	case ts.spec.Mode == core.Sync:
+		met = ts.roundReceived >= ts.spec.AggregationGoal
+	case ts.spec.SecAgg != nil:
+		met = ts.secAgg.Received() >= ts.spec.AggregationGoal
+	default:
+		// Also covers a runtime goal change (Appendix E.3): a buffer
+		// already holding more than the new goal triggers on the next
+		// accepted upload.
+		met = ts.buf.Count() >= ts.spec.AggregationGoal
+	}
+	// A mode switch can leave the round counter satisfied while the buffer
+	// is empty (the updates were released under the previous mode); a
+	// release on an empty buffer is a protocol bug, so there is no step.
+	return met && (ts.spec.SecAgg != nil || ts.buf.Count() > 0)
+}
+
+// stepsInlineLocked reports whether the task's finishers run the server
+// step themselves: sync rounds and SecAgg, whose releases are task-atomic.
+// Caller holds ts.mu.
+func (ts *taskState) stepsInlineLocked() bool {
+	return ts.spec.Mode == core.Sync || ts.spec.SecAgg != nil
+}
+
+// stepLoop is the AsyncFL stepper, started by the finisher that met the
+// goal: it steps while the buffer holds at least the goal, then clears the
+// pending mark and wakes whoever waits for a settled task. drained is the
+// channel each step closes once its drain is done; a drain armed for a
+// release that will not happen (the budget ran out) is closed on the way
+// out. Only the first step is attributed to the triggering session's
+// trace.
+func (a *Aggregator) stepLoop(ts *taskState, drained chan struct{}, trace, sessionID uint64) {
+	for {
+		released, err := a.timedStep(ts, drained, trace, sessionID)
+		if !released {
+			close(drained)
+		}
+		ts.mu.Lock()
+		if err == nil {
+			a.afterStepLocked(ts, released)
+		} else {
+			log.Printf("aggregator %s: task %q: %v", a.name, ts.spec.ID, err)
+		}
+		if err != nil || !ts.goalMetLocked() || ts.stepsInlineLocked() {
+			if ch := ts.draining; ch != nil && !isClosed(ch) {
+				close(ch)
+			}
+			ts.stepPending, ts.draining = false, nil
+			ts.settled.Broadcast()
+			ts.mu.Unlock()
+			return
+		}
+		drained = ts.armDrainLocked()
+		ts.mu.Unlock()
+		trace, sessionID = 0, 0
+	}
+}
+
+// timedStep runs step and records it: the step histogram, the step
+// counter, and the aggregate span on the session whose upload met the goal
+// (the last hop of that session's trace).
+func (a *Aggregator) timedStep(ts *taskState, drained chan struct{}, trace, sessionID uint64) (bool, error) {
+	start := time.Now()
+	released, err := a.step(ts, drained)
+	if released {
+		a.obs.stepSeconds.Observe(time.Since(start).Seconds())
+		a.obs.aggregateSteps.Inc()
+		a.obs.span(trace, "aggregate", ts.spec.ID, sessionID, start, "")
+	}
+	return released, err
+}
+
+// step is one server step, the whole release, under the step lock: the DP
+// budget check, the drain (or the SecAgg unmask, whose caller holds ts.mu),
+// the noise, the rule's Transform, the optimizer step, one encode of the
+// new version's download response, and its publication. It reports false,
+// releasing nothing, when one more release would exceed the epsilon budget.
+// An off-path step passes drained, which step closes once the buffer is
+// drained. The caller then runs afterStepLocked under ts.mu.
+func (a *Aggregator) step(ts *taskState, drained chan struct{}) (bool, error) {
+	ts.stepMu.Lock()
+	defer ts.stepMu.Unlock()
+	// Budget enforcement happens BEFORE the release: once one more release
+	// would exceed the epsilon budget, the buffered updates stay
+	// unreleased (releasing them un-noised would silently void the
+	// guarantee) and the task completes with status "budget_exhausted".
+	if ts.dpMech != nil && !ts.dpMech.CanRelease() {
+		log.Printf("aggregator %s: task %q epsilon budget exhausted after %d release(s) (eps=%.3f, budget=%.3f)",
+			a.name, ts.spec.ID, ts.dpMech.Releases(), ts.dpMech.Epsilon(), ts.dpMech.Budget())
+		return false, nil
+	}
 	var update []float32
 	if ts.spec.SecAgg != nil {
 		group, _, err := ts.secAgg.UnmaskGroup()
 		if err != nil {
-			return fmt.Errorf("aggregator %s: unmask: %w", a.name, err)
+			return false, fmt.Errorf("aggregator %s: unmask: %w", a.name, err)
 		}
 		// Slots [0,n) hold sum(w_i * delta_i); slot n holds sum(w_i).
 		codec := ts.spec.SecAgg.Params.Codec()
@@ -944,14 +1101,17 @@ func (a *Aggregator) serverStepLocked(ts *taskState) error {
 		codec.DecodeVec(decoded, group)
 		totalW := decoded[len(decoded)-1]
 		if totalW <= 0 {
-			return fmt.Errorf("aggregator %s: secure aggregate has non-positive total weight", a.name)
+			return false, fmt.Errorf("aggregator %s: secure aggregate has non-positive total weight", a.name)
 		}
 		update = decoded[:len(decoded)-1]
 		vecf.Scale(update, 1/totalW)
 	} else {
-		// ReleaseInto recycles the task's scratch vector, so a server step
-		// allocates nothing model-sized (the optimizer only reads update).
+		// ReleaseIntoStats recycles the task's scratch vector (the
+		// optimizer only reads update).
 		stats := ts.buf.ReleaseIntoStats(ts.scratch)
+		if drained != nil {
+			close(drained)
+		}
 		update = ts.scratch
 		if ts.dpMech != nil {
 			// Noise the released weighted mean before the rule's Transform
@@ -959,7 +1119,7 @@ func (a *Aggregator) serverStepLocked(ts *taskState) error {
 			// released value, which is DP-safe. Sensitivity is calibrated
 			// from the release's actual weight statistics (staleness
 			// weights make it MaxWeight*Clip/TotalWeight, not Clip/n).
-			// ts.mu serializes this with every other release, satisfying
+			// stepMu serializes this with every other release, satisfying
 			// the mechanism's no-concurrency contract.
 			ts.dpMech.NoiseRelease(update, dp.Release{
 				N:           stats.N,
@@ -974,25 +1134,38 @@ func (a *Aggregator) serverStepLocked(ts *taskState) error {
 	// the weighted mean exactly as the optimizer would.
 	ts.agg.Transform(update)
 	ts.opt.Step(ts.params, update)
-	ts.version++
-	ts.roundReceived = 0
+	ts.published.Store(newModelVersion(ts.params, ts.version()+1))
+	return true, nil
+}
 
-	// Appendix E.2: abort sessions whose staleness now exceeds the limit.
-	// Appendix E.3: in Sync mode, abort everyone still training (the
-	// over-selection discard).
-	for id, s := range ts.sessions {
+// afterStepLocked is a step's ts.mu half. After a release: Appendix E.2's
+// abort of sessions whose staleness now exceeds the limit, or, in Sync
+// mode, Appendix E.3's abort of everyone still training (the
+// over-selection discard). After a refused release: the task completes
+// with status "budget_exhausted", aborting in-flight sessions with that
+// reason; join and upload refuse it from here on. Caller holds ts.mu.
+func (a *Aggregator) afterStepLocked(ts *taskState, released bool) {
+	if !released {
+		ts.dpExhausted = true
+		for _, s := range ts.sessions {
+			s.aborted = true
+			s.abortReason = "budget_exhausted"
+		}
+		return
+	}
+	ts.roundReceived = 0
+	version := ts.version()
+	for _, s := range ts.sessions {
 		if ts.spec.Mode == core.Sync {
 			s.aborted = true
 			s.abortReason = "round closed"
-			_ = id
 			continue
 		}
-		if ts.spec.MaxStaleness > 0 && ts.version-s.startVersion > ts.spec.MaxStaleness {
+		if ts.spec.MaxStaleness > 0 && version-s.startVersion > ts.spec.MaxStaleness {
 			s.aborted = true
 			s.abortReason = "staleness exceeded"
 		}
 	}
-	return nil
 }
 
 // TaskInfo is the "task-info" response: a task's observable state (model
@@ -1026,44 +1199,62 @@ type TaskInfo struct {
 	DPExhausted bool
 }
 
+// taskInfo reports a settled task: it waits for a pending server step, so
+// a caller that saw its last upload acknowledged reads the version that
+// upload led to. The model is a plain copy taken under the step lock.
 func (a *Aggregator) taskInfo(taskID string) (any, error) {
 	ts, err := a.task(taskID)
 	if err != nil {
 		return nil, err
 	}
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	params := vecpool.GetFloats(len(ts.params))
-	copy(params, ts.params)
+	ts.settleLocked()
 	info := TaskInfo{
-		Version: ts.version,
-		Updates: ts.updates,
-		Active:  len(ts.sessions),
-		Params:  params,
-		Mode:    ts.spec.Mode,
+		Updates:     ts.updates,
+		Active:      len(ts.sessions),
+		Mode:        ts.spec.Mode,
+		DPExhausted: ts.dpExhausted,
 	}
+	ts.mu.Unlock()
+
+	ts.stepMu.Lock()
+	defer ts.stepMu.Unlock()
+	info.Version = ts.version()
+	info.Params = vecf.Clone(ts.params)
 	if ts.dpMech != nil {
 		info.DPEnabled = true
 		info.DPEpsilon = ts.dpMech.Epsilon()
 		info.DPDelta = ts.dpMech.Delta()
 		info.DPReleases = ts.dpMech.Releases()
 		info.DPBudget = ts.dpMech.Budget()
-		info.DPExhausted = ts.dpExhausted
 	}
 	return info, nil
+}
+
+// checkpoint copies the model and its version under the step lock, so the
+// two always match.
+func (ts *taskState) checkpoint() ([]float32, int) {
+	ts.stepMu.Lock()
+	defer ts.stepMu.Unlock()
+	return vecf.Clone(ts.params), ts.version()
+}
+
+// taskList snapshots the tasks this aggregator hosts.
+func (a *Aggregator) taskList() []*taskState {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	tasks := make([]*taskState, 0, len(a.tasks))
+	for _, ts := range a.tasks {
+		tasks = append(tasks, ts)
+	}
+	return tasks
 }
 
 // activeSessionCount sums open sessions across this aggregator's tasks;
 // sampled lazily by the papaya_active_sessions gauge at scrape time.
 func (a *Aggregator) activeSessionCount() int {
-	a.mu.Lock()
-	tasks := make([]*taskState, 0, len(a.tasks))
-	for _, ts := range a.tasks {
-		tasks = append(tasks, ts)
-	}
-	a.mu.Unlock()
 	n := 0
-	for _, ts := range tasks {
+	for _, ts := range a.taskList() {
 		ts.mu.Lock()
 		n += len(ts.sessions)
 		ts.mu.Unlock()
@@ -1100,13 +1291,7 @@ func (a *Aggregator) reapSessions(now time.Time) {
 	if ttl <= 0 {
 		return
 	}
-	a.mu.Lock()
-	tasks := make([]*taskState, 0, len(a.tasks))
-	for _, ts := range a.tasks {
-		tasks = append(tasks, ts)
-	}
-	a.mu.Unlock()
-	for _, ts := range tasks {
+	for _, ts := range a.taskList() {
 		var dead []*sessionState
 		var deadIDs []uint64
 		ts.mu.Lock()
@@ -1141,32 +1326,41 @@ func (a *Aggregator) reapSessions(now time.Time) {
 func (a *Aggregator) sendReport() {
 	report := AggReport{Aggregator: a.name, Tasks: make(map[string]TaskReport)}
 	// Checkpoints are the expensive part of a report (a full model clone,
-	// and over the HTTP fabric a full model transfer): ship one only when
+	// and over the network a full model transfer): ship one only when
 	// the version moved past what the coordinator acknowledged, plus a
 	// periodic refresh so a restarted coordinator repopulates its
-	// checkpoint table within a few beats (E.4 recovery).
+	// checkpoint table within a few beats (E.4 recovery). The clone is
+	// taken under the step lock, never the task mutex.
 	ckptSent := make(map[string]int)
 	a.mu.Lock()
 	a.beats++
 	refresh := a.beats%8 == 0
+	tasks := make(map[string]*taskState, len(a.tasks))
+	acked := make(map[string]int, len(a.tasks))
 	for id, ts := range a.tasks {
+		tasks[id] = ts
+		if v, ok := a.lastCkptVersion[id]; ok {
+			acked[id] = v
+		}
+	}
+	a.mu.Unlock()
+	for id, ts := range tasks {
 		ts.mu.Lock()
 		tr := TaskReport{
 			Spec:          ts.spec,
 			Seq:           ts.seq,
 			ActiveClients: len(ts.sessions),
 			Demand:        ts.spec.Concurrency - len(ts.sessions),
-			Version:       ts.version,
+			Version:       ts.version(),
 			Updates:       ts.updates,
 		}
-		if acked, ok := a.lastCkptVersion[id]; refresh || !ok || acked != ts.version {
-			tr.Checkpoint = vecf.Clone(ts.params)
-			ckptSent[id] = ts.version
+		ts.mu.Unlock()
+		if v, ok := acked[id]; refresh || !ok || v != tr.Version {
+			tr.Checkpoint, tr.Version = ts.checkpoint()
+			ckptSent[id] = tr.Version
 		}
 		report.Tasks[id] = tr
-		ts.mu.Unlock()
 	}
-	a.mu.Unlock()
 
 	resp, err := a.net.Call(a.name, a.coord, "agg-report", report)
 	if err != nil {

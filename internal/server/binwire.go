@@ -14,8 +14,10 @@ package server
 //
 // Only the aggregator's UploadChunk decoder leases its vectors from
 // internal/vecpool (the transport returns them after the handler has copied
-// what it keeps: wire.BufferLease). Cold vectors — checkpoints, InitParams,
-// TaskInfo.Params — decode into plain allocations the handler may keep.
+// what it keeps: wire.BufferLease). Every other vector — checkpoints,
+// InitParams, TaskInfo.Params, a downloaded model — decodes into a plain
+// allocation the receiver may keep. A download is encoded once per model
+// version, not once per request (modelVersion).
 
 import (
 	"slices"
@@ -189,20 +191,27 @@ func decodeDownloadResponse(b []byte) (any, error) {
 	return r, f.Done()
 }
 
-// ReleaseResponseBuffers implements wire.ResponseBufferLease: the
-// aggregator serves Params from a pooled snapshot (see download), and the
-// HTTP transport returns it here once the response frame is encoded.
-func (r DownloadResponse) ReleaseResponseBuffers() { vecpool.PutFloats(r.Params) }
-
-// SnapshotResponseBuffers implements wire.ResponseSnapshot: the in-memory
-// fabric hands the caller this plain copy — matching what a networked
-// caller gets from decoding the frame — and releases the pooled original.
-func (r DownloadResponse) SnapshotResponseBuffers() any {
-	out := r
-	out.Params = make([]float32, len(r.Params))
-	copy(out.Params, r.Params)
-	return out
+// modelVersion is one published model version: the version number and its
+// download response, encoded once as a complete wire.Binary response frame
+// when the version is published, then served to every client that
+// downloads it (wire.EncodedResponse). It is immutable.
+type modelVersion struct {
+	version int
+	frame   []byte
 }
+
+// newModelVersion encodes the download response for params at version.
+func newModelVersion(params []float32, version int) *modelVersion {
+	frame, err := wire.Binary{}.AppendResponse(make([]byte, 0, 4*len(params)+32),
+		&wire.Response{Payload: DownloadResponse{Params: params, Version: version}})
+	if err != nil {
+		panic("server: DownloadResponse is not registered: " + err.Error())
+	}
+	return &modelVersion{version: version, frame: frame}
+}
+
+// ResponseFrame implements wire.EncodedResponse.
+func (m *modelVersion) ResponseFrame() []byte { return m.frame }
 
 // --- ReportRequest ---
 
@@ -526,19 +535,6 @@ func decodeTaskInfo(b []byte) (any, error) {
 	f := wire.DecodeFields(b)
 	r.fields(&f)
 	return r, f.Done()
-}
-
-// ReleaseResponseBuffers implements wire.ResponseBufferLease; Params is
-// served from a pooled snapshot like DownloadResponse's.
-func (r TaskInfo) ReleaseResponseBuffers() { vecpool.PutFloats(r.Params) }
-
-// SnapshotResponseBuffers implements wire.ResponseSnapshot; see
-// DownloadResponse.SnapshotResponseBuffers.
-func (r TaskInfo) SnapshotResponseBuffers() any {
-	out := r
-	out.Params = make([]float32, len(r.Params))
-	copy(out.Params, r.Params)
-	return out
 }
 
 // --- TaskSpec ---

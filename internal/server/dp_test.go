@@ -610,6 +610,13 @@ func TestNoDPAggregationBitIdentical(t *testing.T) {
 			if res.Outcome != client.Completed {
 				t.Fatalf("device %d outcome: %s (%s)", i, res.Outcome, res.Reason)
 			}
+			// The release runs off the finisher's path and downloads never
+			// wait for it; task-info does, so the next device downloads the
+			// version this upload led to on every fabric, and every fabric
+			// weights the same staleness.
+			if _, err := net.Call("test", "agg", "task-info", "nodp"); err != nil {
+				t.Fatal(err)
+			}
 		}
 
 		resp, err := net.Call("test", "agg", "task-info", "nodp")

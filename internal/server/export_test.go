@@ -4,7 +4,8 @@ import "time"
 
 // The reaper takes its instant as an argument; these two hooks let the
 // conformance suite (package server_test) drive it with explicit instants
-// instead of sleeping against the heartbeat.
+// instead of sleeping against the heartbeat. ReleaseTally exposes the
+// buffer's release bookkeeping to the off-path step tests.
 
 // ReapSessionsAt runs the session-TTL sweep as if the heartbeat ticked at
 // now.
@@ -26,4 +27,17 @@ func (a *Aggregator) SessionLastActive(taskID string, sessionID uint64) (at time
 		return time.Time{}, false
 	}
 	return s.idleSince(), true
+}
+
+// ReleaseTally reports, once the task's pending step has settled, how many
+// releases its buffer has made, how many updates they aggregated, and how
+// many are still buffered.
+func (a *Aggregator) ReleaseTally(taskID string) (releases, drained, buffered int) {
+	a.mu.Lock()
+	ts := a.tasks[taskID]
+	a.mu.Unlock()
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	ts.settleLocked()
+	return ts.buf.Releases(), ts.buf.Drained(), ts.buf.Count()
 }

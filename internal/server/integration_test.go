@@ -423,6 +423,10 @@ func testMaxStalenessAbortsUpload(t *testing.T, fx fabricFactory) {
 		if !ur.(server.UploadResponse).OK {
 			t.Fatalf("fast upload %d rejected: %s", i, ur.(server.UploadResponse).Reason)
 		}
+		// The release runs off the finisher's path and a join never waits
+		// for it; task-info does, so the next fast client joins at the
+		// version this upload led to instead of one behind it.
+		w.mustTaskInfo(fast.TaskID)
 	}
 
 	// The stale session's upload must be rejected.

@@ -62,8 +62,8 @@ func soakTimings() server.Timings {
 
 // runSoak drives the deterministic soak workload on one fabric and
 // returns the final model. Every backend balances the vecpool counters —
-// networked fabrics release response leases after frame encode, the
-// in-memory fabric through wire.ResponseSnapshot — so checkLeases is on
+// the only pooled vectors are upload assembly and chunk decode, and
+// downloads serve a frame encoded once per version — so checkLeases is on
 // everywhere; it remains a parameter only for targeted debugging runs.
 func runSoak(t *testing.T, fx fabricFactory, checkLeases bool) []float32 {
 	t.Helper()

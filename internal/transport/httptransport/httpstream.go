@@ -14,7 +14,6 @@ package httptransport
 // else: the session machinery is streamcore's.
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -26,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/transport/streamcore"
-	"repro/internal/transport/wire"
 )
 
 // streamContentType marks a stream body: a frame sequence in both
@@ -39,17 +37,10 @@ const streamContentType = "application/x-papaya-stream"
 // writer out) to the engine's Conn. Deadlines map onto the
 // http.ResponseController's read/write deadlines.
 type httpConn struct {
-	w       http.ResponseWriter
-	rc      *http.ResponseController
-	body    io.Closer
-	br      *bufio.Reader
-	scratch []byte
-}
-
-func (h *httpConn) ReadFrame(max int) (byte, []byte, error) {
-	flags, payload, scratch, err := wire.ReadStreamFrameFrom(h.br, h.scratch, max)
-	h.scratch = scratch
-	return flags, payload, err
+	*streamcore.FrameReader
+	w    http.ResponseWriter
+	rc   *http.ResponseController
+	body io.Closer
 }
 
 func (h *httpConn) WriteFrames(bufs net.Buffers) (int64, error) {
@@ -85,7 +76,7 @@ func (f *Fabric) handleStream(w http.ResponseWriter, r *http.Request) {
 	_ = rc.Flush() // release the client's Do() before the first frame
 
 	f.ServeConn(r.PathValue("node"),
-		&httpConn{w: w, rc: rc, body: r.Body, br: bufio.NewReaderSize(r.Body, 32<<10)})
+		&httpConn{FrameReader: streamcore.NewFrameReader(r.Body), w: w, rc: rc, body: r.Body})
 }
 
 // --- client side ---
@@ -97,21 +88,13 @@ func (f *Fabric) handleStream(w http.ResponseWriter, r *http.Request) {
 // exchange; an armed timer firing while the session idles in a pool would
 // otherwise destroy it).
 type pipeConn struct {
+	*streamcore.FrameReader
 	pw     *io.PipeWriter
 	resp   *http.Response
-	br     *bufio.Reader
 	cancel context.CancelFunc
-
-	scratch []byte
 
 	tmu   sync.Mutex
 	timer *time.Timer
-}
-
-func (p *pipeConn) ReadFrame(max int) (byte, []byte, error) {
-	flags, payload, scratch, err := wire.ReadStreamFrameFrom(p.br, p.scratch, max)
-	p.scratch = scratch
-	return flags, payload, err
 }
 
 func (p *pipeConn) WriteFrames(bufs net.Buffers) (int64, error) {
@@ -195,5 +178,5 @@ func (f *Fabric) dial(target, node string, timeout time.Duration) (streamcore.Co
 		pw.Close()
 		return nil, fmt.Errorf("httptransport: stream to %s: HTTP %d: %s", node, resp.StatusCode, msg)
 	}
-	return &pipeConn{pw: pw, resp: resp, br: bufio.NewReaderSize(resp.Body, 32<<10), cancel: cancel}, nil
+	return &pipeConn{FrameReader: streamcore.NewFrameReader(resp.Body), pw: pw, resp: resp, cancel: cancel}, nil
 }

@@ -27,7 +27,7 @@ type upstream struct {
 	// to whoever calls on it next.
 	unanswered int
 
-	hdr  []byte   // stream-frame header scratch for verbatim replies
+	hdr  []byte   // stream-frame header (or failure frame) scratch for replies
 	bufs [][]byte // net.Buffers scratch (WriteTo consumes its copy)
 }
 
@@ -174,29 +174,30 @@ func (u *upstream) roundTrip(to string, fwd transport.Forward) (byte, []byte, er
 func (u *upstream) relay(conn Conn, fwd transport.Forward, reqFlags byte, prefix string) (held []byte, err error) {
 	if reqFlags&wire.StreamFlagNoAck != 0 {
 		if ferr := u.send(fwd); ferr != nil {
-			return failureFrame(nil, ferr, reqFlags, prefix)
+			_, held, err = failureFrame(nil, ferr, reqFlags, prefix)
+			return held, err
 		}
 		return nil, nil
 	}
 	defer u.unpin()
 	rflags, raw, ferr := u.call(fwd)
 	if ferr != nil {
-		frame, err := failureFrame(u.hdr[:0], ferr, reqFlags, prefix)
-		if err != nil {
+		var frame []byte
+		if u.hdr, frame, err = failureFrame(u.hdr[:0], ferr, reqFlags, prefix); err != nil {
 			return nil, err
 		}
-		u.hdr = frame
 		_, err = conn.WriteFrames(net.Buffers{frame})
 		return nil, err
 	}
-	u.hdr = append(wire.AppendUvarint(u.hdr[:0], uint64(1+len(raw))), rflags)
+	u.hdr = wire.AppendStreamHeader(u.hdr[:0], rflags, len(raw))
 	u.bufs = append(u.bufs[:0], u.hdr, raw)
 	_, err = conn.WriteFrames(net.Buffers(u.bufs))
 	return nil, err
 }
 
-// failureFrame encodes err as the response frame a failed call gets.
-func failureFrame(dst []byte, err error, reqFlags byte, prefix string) ([]byte, error) {
+// failureFrame encodes err at the end of dst as the response frame a failed
+// call gets, returning the grown buffer and the frame.
+func failureFrame(dst []byte, err error, reqFlags byte, prefix string) (buf, frame []byte, ferr error) {
 	return appendResponseFrame(dst, &wire.Response{Kind: transport.ErrorToKind(err), Err: err.Error()}, reqFlags, prefix)
 }
 

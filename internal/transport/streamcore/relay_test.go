@@ -108,6 +108,7 @@ func (sinkConn) WriteFrames(bufs net.Buffers) (int64, error) {
 	return n, nil
 }
 func (sinkConn) SetDeadline(time.Time) error { return nil }
+func (sinkConn) ReleaseReader()              {}
 func (sinkConn) Close() error                { return nil }
 
 // TestRelayDiscardsUnansweredUpstream: an upstream session whose train
@@ -198,6 +199,7 @@ func (c *scriptConn) WriteFrames(net.Buffers) (int64, error) {
 	return 0, io.ErrClosedPipe
 }
 func (c *scriptConn) SetDeadline(time.Time) error { return nil }
+func (c *scriptConn) ReleaseReader()              {}
 func (c *scriptConn) Close() error                { return nil }
 
 // TestRelayNoAckChunkAllocs fences the selector's per-chunk cost of an

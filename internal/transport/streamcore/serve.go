@@ -29,8 +29,12 @@ type ServeConfig struct {
 
 // Serve runs one inbound streaming session: pipelined request frames
 // answered in order by response frames, compressed responses mirroring the
-// request's deflate choice, and buffer leases released in order (response
-// frame fully encoded, then response leases, then request leases).
+// request's deflate choice, and the request's buffer leases released once
+// its response frame is encoded.
+//
+// A handler may answer with a wire.EncodedResponse (a published model
+// version): its frame goes out as it is, behind a stream header, in one
+// writev — nothing is encoded, copied or compressed per request.
 //
 // Frames carrying wire.StreamFlagNoAck are the ack-elision path: a
 // successful response whose payload opts in (transport.AckElidable) is
@@ -51,10 +55,13 @@ type ServeConfig struct {
 // ends with frames on it unanswered.
 //
 // Serve returns when the peer closes its end (the session's natural close
-// signal) or the connection breaks; the caller owns conn cleanup.
+// signal) or the connection breaks, returning the conn's reader to its
+// pool; the caller owns the rest of conn cleanup.
 func Serve(conn Conn, cfg ServeConfig) {
-	var out []byte
+	defer conn.ReleaseReader()
+	var out []byte  // response frame scratch
 	var held []byte // encoded response to the first failed no-ack call
+	var wv [][]byte // net.Buffers scratch (WriteTo consumes a copy)
 	if cfg.relay != nil {
 		defer cfg.relay.unpin()
 	}
@@ -89,30 +96,41 @@ func Serve(conn Conn, cfg ServeConfig) {
 		resp := cfg.Invoke(req)
 		if fwd, ok := resp.Payload.(transport.Forward); ok {
 			held, err = cfg.relay.relay(conn, fwd, flags, cfg.Prefix)
-			releaseLeases(resp, req)
+			releaseRequest(req)
 			if err != nil {
 				return
 			}
 			continue
 		}
 		if noAck && suppressible(resp) {
-			releaseLeases(resp, req)
+			releaseRequest(req)
 			cfg.Counters.AcksElided.Add(1)
 			continue
 		}
-		out, err = appendResponseFrame(out[:0], resp, flags, cfg.Prefix)
-		// The response frame is fully encoded: pooled response vectors (a
-		// download's model snapshot) and the request's leased decode
-		// vectors go back to their pools.
-		releaseLeases(resp, req)
-		if err != nil {
-			return
+		if enc, ok := resp.Payload.(wire.EncodedResponse); ok {
+			body := enc.ResponseFrame()
+			out = wire.AppendStreamHeader(out[:0], 0, len(body))
+			wv = append(wv[:0], out, body)
+		} else {
+			var frame []byte
+			out, frame, err = appendResponseFrame(out[:0], resp, flags, cfg.Prefix)
+			if err != nil {
+				releaseRequest(req)
+				return
+			}
+			wv = append(wv[:0], frame)
 		}
+		// The response frame is encoded: the request's leased decode
+		// vectors go back to their pools.
+		releaseRequest(req)
 		if noAck {
-			held = append([]byte(nil), out...)
+			held = nil
+			for _, b := range wv {
+				held = append(held, b...)
+			}
 			continue
 		}
-		if _, err := conn.WriteFrames(net.Buffers{out}); err != nil {
+		if _, err := conn.WriteFrames(net.Buffers(wv)); err != nil {
 			return
 		}
 	}
@@ -129,37 +147,28 @@ func suppressible(resp *wire.Response) bool {
 	return ok && el.AckElidable()
 }
 
-// releaseLeases returns pooled buffers once a response is encoded or
-// suppressed: response leases first, then the request's.
-func releaseLeases(resp *wire.Response, req *wire.Request) {
-	if lease, ok := resp.Payload.(wire.ResponseBufferLease); ok {
-		lease.ReleaseResponseBuffers()
-	}
+// releaseRequest returns a request's leased decode vectors to their pools
+// once its response is encoded or suppressed.
+func releaseRequest(req *wire.Request) {
 	if lease, ok := req.Payload.(wire.BufferLease); ok {
 		lease.ReleaseBinaryBuffers()
 	}
 }
 
-// appendResponseFrame encodes one response as a complete stream frame into
-// dst: wire.Binary body in a pooled buffer, the request's deflate choice
-// mirrored back.
-func appendResponseFrame(dst []byte, resp *wire.Response, reqFlags byte, prefix string) ([]byte, error) {
-	body, err := wire.Binary{}.AppendResponse(GetFrame(), resp)
+// appendResponseFrame encodes one response as a complete stream frame at
+// the end of dst, in place like Session.encodeFrame, the request's deflate
+// choice mirrored back. It returns the grown buffer and the frame within
+// it.
+func appendResponseFrame(dst []byte, resp *wire.Response, reqFlags byte, prefix string) (buf, frame []byte, err error) {
+	start := len(dst)
+	buf, err = wire.Binary{}.AppendResponse(wire.BeginStreamFrame(dst), resp)
 	if err != nil {
 		// Encoding an already-handled response failed (unregistered return
 		// type): surface it as an application error instead of silence.
-		body, err = wire.Binary{}.AppendResponse(GetFrame(), &wire.Response{Err: prefix + ": encoding response: " + err.Error()})
+		buf, err = wire.Binary{}.AppendResponse(wire.BeginStreamFrame(dst), &wire.Response{Err: prefix + ": encoding response: " + err.Error()})
 		if err != nil {
-			return dst, err
+			return dst, nil, err
 		}
 	}
-	out, respFlags := body, byte(0)
-	if reqFlags&wire.StreamFlagDeflate != 0 && len(body) >= DeflateMin {
-		if packed, derr := compress.DeflateBytes(body); derr == nil && len(packed) < len(body) {
-			out, respFlags = packed, wire.StreamFlagDeflate
-		}
-	}
-	dst = wire.AppendStreamFrame(dst, respFlags, out)
-	PutFrame(body)
-	return dst, nil
+	return finishFrame(buf, start, 0, reqFlags&wire.StreamFlagDeflate != 0)
 }

@@ -45,13 +45,13 @@ type Session struct {
 	broken atomic.Bool
 	closed atomic.Bool
 
-	mu      sync.Mutex
-	req     wire.Request // reused header; payload set per call
-	encBuf  []byte       // wire.Binary frame scratch
-	outBuf  []byte       // acked-call stream frame scratch
-	pending [][]byte     // queued no-ack frames (pooled buffers)
-	pendBts int          // queued bytes, drives the flush threshold
-	writev  [][]byte     // net.Buffers scratch (WriteTo consumes a copy)
+	mu       sync.Mutex
+	req      wire.Request // reused header; payload set per call
+	outBuf   []byte       // acked-call stream frame scratch
+	pending  [][]byte     // queued no-ack frames
+	pendBufs [][]byte     // the pooled buffers pending's frames sit in
+	pendBts  int          // queued bytes, drives the flush threshold
+	writev   [][]byte     // net.Buffers scratch (WriteTo consumes a copy)
 }
 
 // NewSession wraps an opened Conn. The caller has already performed the
@@ -104,13 +104,11 @@ func (s *Session) exchangeLocked(from, method string, payload any) (rflags byte,
 	if s.closed.Load() || s.broken.Load() {
 		return 0, nil, fmt.Errorf("%w: %s: stream closed", transport.ErrCrashed, s.cfg.Node), false
 	}
-	frame, err := s.encodeFrame(s.outBuf[:0], from, method, payload, 0)
+	buf, frame, err := s.encodeFrame(s.outBuf[:0], from, method, payload, 0)
+	s.outBuf = buf
 	if err != nil {
 		// An unregistered payload is a caller bug, not a broken session.
 		return 0, nil, fmt.Errorf("%s: encoding %s call to %s: %w", s.cfg.Prefix, method, s.cfg.Node, err), false
-	}
-	if cap(frame) > cap(s.outBuf) {
-		s.outBuf = frame
 	}
 	s.cfg.Counters.Calls.Add(1)
 	s.cfg.Counters.RoundTrips.Add(1)
@@ -166,12 +164,13 @@ func (s *Session) SendNoAck(from, method string, payload any) error {
 	if s.closed.Load() || s.broken.Load() {
 		return fmt.Errorf("%w: %s: stream closed", transport.ErrCrashed, s.cfg.Node)
 	}
-	frame, err := s.encodeFrame(GetFrame(), from, method, payload, wire.StreamFlagNoAck)
+	buf, frame, err := s.encodeFrame(GetFrame(), from, method, payload, wire.StreamFlagNoAck)
 	if err != nil {
-		PutFrame(frame)
+		PutFrame(buf)
 		return fmt.Errorf("%s: encoding %s call to %s: %w", s.cfg.Prefix, method, s.cfg.Node, err)
 	}
 	s.pending = append(s.pending, frame)
+	s.pendBufs = append(s.pendBufs, buf)
 	s.pendBts += len(frame)
 	s.cfg.Counters.Calls.Add(1)
 	s.cfg.Counters.BytesSent.Add(uint64(len(frame)))
@@ -206,26 +205,32 @@ func (s *Session) Flush() error {
 	return nil
 }
 
-// encodeFrame encodes one request into dst as a complete stream frame:
-// wire.Binary body, optional deflate, length-prefixed framing with the
-// given extra flags.
-func (s *Session) encodeFrame(dst []byte, from, method string, payload any, extraFlags byte) ([]byte, error) {
+// encodeFrame encodes one request as a complete stream frame at the end of
+// dst: the wire.Binary body goes straight after a reserved header, which is
+// then written in front of it, so the body is never copied — unless it is
+// deflated, which produces a new body anyway. It returns the grown buffer
+// and the frame within it.
+func (s *Session) encodeFrame(dst []byte, from, method string, payload any, extraFlags byte) (buf, frame []byte, err error) {
 	s.req.From, s.req.Method, s.req.Payload = from, method, payload
-	body, err := wire.Binary{}.AppendRequest(s.encBuf[:0], &s.req)
+	start := len(dst)
+	buf, err = wire.Binary{}.AppendRequest(wire.BeginStreamFrame(dst), &s.req)
 	s.req.Payload = nil
 	if err != nil {
-		return dst, err
+		return dst, nil, err
 	}
-	if cap(body) > cap(s.encBuf) {
-		s.encBuf = body // keep the grown scratch for the next frame
-	}
-	flags := extraFlags
-	if s.cfg.Deflate && len(body) >= DeflateMin {
+	return finishFrame(buf, start, extraFlags, s.cfg.Deflate)
+}
+
+// finishFrame ends the stream frame begun at buf[start:], deflating its
+// body first when deflate is set and that makes it smaller.
+func finishFrame(buf []byte, start int, flags byte, deflate bool) ([]byte, []byte, error) {
+	if body := buf[start+wire.StreamHeaderMax:]; deflate && len(body) >= DeflateMin {
 		if packed, derr := compress.DeflateBytes(body); derr == nil && len(packed) < len(body) {
-			body, flags = packed, flags|wire.StreamFlagDeflate
+			buf = wire.AppendStreamFrame(buf[:start], flags|wire.StreamFlagDeflate, packed)
+			return buf, buf[start:], nil
 		}
 	}
-	return wire.AppendStreamFrame(dst, flags, body), nil
+	return buf, wire.EndStreamFrame(buf, start, flags), nil
 }
 
 // writeLocked flushes the queued no-ack frames plus the optional final
@@ -246,10 +251,7 @@ func (s *Session) writeLocked(final []byte) (int64, error) {
 		_ = s.conn.SetDeadline(time.Now().Add(s.cfg.CallTimeout))
 	}
 	n, err := s.conn.WriteFrames(net.Buffers(bufs))
-	for _, f := range s.pending {
-		PutFrame(f)
-	}
-	s.pending, s.pendBts = s.pending[:0], 0
+	s.recyclePendingLocked()
 	if err != nil {
 		s.broken.Store(true)
 	}
@@ -273,15 +275,24 @@ func (s *Session) Teardown() {
 	if s.closed.Swap(true) {
 		return
 	}
-	// Recycle queued frames when no call is in flight; when one is (a
-	// racing fabric Close), leave them to the GC rather than block the
-	// close on the call's deadline.
+	// Recycle queued frames and return the conn's pooled reader when no
+	// call is in flight (then no read is either, and closed means none
+	// follows); when one is (a racing fabric Close), leave them to the GC
+	// rather than block the close on the call's deadline.
 	if s.mu.TryLock() {
-		for _, f := range s.pending {
-			PutFrame(f)
-		}
-		s.pending, s.pendBts = nil, 0
+		s.recyclePendingLocked()
+		s.conn.ReleaseReader()
 		s.mu.Unlock()
 	}
 	_ = s.conn.Close()
+}
+
+// recyclePendingLocked drops the queued no-ack frames, returning their
+// buffers to the frame pool. Caller holds s.mu.
+func (s *Session) recyclePendingLocked() {
+	for i, b := range s.pendBufs {
+		PutFrame(b)
+		s.pendBufs[i], s.pending[i] = nil, nil
+	}
+	s.pending, s.pendBufs, s.pendBts = s.pending[:0], s.pendBufs[:0], 0
 }

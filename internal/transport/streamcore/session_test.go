@@ -128,6 +128,7 @@ func (c failConn) ReadFrame(int) (byte, []byte, error)    { return 0, nil, io.Er
 func (c failConn) WriteFrames(net.Buffers) (int64, error) { return c.accept, io.ErrClosedPipe }
 func (failConn) SetDeadline(time.Time) error              { return nil }
 func (failConn) Close() error                             { return nil }
+func (failConn) ReleaseReader()                           {}
 
 func newFailSession(accept int64, counters *Counters) *Session {
 	return NewSession(failConn{accept}, Config{Node: "node", Prefix: "test", MaxFrame: 1 << 20, Counters: counters})

@@ -18,6 +18,11 @@
 //     request/response framing never desynchronizes and errors are never
 //     dropped.
 //
+//   - Encoded responses: a handler answer that is already a frame
+//     (wire.EncodedResponse, a published model version) goes out behind a
+//     stream header in one writev; every other frame is encoded in place
+//     after a reserved header slot, never copied into a second buffer.
+//
 //   - Frame coalescing: queued no-ack frames and the next acknowledged
 //     frame flush as one net.Buffers write — a writev on TCP — instead of
 //     one syscall per frame.
@@ -40,6 +45,7 @@ package streamcore
 
 import (
 	"bufio"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -89,6 +95,10 @@ type Conn interface {
 	SetDeadline(t time.Time) error
 	// Close releases the conn; idempotent.
 	Close() error
+	// ReleaseReader returns the conn's pooled FrameReader; it is called
+	// once, when no ReadFrame is in flight or follows and no payload a
+	// ReadFrame returned is still in use.
+	ReleaseReader()
 }
 
 // Counters are a fabric's cumulative traffic counters, updated by the
@@ -115,25 +125,54 @@ func (c *Counters) Snapshot() transport.Stats {
 	}
 }
 
-// NetConn adapts a net.Conn to the Conn interface: buffered frame reads
-// with a reusable scratch, writev via net.Buffers, native deadlines. Both
-// halves of the TCP fabric use it (client sessions and accepted conns).
-type NetConn struct {
-	c       net.Conn
+// FrameReader is the read half of every Conn, which embeds it for
+// ReadFrame and ReleaseReader: a 32 KiB bufio.Reader over the connection
+// plus the scratch frames are read into. Every participation opens a fresh
+// session, so readers come from a pool when a conn opens and go back to it
+// when the conn is done, scratch included: a client's scratch grows to the
+// size of a model download once, not once per session.
+type FrameReader struct {
 	br      *bufio.Reader
 	scratch []byte
 }
 
-// NewNetConn wraps c with a 32 KiB read buffer.
-func NewNetConn(c net.Conn) *NetConn {
-	return &NetConn{c: c, br: bufio.NewReaderSize(c, 32<<10)}
+var frameReaders sync.Pool
+
+// NewFrameReader returns a pooled reader over r.
+func NewFrameReader(r io.Reader) *FrameReader {
+	fr, _ := frameReaders.Get().(*FrameReader)
+	if fr == nil {
+		return &FrameReader{br: bufio.NewReaderSize(r, 32<<10)}
+	}
+	fr.br.Reset(r)
+	return fr
 }
 
-// ReadFrame implements Conn.
-func (n *NetConn) ReadFrame(max int) (byte, []byte, error) {
-	flags, payload, scratch, err := wire.ReadStreamFrameFrom(n.br, n.scratch, max)
-	n.scratch = scratch
+// ReadFrame implements Conn.ReadFrame.
+func (fr *FrameReader) ReadFrame(max int) (byte, []byte, error) {
+	flags, payload, scratch, err := wire.ReadStreamFrameFrom(fr.br, fr.scratch, max)
+	fr.scratch = scratch
 	return flags, payload, err
+}
+
+// ReleaseReader implements Conn.ReleaseReader: the reader goes back to the
+// pool, so its conn calls it once and reads nothing after.
+func (fr *FrameReader) ReleaseReader() {
+	fr.br.Reset(nil)
+	frameReaders.Put(fr)
+}
+
+// NetConn adapts a net.Conn to the Conn interface: pooled frame reads,
+// writev via net.Buffers, native deadlines. Both halves of the TCP fabric
+// use it (client sessions and accepted conns).
+type NetConn struct {
+	*FrameReader
+	c net.Conn
+}
+
+// NewNetConn wraps c with a pooled FrameReader.
+func NewNetConn(c net.Conn) *NetConn {
+	return &NetConn{FrameReader: NewFrameReader(c), c: c}
 }
 
 // WriteFrames implements Conn; on a *net.TCPConn the whole batch goes out

@@ -206,6 +206,7 @@ func (discardConn) WriteFrames(bufs net.Buffers) (int64, error) {
 }
 func (discardConn) SetDeadline(time.Time) error { return nil }
 func (discardConn) Close() error                { return nil }
+func (discardConn) ReleaseReader()              {}
 
 // TestPipelinedChunkSendAllocs is the alloc gate on the streaming hot
 // path: sending one pipelined no-ack upload chunk

@@ -239,23 +239,22 @@ func (n *Network) Call(from, to, method string, payload any) (any, error) {
 	if fwd, ok := out.(Forward); ok && err == nil {
 		return n.forward(to, fwd)
 	}
-	// Mirror the networked fabrics' response-lease lifecycle: they release
-	// pooled response vectors once the frame is encoded and the caller
-	// decodes an independent copy. In-process there is no encode, so
-	// responses that serve pooled buffers (wire.ResponseSnapshot) are
-	// snapshotted into caller-owned memory and the handler's lease released
-	// here — otherwise every in-memory download would strand a pooled
-	// vector and skew the outstanding-lease counters.
-	if snap, ok := out.(wire.ResponseSnapshot); ok {
-		out = snap.SnapshotResponseBuffers()
-		snap.ReleaseResponseBuffers()
+	// A pre-encoded response (a published model version) reaches the
+	// caller as the decode of its frame, exactly what a networked caller
+	// gets: caller-owned memory, never the frame every caller shares.
+	if enc, ok := out.(wire.EncodedResponse); ok && err == nil {
+		resp, derr := wire.Binary{}.DecodeResponse(enc.ResponseFrame())
+		if derr != nil {
+			return nil, fmt.Errorf("transport: decoding %s's encoded %s response: %w", to, method, derr)
+		}
+		out = resp.Payload
 	}
 	return out, err
 }
 
 // forward executes a handler's Forward as one plain Call from the relaying
 // node, retried once at the re-resolved target when it fails. The answer is
-// the target's own, already snapshotted by that Call.
+// the target's own, already decoded by that Call if it came pre-encoded.
 func (n *Network) forward(from string, fwd Forward) (any, error) {
 	out, err := n.Call(from, fwd.To, fwd.Method, fwd.Payload)
 	if err != nil && fwd.Reresolve != nil {

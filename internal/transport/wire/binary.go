@@ -10,7 +10,9 @@
 // too — see internal/server/binwire.go). The same walk appends the message,
 // decodes it, and validates-and-skips it for a relay. Only a decoder given
 // a lease allocator leases vectors from internal/vecpool; the transport
-// returns them once the handler is done (see BufferLease).
+// returns them once the handler is done (see BufferLease). Responses lease
+// nothing: the one model-sized answer, a download, arrives already encoded
+// (see EncodedResponse).
 
 package wire
 
@@ -43,33 +45,16 @@ type BufferLease interface {
 	ReleaseBinaryBuffers()
 }
 
-// ResponseBufferLease is the response-side counterpart of BufferLease:
-// implemented by response messages whose vectors the handler leased from a
-// pool (a download's model snapshot). The transport releases them once
-// the response frame is encoded. It is a distinct interface from
-// BufferLease so a handler echoing its request payload back cannot cause a
-// double release.
-type ResponseBufferLease interface {
-	// ReleaseResponseBuffers returns leased vectors to their pools.
-	ReleaseResponseBuffers()
-}
-
-// ResponseSnapshot is the in-process counterpart of ResponseBufferLease.
-// Networked fabrics release a response's pooled buffers after encoding its
-// frame — the remote caller decodes an independent copy, so the lease and
-// the caller's lifetime never overlap. The in-memory fabric has no encode
-// step: without intervention the caller would keep the handler's pooled
-// vectors forever, draining the pool and skewing the outstanding-lease
-// counters. A response implementing this interface lets the in-memory
-// fabric reproduce the networked lifecycle: it hands the caller
-// SnapshotResponseBuffers' plain copy (the moral equivalent of the remote
-// decode) and releases the original via ReleaseResponseBuffers.
-type ResponseSnapshot interface {
-	ResponseBufferLease
-	// SnapshotResponseBuffers returns a copy of the response whose pooled
-	// vectors are replaced by plain caller-owned allocations. The copy must
-	// not alias any buffer ReleaseResponseBuffers returns to a pool.
-	SnapshotResponseBuffers() any
+// EncodedResponse is implemented by a response payload that arrives
+// already encoded: a model version's download, encoded once when the
+// version is published and shared by every caller it answers. A serving
+// loop writes ResponseFrame as the response's frame, behind a stream
+// header, without encoding anything; the in-memory fabric hands the caller
+// the frame's decode, which is what a networked caller gets.
+type EncodedResponse interface {
+	// ResponseFrame returns a complete Binary response frame reporting
+	// success (AppendResponse's output). It is shared: nobody may modify it.
+	ResponseFrame() []byte
 }
 
 // BinaryIDMin is the first message ID available to Register; smaller

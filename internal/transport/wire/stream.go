@@ -43,9 +43,38 @@ const streamKnownFlags = StreamFlagDeflate | StreamFlagNoAck
 // payload with the given flags. The payload is copied; callers reuse their
 // encode scratch across frames.
 func AppendStreamFrame(dst []byte, flags byte, payload []byte) []byte {
-	dst = AppendUvarint(dst, uint64(1+len(payload)))
-	dst = append(dst, flags)
-	return append(dst, payload...)
+	return append(AppendStreamHeader(dst, flags, len(payload)), payload...)
+}
+
+// AppendStreamHeader appends the header of a stream frame whose payload is
+// n bytes long — for writers that send the payload from its own buffer in
+// the same writev.
+func AppendStreamHeader(dst []byte, flags byte, n int) []byte {
+	return append(AppendUvarint(dst, uint64(1+n)), flags)
+}
+
+// StreamHeaderMax is the longest stream frame header: a ten-byte uvarint
+// length and the flags byte.
+const StreamHeaderMax = binary.MaxVarintLen64 + 1
+
+// BeginStreamFrame starts a stream frame at the end of dst by reserving
+// StreamHeaderMax bytes for its header. The caller appends the payload
+// straight after the reservation and hands the result to EndStreamFrame, so
+// the payload is never copied into place.
+func BeginStreamFrame(dst []byte) []byte {
+	return append(dst, make([]byte, StreamHeaderMax)...)
+}
+
+// EndStreamFrame finishes the frame begun at buf[start:] (start is the
+// length of BeginStreamFrame's dst): it writes the header right-aligned
+// against the payload and returns the frame, which aliases buf and is
+// byte-identical to AppendStreamFrame(nil, flags, payload).
+func EndStreamFrame(buf []byte, start int, flags byte) []byte {
+	var hdr [StreamHeaderMax]byte
+	h := AppendStreamHeader(hdr[:0], flags, len(buf)-start-StreamHeaderMax)
+	at := start + StreamHeaderMax - len(h)
+	copy(buf[at:], h)
+	return buf[at:]
 }
 
 // ReadStreamFrame parses one stream frame from the front of b, returning

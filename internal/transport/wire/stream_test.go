@@ -140,3 +140,31 @@ func TestStreamReaderSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state stream read costs %.1f allocs per 64 frames, want 0", allocs)
 	}
 }
+
+// TestInPlaceStreamFrameMatchesAppend pins that a frame encoded in place —
+// payload appended after BeginStreamFrame's reservation, header back-filled
+// by EndStreamFrame — is byte-identical to AppendStreamFrame's, at both
+// edges of every length-varint width a payload here can reach, behind an
+// existing prefix in the buffer or none.
+func TestInPlaceStreamFrameMatchesAppend(t *testing.T) {
+	for _, n := range []int{0, 126, 127, 16383, 16384, 2 << 20} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*7 + 3)
+		}
+		for _, prefix := range [][]byte{nil, []byte("earlier frame bytes")} {
+			for _, flags := range []byte{0, wire.StreamFlagNoAck} {
+				want := wire.AppendStreamFrame(nil, flags, payload)
+				dst := append([]byte(nil), prefix...)
+				buf := append(wire.BeginStreamFrame(dst), payload...)
+				got := wire.EndStreamFrame(buf, len(prefix), flags)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("payload %d, prefix %d, flags %d: in-place frame differs from AppendStreamFrame", n, len(prefix), flags)
+				}
+				if !bytes.Equal(buf[:len(prefix)], prefix) {
+					t.Fatalf("payload %d: EndStreamFrame overwrote the buffer's prefix", n)
+				}
+			}
+		}
+	}
+}

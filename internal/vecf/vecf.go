@@ -4,7 +4,11 @@
 // one place lets the aggregator, optimizers, and networks share it.
 package vecf
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+	"unsafe"
+)
 
 // Zero sets every element of x to 0.
 func Zero(x []float32) {
@@ -250,15 +254,32 @@ func Sigmoid(x []float32) {
 	}
 }
 
-// AllFinite reports whether every element is a finite number.
+// AllFinite reports whether every element is a finite number. A float32 is
+// NaN or ±Inf exactly when its exponent field is all ones, which is exactly
+// when (bits & 0x7f800000) + 0x00800000 carries into bit 31. The loop runs
+// that test on two elements per 64-bit word (neither lane's sum can carry
+// into the other) and ORs the sums together, so it never branches on the
+// data: this check runs over every plaintext upload the aggregator accepts.
 func AllFinite(x []float32) bool {
-	for _, v := range x {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return false
+	const (
+		exp   = 0x7f800000_7f800000 // the exponent field of both lanes
+		one   = 0x00800000_00800000 // the exponent's lowest bit, both lanes
+		carry = 0x80000000_80000000 // where an all-ones exponent carries to
+	)
+	var acc uint64
+	if len(x) > 0 {
+		// The byte view keeps each element's bits intact in its lane on
+		// either byte order, and has no alignment requirement.
+		b := unsafe.Slice((*byte)(unsafe.Pointer(&x[0])), 4*len(x))
+		ne := binary.NativeEndian
+		for ; len(b) >= 8; b = b[8:] {
+			acc |= ne.Uint64(b)&exp + one
+		}
+		if len(b) == 4 {
+			acc |= uint64(ne.Uint32(b))&exp + one
 		}
 	}
-	return true
+	return acc&carry == 0
 }
 
 func checkLen(a, b int) {

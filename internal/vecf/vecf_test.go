@@ -254,6 +254,65 @@ func TestAllFinite(t *testing.T) {
 	}
 }
 
+// TestAllFiniteMatchesReference checks the two-lanes-per-word test against
+// math.IsNaN/IsInf for every edge of the float32 encoding, at every
+// position of every length up to 19 (both tails the word loop leaves), on
+// both an aligned and a 4-byte-offset slice.
+func TestAllFiniteMatchesReference(t *testing.T) {
+	specials := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x807fffff, // subnormals
+		0x00800000, 0x80800000, // ±smallest normal
+		0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0xffc00001, 0x7fffffff, // quiet NaNs, with payloads
+		0x7f800001, 0xffbfffff, 0x7fa00000, // signalling NaNs
+	}
+	ref := func(x []float32) bool {
+		for _, v := range x {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				return false
+			}
+		}
+		return true
+	}
+	backing := make([]float32, 21)
+	for off := 0; off <= 1; off++ {
+		for n := 0; n <= 19; n++ {
+			x := backing[off : off+n]
+			for i := range x {
+				x[i] = float32(i) - 7.5
+			}
+			if got := AllFinite(x); !got {
+				t.Fatalf("offset %d, len %d: finite vector flagged", off, n)
+			}
+			for pos := 0; pos < n; pos++ {
+				for _, bits := range specials {
+					saved := x[pos]
+					x[pos] = math.Float32frombits(bits)
+					if got, want := AllFinite(x), ref(x); got != want {
+						t.Fatalf("offset %d, len %d, %#08x at %d: AllFinite = %v, want %v", off, n, bits, pos, got, want)
+					}
+					x[pos] = saved
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkAllFinite(b *testing.B) {
+	x := make([]float32, 1<<18) // a 1 MiB model update
+	for i := range x {
+		x[i] = float32(i%97) * 0.01
+	}
+	b.SetBytes(int64(4 * len(x)))
+	for i := 0; i < b.N; i++ {
+		if !AllFinite(x) {
+			b.Fatal("finite vector flagged")
+		}
+	}
+}
+
 // Property: Add then Sub with the same operand restores the input (within
 // float32 rounding).
 func TestQuickAddSubRoundTrip(t *testing.T) {
