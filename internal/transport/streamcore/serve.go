@@ -124,7 +124,6 @@ func Serve(conn Conn, cfg ServeConfig) {
 		// vectors go back to their pools.
 		releaseRequest(req)
 		if noAck {
-			held = nil
 			for _, b := range wv {
 				held = append(held, b...)
 			}

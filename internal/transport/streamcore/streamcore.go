@@ -187,9 +187,9 @@ func (n *NetConn) SetDeadline(t time.Time) error { return n.c.SetDeadline(t) }
 // Close implements Conn.
 func (n *NetConn) Close() error { return n.c.Close() }
 
-// framePool recycles encode buffers for response frames and queued no-ack
-// request frames (wrap headers recycled so a release doesn't heap-allocate
-// a slice header).
+// framePool recycles the buffers queued no-ack request frames are encoded
+// into (wrap headers recycled so a release doesn't heap-allocate a slice
+// header).
 type frameWrap struct{ b []byte }
 
 var (
