@@ -1,16 +1,13 @@
 package main
 
 import (
-	"crypto/rand"
 	"flag"
 	"fmt"
-	mrand "math/rand"
 	"os"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -364,18 +361,14 @@ func runFleet(args []string) {
 
 // drivePhase runs n clients through the selector tier until target
 // uploads complete (or the deadline passes). When fault is non-nil it is
-// invoked once the phase is warm (first upload done); the callback gets
-// completedAt (current upload count) and waitUploadAfter (block until a
-// session that STARTED after t completes — optionally restricted to a
-// task set — returning elapsed-since-t, uploads-since-t, and ok=false on
-// deadline).
+// invoked once the phase is warm (first upload done), and the clients keep
+// running through it whatever the count; the callback gets completedAt
+// (current upload count) and waitUploadAfter (block until a session that
+// STARTED after t completes — optionally restricted to a task set —
+// returning elapsed-since-t, uploads-since-t, and ok=false on deadline).
 func drivePhase(fab fabricConn, selectors []string, n int, target int64,
 	stopAt time.Time, fault func(func() int64, func(time.Time, map[string]bool) (time.Duration, int64, bool))) fleet.Phase {
 
-	var completed, rejected, terrors atomic.Int64
-	var stop atomic.Bool
-	var latMu sync.Mutex
-	var latencies []time.Duration
 	// Each completion carries its session's start time and task: recovery
 	// after an induced kill counts only sessions that began after the kill
 	// (in-flight responses drained from socket buffers would fake a 0s
@@ -386,110 +379,72 @@ func drivePhase(fab fabricConn, selectors []string, n int, target int64,
 		task    string
 	}
 	completions := make(chan completion, 4096)
+	devices := make([]*client.Runtime, n)
+	for c := range devices {
+		devices[c] = loadDevice(int64(1000+c), fab, selectors)
+	}
+	d := &client.Driver{
+		Devices:  devices,
+		Deadline: stopAt,
+		Observe: func(a client.Attempt) {
+			if a.Outcome() == string(client.Completed) {
+				select {
+				case completions <- completion{started: a.Start, task: a.Result.TaskID}:
+				default:
+				}
+			}
+		},
+	}
+	if fault == nil {
+		d.Target = target
+	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < n; c++ {
-		wg.Add(1)
-		go func(id int64) {
-			defer wg.Done()
-			rnd := mrand.New(mrand.NewSource(id))
-			store := client.NewExampleStore(0, 0)
-			store.Add([]int{1, 2, 3}, time.Now())
-			sels := append([]string(nil), selectors[id%int64(len(selectors)):]...)
-			sels = append(sels, selectors[:id%int64(len(selectors))]...)
-			dev := &client.Runtime{
-				ClientID:  id,
-				Store:     store,
-				Exec:      fleetExecutor{},
-				Net:       fab,
-				Selectors: sels,
-				State:     client.DeviceState{Idle: true, Charging: true, Unmetered: true},
-				Random:    rand.Reader,
-			}
-			for !stop.Load() && time.Now().Before(stopAt) {
-				sessStart := time.Now()
-				res, err := dev.RunOnce(sessStart)
-				if err != nil {
-					terrors.Add(1)
-					time.Sleep(time.Duration(rnd.Int63n(int64(50 * time.Millisecond))))
-					continue
-				}
-				switch res.Outcome {
-				case client.Completed:
-					completed.Add(1)
-					select {
-					case completions <- completion{started: sessStart, task: res.TaskID}:
-					default:
+	d.Start()
+	if fault != nil {
+		waitUploadAfter := func(t time.Time, tasks map[string]bool) (time.Duration, int64, bool) {
+			before := d.Completed()
+			for {
+				select {
+				case c := <-completions:
+					if c.started.After(t) && (tasks == nil || tasks[c.task]) {
+						return time.Since(t), d.Completed() - before, true
 					}
-					latMu.Lock()
-					latencies = append(latencies, time.Since(sessStart))
-					latMu.Unlock()
-				case client.Rejected:
-					rejected.Add(1)
-					time.Sleep(time.Duration(rnd.Int63n(int64(50 * time.Millisecond))))
-				case client.Aborted:
+				case <-time.After(time.Until(stopAt)):
+					return 0, d.Completed() - before, false
 				}
-			}
-		}(int64(1000 + c))
-	}
-
-	waitUploadAfter := func(t time.Time, tasks map[string]bool) (time.Duration, int64, bool) {
-		before := completed.Load()
-		for {
-			select {
-			case c := <-completions:
-				if c.started.After(t) && (tasks == nil || tasks[c.task]) {
-					return time.Since(t), completed.Load() - before, true
+				if time.Now().After(stopAt) {
+					return 0, d.Completed() - before, false
 				}
-			case <-time.After(time.Until(stopAt)):
-				return 0, completed.Load() - before, false
-			}
-			if time.Now().After(stopAt) {
-				return 0, completed.Load() - before, false
 			}
 		}
-	}
-
-	if fault != nil {
 		// Warm up first so "recovery" measures re-routing, not startup.
 		if _, _, ok := waitUploadAfter(start, nil); !ok {
 			fmt.Fprintln(os.Stderr, "papaya fleet: no upload completed before fault injection")
 		}
-		fault(completed.Load, waitUploadAfter)
+		fault(d.Completed, waitUploadAfter)
+		for d.Completed() < target && time.Now().Before(stopAt) {
+			time.Sleep(20 * time.Millisecond)
+		}
+		d.Stop()
 	}
-
-	for completed.Load() < target && time.Now().Before(stopAt) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	stop.Store(true)
-	wg.Wait()
+	tallies := d.Wait()
 	wall := time.Since(start)
 
+	var total client.Tally
+	for i := range tallies {
+		total.Add(&tallies[i])
+	}
 	return fleet.Phase{
 		Clients:          n,
-		Uploads:          completed.Load(),
-		Rejected:         rejected.Load(),
-		Errors:           terrors.Load(),
+		Uploads:          total.Completed,
+		Rejected:         total.Rejected,
+		Errors:           total.Errors,
 		WallSeconds:      wall.Seconds(),
-		UploadsPerSecond: float64(completed.Load()) / wall.Seconds(),
-		P50Millis:        percentileMillis(latencies, 0.50),
-		P99Millis:        percentileMillis(latencies, 0.99),
+		UploadsPerSecond: float64(total.Completed) / wall.Seconds(),
+		P50Millis:        total.PercentileMillis(0.50),
+		P99Millis:        total.PercentileMillis(0.99),
 	}
-}
-
-// fleetExecutor skips real SGD like the loadtest's fixed-delta executor,
-// but sizes the delta from the downloaded params so one executor serves
-// any task shape.
-type fleetExecutor struct{}
-
-// Train returns a constant small delta of the model's dimensionality.
-func (fleetExecutor) Train(params []float32, examples [][]int) ([]float32, float64) {
-	out := make([]float32, len(params))
-	for i := range out {
-		out[i] = 0.001
-	}
-	return out, 1.0
 }
 
 // placementCounts reads the coordinator's assignment map and counts

@@ -5,19 +5,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	mrand "math/rand"
 	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/compress"
-	"repro/internal/fedopt"
 	"repro/internal/lmdata"
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -101,35 +96,8 @@ type loadRun struct {
 	// profile name and per-tier outcome counts with latency percentiles,
 	// so a tiered run's tail behaviour is visible per device class rather
 	// than smeared into the fleet-wide p99.
-	Scenario string    `json:"scenario,omitempty"`
-	Tiers    []tierCol `json:"tiers,omitempty"`
-}
-
-// tierCol is one device tier's column set in a scenario-shaped loadtest.
-type tierCol struct {
-	Tier        string  `json:"tier"`
-	Clients     int     `json:"clients"`
-	Completed   int64   `json:"completed"`
-	Dropped     int64   `json:"dropped"`
-	Rejected    int64   `json:"rejected"`
-	Unavailable int64   `json:"unavailable"`
-	P50Millis   float64 `json:"p50_ms"`
-	P99Millis   float64 `json:"p99_ms"`
-}
-
-// pacedExec injects a scenario tier's simulated device compute between
-// download and training, mirroring internal/scenario's pacing so slow
-// tiers hold live sessions longer (and accumulate real staleness).
-type pacedExec struct {
-	inner client.Executor
-	delay time.Duration
-}
-
-func (p *pacedExec) Train(params []float32, examples [][]int) ([]float32, float64) {
-	if p.delay > 0 {
-		time.Sleep(p.delay)
-	}
-	return p.inner.Train(params, examples)
+	Scenario string               `json:"scenario,omitempty"`
+	Tiers    []scenario.TierStats `json:"tiers,omitempty"`
 }
 
 // gitCommit best-efforts the build's VCS revision from the binary's build
@@ -149,15 +117,36 @@ func gitCommit() string {
 	return "unknown"
 }
 
-// fixedDeltaExecutor skips real SGD: the loadtest measures the control
-// plane and wire path, not local training, so every session "trains" a
-// constant update of the right dimensionality.
-type fixedDeltaExecutor struct{ delta []float32 }
+// constantDelta skips real SGD: the loadtest and the fleet harness
+// measure the control plane and wire path, not local training, so every
+// session "trains" a constant small update sized from the downloaded
+// model, which lets one executor serve any task shape.
+type constantDelta struct{}
 
-func (f fixedDeltaExecutor) Train(params []float32, examples [][]int) ([]float32, float64) {
-	out := make([]float32, len(f.delta))
-	copy(out, f.delta)
+func (constantDelta) Train(params []float32, examples [][]int) ([]float32, float64) {
+	out := make([]float32, len(params))
+	for i := range out {
+		out[i] = 0.001
+	}
 	return out, 1.0
+}
+
+// loadDevice builds one load-generator client: always eligible, holding
+// one example, training a constant delta, with the selector list rotated
+// by its ID so the fleet's first choices spread across the selector tier.
+func loadDevice(id int64, fab fabricConn, selectors []string) *client.Runtime {
+	store := client.NewExampleStore(0, 0)
+	store.Add([]int{1, 2, 3}, time.Now())
+	k := int(id % int64(len(selectors)))
+	return &client.Runtime{
+		ClientID:  id,
+		Store:     store,
+		Exec:      constantDelta{},
+		Net:       fab,
+		Selectors: append(append([]string(nil), selectors[k:]...), selectors[:k]...),
+		State:     client.DeviceState{Idle: true, Charging: true, Unmetered: true},
+		Random:    rand.Reader,
+	}
 }
 
 // runLoadtest drives K concurrent simulated clients through full
@@ -266,8 +255,13 @@ func runLoadtest(args []string) {
 	fmt.Fprintf(os.Stderr, "papaya loadtest: task %q mode=%s params=%d, %d clients, target %d uploads\n",
 		*task, info.Mode, numParams, *clients, *uploads)
 
+	// With -train, clients run real local SGD on their own shard of a
+	// synthetic corpus, so deltas — and compression ratios — are measured
+	// on non-constant updates. A scenario profile supplies its own corpus,
+	// non-IID partition and training config (FedProx's client half).
 	var model *nn.Bilinear
-	var corpus *lmdata.Corpus
+	var examples func(id int64) [][]int
+	sgd := nn.DefaultSGDConfig()
 	if *train {
 		model = nn.NewBilinear(*vocab, *dim)
 		if model.NumParams() != numParams {
@@ -276,251 +270,78 @@ func runLoadtest(args []string) {
 				*vocab, *dim, model.NumParams(), *task, numParams, model.NumParams())
 			os.Exit(2)
 		}
-		corpus = lmdata.NewCorpus(lmdata.Config{
-			VocabSize: *vocab, NumDialects: 4, Seed: 11,
-			SeqLenMin: 5, SeqLenMax: 9, BranchFactor: 3, ZipfS: 1.3, SmoothMass: 0.05,
-		})
-	}
-
-	delta := make([]float32, numParams)
-	for i := range delta {
-		delta[i] = 0.001
-	}
-
-	var (
-		completed, rejected, aborted, terrors atomic.Int64
-		rejectedSel, rejectedAgg              atomic.Int64
-		bytesRaw, bytesWire                   atomic.Int64
-		latMu                                 sync.Mutex
-		latencies                             []time.Duration
-		negotiatedMu                          sync.Mutex
-		negotiated                            string
-		// budgetStop flips when any client sees "budget_exhausted": the
-		// task is complete by definition, so the fleet stops instead of
-		// hammering a capped task until the timeout.
-		budgetStop atomic.Bool
-	)
-	// classifyRejection splits a rejected check-in by the control-plane
-	// tier that issued it: aggregators reject at their concurrency ceiling,
-	// selectors when no task has demand (or no live aggregator owns one).
-	classifyRejection := func(reason string) {
-		if strings.Contains(reason, "concurrency") {
-			rejectedAgg.Add(1)
+		if spec != nil {
+			corpus := spec.Corpus()
+			examples = func(id int64) [][]int { return spec.Examples(corpus, id) }
+			sgd = spec.SGDConfig()
 		} else {
-			rejectedSel.Add(1)
+			corpus := lmdata.NewCorpus(lmdata.Config{
+				VocabSize: *vocab, NumDialects: 4, Seed: 11,
+				SeqLenMin: 5, SeqLenMax: 9, BranchFactor: 3, ZipfS: 1.3, SmoothMass: 0.05,
+			})
+			examples = func(id int64) [][]int { return corpus.ClientExamples(id, int(id)%4, 0.5, 8) }
 		}
 	}
-	// Per-tier accounting for -scenario runs.
-	var tierMu sync.Mutex
-	var tierStats []tierCol
-	var tierLats [][]time.Duration
-	var proxMu float64
-	if spec != nil {
-		for _, tr := range spec.Tiers {
-			tierStats = append(tierStats, tierCol{Tier: tr.Name, Clients: tr.Clients})
+	devices := make([]*client.Runtime, *clients)
+	for c := range devices {
+		// Scenario clients are 1-based so the profile's tier and dialect
+		// mapping applies; the classic loadtest keeps its 1000+ IDs.
+		id := int64(1000 + c)
+		if spec != nil {
+			id = int64(c + 1)
 		}
-		tierLats = make([][]time.Duration, len(spec.Tiers))
-		// FedProx is two-sided: when the profile selects it, clients train
-		// with the proximal pull matching the server-side damping.
-		if rule, err := fedopt.AggregationByName(spec.Aggregation, spec.AggParam); err == nil {
-			if prox, ok := rule.(fedopt.FedProx); ok {
-				proxMu = prox.Mu
+		dev := loadDevice(id, fabric, selectors)
+		dev.Compress = offered
+		if *train {
+			dev.Store = client.NewExampleStore(0, 0)
+			for _, seq := range examples(id) {
+				dev.Store.Add(seq, time.Now())
 			}
+			dev.Exec = &client.SGDExecutor{Model: model, Config: sgd, Rng: rng.New(uint64(id))}
 		}
+		devices[c] = dev
+	}
+
+	// A classic run drives the fleet to the upload target; a scenario run
+	// gives each client the profile's attempt budget and pre-drawn
+	// per-attempt plans (availability window, dropout stage, simulated
+	// compute). Either stops at the timeout, and as soon as any client sees
+	// "budget_exhausted": a DP task that spent its budget is complete by
+	// definition, so the fleet stops instead of hammering it.
+	driver := &client.Driver{Devices: devices, Deadline: time.Now().Add(*timeout)}
+	driver.Observe = func(a client.Attempt) {
+		if a.Result != nil && a.Result.Reason == "budget_exhausted" {
+			driver.Stop()
+		}
+	}
+	if spec != nil {
+		driver.Attempts, driver.Plan = spec.Attempts, spec.PlanFor
+	} else {
+		driver.Target = int64(*uploads)
 	}
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
-	stopAt := time.Now().Add(*timeout)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < *clients; c++ {
-		wg.Add(1)
-		// Scenario clients are 1-based so the profile's tier and dialect
-		// mapping applies; the classic loadtest keeps its 1000+ IDs.
-		cid := int64(1000 + c)
-		if spec != nil {
-			cid = int64(c + 1)
-		}
-		go func(id int64) {
-			defer wg.Done()
-			// Per-client jittered exponential backoff for rejected
-			// check-ins: without it a sync-mode fleet re-checks in within
-			// the same round and is rejected in lockstep (the committed
-			// sync run saw 1131 rejections for 208 uploads). Jitter
-			// de-synchronizes the retries; backoff caps the storm.
-			rnd := mrand.New(mrand.NewSource(id))
-			const minBackoff, maxBackoff = 5 * time.Millisecond, 200 * time.Millisecond
-			backoff := minBackoff
-			// hint is the server's Retry-After-style back-off from a
-			// rejected check-in (the aggregator's session-close cadence);
-			// the client never sleeps less than the server asked, while
-			// its own jittered exponential schedule still de-synchronizes
-			// the fleet and caps the storm.
-			sleepJittered := func(hint time.Duration) {
-				d := backoff/2 + time.Duration(rnd.Int63n(int64(backoff)))
-				if hint > d {
-					d = hint
-				}
-				if until := time.Until(stopAt); d > until {
-					d = until
-				}
-				if d > 0 {
-					time.Sleep(d)
-				}
-				if backoff < maxBackoff {
-					backoff *= 2
-				}
-			}
-			store := client.NewExampleStore(0, 0)
-			var exec client.Executor = fixedDeltaExecutor{delta: delta}
-			if *train {
-				// Realistic deltas: a per-client dialect shard of the
-				// synthetic corpus and real local SGD, so the compression
-				// ratio is measured on non-constant updates. A scenario
-				// profile supplies its own non-IID partition.
-				dialect, weight, n := int(id)%corpus.Config().NumDialects, 0.5, 8
-				if spec != nil {
-					dialect, weight, n = spec.DialectOf(id), spec.Data.DialectWeight, spec.Data.ExamplesPerClient
-				}
-				cfg := nn.DefaultSGDConfig()
-				cfg.ProxMu = proxMu
-				for _, seq := range corpus.ClientExamples(id, dialect, weight, n) {
-					store.Add(seq, time.Now())
-				}
-				exec = &client.SGDExecutor{Model: model, Config: cfg, Rng: rng.New(uint64(id))}
-			} else {
-				store.Add([]int{1, 2, 3}, time.Now())
-			}
-			var paced *pacedExec
-			if spec != nil {
-				paced = &pacedExec{inner: exec}
-				exec = paced
-			}
-			// Spread initial selector choice across the fleet.
-			sels := append([]string(nil), selectors[id%int64(len(selectors)):]...)
-			sels = append(sels, selectors[:id%int64(len(selectors))]...)
-			dev := &client.Runtime{
-				ClientID:  id,
-				Store:     store,
-				Exec:      exec,
-				Net:       fabric,
-				Selectors: sels,
-				State:     client.DeviceState{Idle: true, Charging: true, Unmetered: true},
-				Random:    rand.Reader,
-				Compress:  offered,
-			}
-			if spec != nil {
-				// Scenario-shaped fleet: each client runs its attempt
-				// budget with the profile's pre-drawn per-attempt plan —
-				// availability window, dropout stage, simulated compute.
-				tier := spec.TierOf(id)
-				for attempt := 0; attempt < spec.Attempts && time.Now().Before(stopAt); attempt++ {
-					plan := spec.PlanFor(id, attempt)
-					if !plan.Available {
-						tierMu.Lock()
-						tierStats[tier].Unavailable++
-						tierMu.Unlock()
-						continue
-					}
-					paced.delay = plan.Delay
-					dev.Dropout = func() (client.DropStage, bool) { return plan.Drop, plan.Vanish }
-					sessStart := time.Now()
-					res, err := dev.RunOnce(sessStart)
-					if err != nil {
-						terrors.Add(1)
-						sleepJittered(0)
-						continue
-					}
-					switch res.Outcome {
-					case client.Completed:
-						backoff = minBackoff
-						completed.Add(1)
-						bytesRaw.Add(res.UploadRawBytes)
-						bytesWire.Add(res.UploadWireBytes)
-						if res.Compress != "" {
-							negotiatedMu.Lock()
-							negotiated = res.Compress
-							negotiatedMu.Unlock()
-						}
-						lat := time.Since(sessStart)
-						latMu.Lock()
-						latencies = append(latencies, lat)
-						latMu.Unlock()
-						tierMu.Lock()
-						tierStats[tier].Completed++
-						tierLats[tier] = append(tierLats[tier], lat)
-						tierMu.Unlock()
-					case client.Dropped:
-						tierMu.Lock()
-						tierStats[tier].Dropped++
-						tierMu.Unlock()
-					case client.Rejected:
-						rejected.Add(1)
-						classifyRejection(res.Reason)
-						tierMu.Lock()
-						tierStats[tier].Rejected++
-						tierMu.Unlock()
-						sleepJittered(res.RetryAfter)
-					case client.Aborted:
-						backoff = minBackoff
-						aborted.Add(1)
-					}
-				}
-				return
-			}
-			for completed.Load() < int64(*uploads) && time.Now().Before(stopAt) && !budgetStop.Load() {
-				sessStart := time.Now()
-				res, err := dev.RunOnce(sessStart)
-				if err != nil {
-					terrors.Add(1)
-					sleepJittered(0)
-					continue
-				}
-				if res.Reason == "budget_exhausted" {
-					budgetStop.Store(true)
-				}
-				switch res.Outcome {
-				case client.Completed:
-					backoff = minBackoff
-					completed.Add(1)
-					bytesRaw.Add(res.UploadRawBytes)
-					bytesWire.Add(res.UploadWireBytes)
-					if res.Compress != "" {
-						negotiatedMu.Lock()
-						negotiated = res.Compress
-						negotiatedMu.Unlock()
-					}
-					latMu.Lock()
-					latencies = append(latencies, time.Since(sessStart))
-					latMu.Unlock()
-				case client.Rejected:
-					rejected.Add(1)
-					classifyRejection(res.Reason)
-					sleepJittered(res.RetryAfter)
-				case client.Aborted:
-					backoff = minBackoff
-					aborted.Add(1)
-				}
-			}
-		}(cid)
-	}
-	wg.Wait()
+	tallies := driver.Run()
 	wall := time.Since(start)
 	var msAfter runtime.MemStats
 	runtime.ReadMemStats(&msAfter)
-
+	var total client.Tally
+	for i := range tallies {
+		total.Add(&tallies[i])
+	}
 	final, err := taskInfo(fabric, selectors[0], *task)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "papaya loadtest: final task query: %v\n", err)
 	}
 	stats := fabric.Stats()
 	ratio := 0.0
-	if bytesWire.Load() > 0 {
-		ratio = float64(bytesRaw.Load()) / float64(bytesWire.Load())
+	if total.UploadWireBytes > 0 {
+		ratio = float64(total.UploadRawBytes) / float64(total.UploadWireBytes)
 	}
 	allocsPerUpload := 0.0
-	if n := completed.Load(); n > 0 {
-		allocsPerUpload = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(n)
+	if total.Completed > 0 {
+		allocsPerUpload = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(total.Completed)
 	}
 	run := loadRun{
 		Label:                *label,
@@ -528,30 +349,30 @@ func runLoadtest(args []string) {
 		GOMAXPROCS:           runtime.GOMAXPROCS(0),
 		Server:               *serverURL,
 		Fabric:               fabricKindForURL(*serverURL),
-		Compress:             negotiated,
+		Compress:             total.Compress,
 		Train:                *train,
 		Task:                 *task,
 		Mode:                 string(info.Mode),
 		NumParams:            numParams,
 		Clients:              *clients,
 		TargetUploads:        *uploads,
-		CompletedUploads:     completed.Load(),
-		RejectedCheckins:     rejected.Load(),
-		RejectedBySelector:   rejectedSel.Load(),
-		RejectedByAggregator: rejectedAgg.Load(),
-		AbortedSessions:      aborted.Load(),
-		TransportErrors:      terrors.Load(),
+		CompletedUploads:     total.Completed,
+		RejectedCheckins:     total.Rejected,
+		RejectedBySelector:   total.Rejected - total.RejectedAtCapacity,
+		RejectedByAggregator: total.RejectedAtCapacity,
+		AbortedSessions:      total.Aborted,
+		TransportErrors:      total.Errors,
 		WallSeconds:          wall.Seconds(),
-		UploadsPerSecond:     float64(completed.Load()) / wall.Seconds(),
-		P50Millis:            percentileMillis(latencies, 0.50),
-		P99Millis:            percentileMillis(latencies, 0.99),
+		UploadsPerSecond:     float64(total.Completed) / wall.Seconds(),
+		P50Millis:            total.PercentileMillis(0.50),
+		P99Millis:            total.PercentileMillis(0.99),
 		Calls:                stats.Calls,
 		BytesSent:            stats.BytesSent,
 		BytesReceived:        stats.BytesReceived,
 		AcksElided:           stats.AcksElided,
 		FramesCoalesced:      stats.FramesCoalesced,
-		BytesRaw:             bytesRaw.Load(),
-		BytesWire:            bytesWire.Load(),
+		BytesRaw:             total.UploadRawBytes,
+		BytesWire:            total.UploadWireBytes,
 		CompressionRatio:     ratio,
 		AllocsPerUpload:      allocsPerUpload,
 		GCPauseMillis:        float64(msAfter.PauseTotalNs-msBefore.PauseTotalNs) / 1e6,
@@ -567,12 +388,8 @@ func runLoadtest(args []string) {
 	}
 	if spec != nil {
 		run.Scenario = spec.Name
-		for i := range tierStats {
-			tierStats[i].P50Millis = percentileMillis(tierLats[i], 0.50)
-			tierStats[i].P99Millis = percentileMillis(tierLats[i], 0.99)
-		}
-		run.Tiers = tierStats
 		run.TargetUploads = 0 // the attempt budget, not -uploads, bounded this run
+		run.Tiers = spec.PerTier(tallies)
 	}
 
 	if err := writeLoadReport(*out, run); err != nil {
@@ -613,10 +430,7 @@ func runLoadtest(args []string) {
 
 	if spec != nil {
 		for _, ts := range run.Tiers {
-			fmt.Fprintf(os.Stderr,
-				"papaya loadtest: tier %-12s clients=%-3d completed=%-4d dropped=%-3d rejected=%-4d unavailable=%-3d p50=%.1fms p99=%.1fms\n",
-				ts.Tier, ts.Clients, ts.Completed, ts.Dropped, ts.Rejected,
-				ts.Unavailable, ts.P50Millis, ts.P99Millis)
+			fmt.Fprintf(os.Stderr, "papaya loadtest: %s\n", ts)
 		}
 		// A scenario run is bounded by its attempt budget, not -uploads;
 		// it fails only if the whole fleet made no progress.
@@ -653,16 +467,6 @@ func taskInfo(fabric fabricConn, selector, task string) (server.TaskInfo, error)
 		return server.TaskInfo{}, fmt.Errorf("task-info returned %T", resp)
 	}
 	return info, nil
-}
-
-func percentileMillis(lat []time.Duration, p float64) float64 {
-	if len(lat) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return float64(sorted[idx]) / float64(time.Millisecond)
 }
 
 // writeLoadReport appends the run to an existing report at path (or starts

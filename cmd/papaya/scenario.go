@@ -85,10 +85,7 @@ func runScenario(args []string) {
 
 	fmt.Fprintf(os.Stderr, "papaya scenario: %s\n", rep.Summary())
 	for _, ts := range rep.Tiers {
-		fmt.Fprintf(os.Stderr,
-			"papaya scenario: tier %-12s clients=%-3d completed=%-4d dropped=%-3d rejected=%-4d aborted=%-3d unavailable=%-3d errors=%-3d p50=%.1fms p99=%.1fms\n",
-			ts.Tier, ts.Clients, ts.Completed, ts.Dropped, ts.Rejected, ts.Aborted,
-			ts.Unavailable, ts.Errors, ts.P50Millis, ts.P99Millis)
+		fmt.Fprintf(os.Stderr, "papaya scenario: %s\n", ts)
 	}
 	if err := scenario.WriteReport(*out, rep); err != nil {
 		fmt.Fprintln(os.Stderr, "papaya scenario:", err)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/fedopt"
-	"repro/internal/lmdata"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -139,10 +138,7 @@ func Run(spec Spec, opts Options) (*Report, error) {
 
 	// Model, data, task.
 	model := nn.NewBilinear(spec.Model.Vocab, spec.Model.Dim)
-	corpus := lmdata.NewCorpus(lmdata.Config{
-		VocabSize: spec.Model.Vocab, NumDialects: spec.Data.Dialects, Seed: spec.Seed,
-		SeqLenMin: 5, SeqLenMax: 8, BranchFactor: 3, ZipfS: 1.3, SmoothMass: 0.05,
-	})
+	corpus := spec.Corpus()
 	init := model.InitParams(rng.New(spec.Seed).Split("init"))
 	eval := corpus.EvalSet(0, 0, evalExamples, "scenario-eval")
 	lossBefore := model.Loss(init, eval)
@@ -165,60 +161,59 @@ func Run(spec Spec, opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	// The fleet. FedProx is two-sided: clients train with the proximal
-	// pull (ProxMu) while the server damps the released mean — the mu is
-	// shared through the resolved rule.
-	cfg := nn.DefaultSGDConfig()
-	if prox, ok := rule.(fedopt.FedProx); ok {
-		cfg.ProxMu = prox.Mu
-	}
+	// The fleet.
+	cfg := spec.SGDConfig()
 	n := spec.NumClients()
-	devices := make([]*device, n)
-	for i := 0; i < n; i++ {
+	devices := make([]*client.Runtime, n)
+	for i := range devices {
 		id := int64(i + 1)
 		store := client.NewExampleStore(0, 0)
-		for _, seq := range corpus.ClientExamples(id, spec.DialectOf(id), spec.Data.DialectWeight, spec.Data.ExamplesPerClient) {
+		for _, seq := range spec.Examples(corpus, id) {
 			store.Add(seq, time.Time{})
 		}
-		exec := &pacedExecutor{inner: &client.SGDExecutor{
-			Model:  model,
-			Config: cfg,
-			Rng:    rng.New(spec.Seed).SplitUint64(uint64(id)).Split("sgd"),
-		}}
-		rt := &client.Runtime{
+		devices[i] = &client.Runtime{
 			ClientID:     id,
 			Capabilities: []string{"lm"},
 			Store:        store,
-			Exec:         exec,
-			Net:          net,
-			Selectors:    selNames,
-			State:        client.DeviceState{Idle: true, Charging: true, Unmetered: true},
+			Exec: &client.SGDExecutor{
+				Model:  model,
+				Config: cfg,
+				Rng:    rng.New(spec.Seed).SplitUint64(uint64(id)).Split("sgd"),
+			},
+			Net:       net,
+			Selectors: selNames,
+			State:     client.DeviceState{Idle: true, Charging: true, Unmetered: true},
 		}
-		devices[i] = &device{spec: &spec, rt: rt, exec: exec, tier: spec.TierOf(id)}
 	}
 
-	// Drive the fleet: workers pull whole clients off the queue and run
-	// their full attempt loops. The schedule (who is available, who dies
-	// where) is pre-drawn per (client, attempt), so worker count only
-	// affects interleaving, never the trace.
+	// Drive the fleet: workers take whole clients and run their full
+	// attempt budgets. The schedule (who is available, who dies where) is
+	// pre-drawn per (client, attempt), so worker count only affects
+	// interleaving, never the plan half of the trace.
+	var traceMu sync.Mutex
+	var trace []TraceEvent
 	start := time.Now()
 	obsBefore := obs.Default().Snapshot()
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				devices[idx].run()
+	tallies := (&client.Driver{
+		Devices:  devices,
+		Workers:  workers,
+		Attempts: spec.Attempts,
+		Plan:     spec.PlanFor,
+		Observe: func(a client.Attempt) {
+			ev := TraceEvent{
+				Client:      a.ClientID,
+				Attempt:     a.Index,
+				Available:   a.Plan.Available,
+				Drop:        string(a.Plan.Drop),
+				Vanish:      a.Plan.Vanish,
+				DelayMicros: a.Plan.Delay.Microseconds(),
+				Outcome:     a.Outcome(),
 			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+			traceMu.Lock()
+			trace = append(trace, ev)
+			traceMu.Unlock()
+		},
+	}).Run()
 	wall := time.Since(start)
 	obsDelta := metricsDelta(obsBefore, obs.Default().Snapshot())
 
@@ -263,28 +258,8 @@ func Run(spec Spec, opts Options) (*Report, error) {
 		rep.DPBudget = info.DPBudget
 		rep.DPExhausted = info.DPExhausted
 	}
-	for ti, t := range spec.Tiers {
-		st := TierStats{Tier: t.Name, Clients: t.Clients}
-		var lats []time.Duration
-		for _, d := range devices {
-			if d.tier != ti {
-				continue
-			}
-			st.Completed += d.completed
-			st.Dropped += d.dropped
-			st.Rejected += d.rejected
-			st.Aborted += d.aborted
-			st.Unavailable += d.unavailable
-			st.Errors += d.errors
-			lats = append(lats, d.latencies...)
-		}
-		st.P50Millis = percentileMillis(lats, 0.50)
-		st.P99Millis = percentileMillis(lats, 0.99)
-		rep.Tiers = append(rep.Tiers, st)
-	}
-	for _, d := range devices {
-		rep.Trace = append(rep.Trace, d.trace...)
-	}
+	rep.Tiers = spec.PerTier(tallies)
+	rep.Trace = trace
 	sort.Slice(rep.Trace, func(i, j int) bool {
 		a, b := rep.Trace[i], rep.Trace[j]
 		if a.Client != b.Client {
@@ -332,82 +307,6 @@ func taskInfo(net transport.Fabric, selector, task string) (server.TaskInfo, err
 	return server.TaskInfo{}, fmt.Errorf("scenario: %w", lastErr)
 }
 
-// pacedExecutor injects the plan's simulated device compute inside the
-// session — between download and training — so slow tiers hold sessions
-// longer and accumulate real staleness, not just lower attempt rates.
-type pacedExecutor struct {
-	inner client.Executor
-	delay time.Duration // set per attempt by the owning driver goroutine
-}
-
-// Train implements client.Executor.
-func (p *pacedExecutor) Train(params []float32, examples [][]int) ([]float32, float64) {
-	if p.delay > 0 {
-		time.Sleep(p.delay)
-	}
-	return p.inner.Train(params, examples)
-}
-
-// device is one simulated client plus its accumulated outcome counters.
-// A device is driven by exactly one worker goroutine at a time.
-type device struct {
-	spec *Spec
-	rt   *client.Runtime
-	exec *pacedExecutor
-	tier int
-
-	completed, dropped, rejected, aborted, unavailable, errors int
-	latencies                                                  []time.Duration
-	trace                                                      []TraceEvent
-}
-
-// run executes the device's full attempt budget.
-func (d *device) run() {
-	for attempt := 0; attempt < d.spec.Attempts; attempt++ {
-		plan := d.spec.PlanFor(d.rt.ClientID, attempt)
-		ev := TraceEvent{
-			Client:      d.rt.ClientID,
-			Attempt:     attempt,
-			Available:   plan.Available,
-			Drop:        string(plan.Drop),
-			Vanish:      plan.Vanish,
-			DelayMicros: plan.Delay.Microseconds(),
-		}
-		if !plan.Available {
-			d.unavailable++
-			ev.Outcome = "unavailable"
-			d.trace = append(d.trace, ev)
-			continue
-		}
-		d.exec.delay = plan.Delay
-		d.rt.Dropout = func() (client.DropStage, bool) { return plan.Drop, plan.Vanish }
-		begin := time.Now()
-		res, err := d.rt.RunOnce(begin)
-		switch {
-		case err != nil:
-			// Transport-level failure (network loss profile, no selector
-			// reachable): the device backs off to its next attempt.
-			d.errors++
-			ev.Outcome = "error"
-		case res.Outcome == client.Completed:
-			d.completed++
-			d.latencies = append(d.latencies, time.Since(begin))
-			ev.Outcome = string(res.Outcome)
-		default:
-			switch res.Outcome {
-			case client.Dropped:
-				d.dropped++
-			case client.Rejected:
-				d.rejected++
-			case client.Aborted:
-				d.aborted++
-			}
-			ev.Outcome = string(res.Outcome)
-		}
-		d.trace = append(d.trace, ev)
-	}
-}
-
 // metricsDelta subtracts two registry snapshots and keeps the nonzero
 // papaya_ movements — what this run itself added to the shared
 // in-process registry. Samples that first appeared during the run (new
@@ -426,15 +325,4 @@ func metricsDelta(before, after map[string]float64) map[string]float64 {
 		return nil
 	}
 	return out
-}
-
-// percentileMillis is the loadtest's percentile, local to the engine.
-func percentileMillis(lat []time.Duration, p float64) float64 {
-	if len(lat) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return float64(sorted[idx]) / float64(time.Millisecond)
 }

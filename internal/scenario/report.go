@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"time"
+
+	"repro/internal/client"
 )
 
 // Report is one scenario run's measurements: convergence (eval loss
@@ -88,6 +90,40 @@ type TierStats struct {
 	P50Millis float64 `json:"p50_ms"`
 	// P99Millis is the tail completed-session latency.
 	P99Millis float64 `json:"p99_ms"`
+}
+
+// PerTier folds a scenario fleet's per-device tallies — tallies[i] is
+// client i+1's, as client.Driver returns them — into per-tier outcome
+// counts and latency percentiles.
+func (s *Spec) PerTier(tallies []client.Tally) []TierStats {
+	sums := make([]client.Tally, len(s.Tiers))
+	for i := range tallies {
+		sums[s.TierOf(int64(i+1))].Add(&tallies[i])
+	}
+	out := make([]TierStats, len(s.Tiers))
+	for i, t := range s.Tiers {
+		sum := &sums[i]
+		out[i] = TierStats{
+			Tier:        t.Name,
+			Clients:     t.Clients,
+			Completed:   int(sum.Completed),
+			Dropped:     int(sum.Dropped),
+			Rejected:    int(sum.Rejected),
+			Aborted:     int(sum.Aborted),
+			Unavailable: int(sum.Unavailable),
+			Errors:      int(sum.Errors),
+			P50Millis:   sum.PercentileMillis(0.50),
+			P99Millis:   sum.PercentileMillis(0.99),
+		}
+	}
+	return out
+}
+
+// String renders the tier as one summary line.
+func (t TierStats) String() string {
+	return fmt.Sprintf("tier %-12s clients=%-3d completed=%-4d dropped=%-3d rejected=%-4d aborted=%-3d unavailable=%-3d errors=%-3d p50=%.1fms p99=%.1fms",
+		t.Tier, t.Clients, t.Completed, t.Dropped, t.Rejected, t.Aborted,
+		t.Unavailable, t.Errors, t.P50Millis, t.P99Millis)
 }
 
 // TraceEvent is one (client, attempt) entry in the event trace: the

@@ -28,6 +28,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/fedopt"
+	"repro/internal/lmdata"
+	"repro/internal/nn"
 	"repro/internal/rng"
 )
 
@@ -302,22 +304,32 @@ func (s *Spec) DialectOf(clientID int64) int {
 	return int(clientID) % s.Data.Dialects
 }
 
-// Plan is one (client, attempt)'s pre-drawn fault schedule. All of the
-// attempt's randomness is drawn up front from the (Seed, clientID,
-// attempt)-keyed RNG, so the plan — and therefore the event trace — is
-// identical at any worker count.
-type Plan struct {
-	// Available reports whether the device's availability window is open
-	// this attempt; a closed window skips the attempt entirely.
-	Available bool
-	// Drop is the stage at which the device dies (client.DropNone =
-	// survives).
-	Drop client.DropStage
-	// Vanish makes the scheduled drop silent (tier semantics).
-	Vanish bool
-	// Delay is the simulated device compute, slept inside the session
-	// between download and training.
-	Delay time.Duration
+// Corpus builds the scenario's synthetic corpus, rooted at its seed.
+func (s *Spec) Corpus() *lmdata.Corpus {
+	return lmdata.NewCorpus(lmdata.Config{
+		VocabSize: s.Model.Vocab, NumDialects: s.Data.Dialects, Seed: s.Seed,
+		SeqLenMin: 5, SeqLenMax: 8, BranchFactor: 3, ZipfS: 1.3, SmoothMass: 0.05,
+	})
+}
+
+// Examples is client clientID's local dataset: its share of the non-IID
+// dialect partition of corpus.
+func (s *Spec) Examples(corpus *lmdata.Corpus, clientID int64) [][]int {
+	return corpus.ClientExamples(clientID, s.DialectOf(clientID), s.Data.DialectWeight, s.Data.ExamplesPerClient)
+}
+
+// SGDConfig is the clients' local training configuration. FedProx is
+// two-sided: clients train with the proximal pull (ProxMu) while the
+// server damps the released mean, and both sides take mu from the
+// profile's one aggregation/agg_param pair.
+func (s *Spec) SGDConfig() nn.SGDConfig {
+	cfg := nn.DefaultSGDConfig()
+	if rule, err := fedopt.AggregationByName(s.Aggregation, s.AggParam); err == nil {
+		if prox, ok := rule.(fedopt.FedProx); ok {
+			cfg.ProxMu = prox.Mu
+		}
+	}
+	return cfg
 }
 
 // dropStages is the uniform choice set for a scheduled dropout.
@@ -325,12 +337,13 @@ var dropStages = []client.DropStage{
 	client.DropAfterDownload, client.DropAfterTrain, client.DropDuringUpload,
 }
 
-// PlanFor draws client clientID's fault schedule for one attempt. It is a
-// pure function of (Seed, clientID, attempt): the root RNG stays frozen
-// and each attempt's stream is split off it, the same keying discipline as
-// client SGD seeding (PR 1 rule), so plans are reproducible regardless of
-// which worker evaluates them in which order.
-func (s *Spec) PlanFor(clientID int64, attempt int) Plan {
+// PlanFor draws client clientID's fault schedule for one attempt; it is
+// the scenario's client.Driver Plan. It is a pure function of (Seed,
+// clientID, attempt): all of the attempt's randomness is drawn up front
+// from a stream split off the frozen root RNG, the same keying discipline
+// as client SGD seeding, so plans — and therefore the event trace — are
+// identical regardless of which worker evaluates them in which order.
+func (s *Spec) PlanFor(clientID int64, attempt int) client.Plan {
 	tier := s.Tiers[s.TierOf(clientID)]
 	r := rng.New(s.Seed).SplitUint64(uint64(clientID)).SplitAt("attempt", uint64(attempt))
 
@@ -342,7 +355,7 @@ func (s *Spec) PlanFor(clientID int64, attempt int) Plan {
 	stageDraw := r.Intn(len(dropStages))
 	jitter := r.Float64()
 
-	p := Plan{Available: true}
+	p := client.Plan{Available: true}
 	if tier.Availability > 0 && availDraw >= tier.Availability {
 		p.Available = false
 	}

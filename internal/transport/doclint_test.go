@@ -28,6 +28,7 @@ var doclintDirs = []string{
 	"../server",     // internal/server
 	"../compress",   // internal/compress
 	"../scenario",   // internal/scenario
+	"../client",     // internal/client (edge runtime and the fleet driver)
 	"../obs",        // internal/obs (observability plane)
 	"../metrics",    // internal/metrics (histogram/vec primitives)
 	"../dp",         // internal/dp (differential privacy tier)
