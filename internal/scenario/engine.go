@@ -161,7 +161,6 @@ func Run(spec Spec, opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	// The fleet.
 	cfg := spec.SGDConfig()
 	n := spec.NumClients()
 	devices := make([]*client.Runtime, n)
