@@ -703,6 +703,7 @@ func decodeAssignTaskRequest(b []byte) (any, error) {
 func (r *AssignClientRequest) fields(f *wire.Fields) {
 	f.Varint(&r.ClientID)
 	f.Strings(&r.Capabilities)
+	f.Strings(&r.Answered)
 }
 
 // AppendBinary implements wire.BinaryMessage.

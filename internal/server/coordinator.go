@@ -35,7 +35,7 @@ type Coordinator struct {
 	specs       map[string]TaskSpec
 	assignments map[string]Assignment
 	demand      map[string]int // pooled, from aggregator reports
-	pending     map[string]int // assigned but not yet confirmed (Section 6.2)
+	pending     map[string]int // assigned, join not yet answered (Section 6.2)
 	lastReport  map[string]time.Time
 	aggregators map[string]bool
 	checkpoints map[string][]float32 // latest per-task model, for failover
@@ -46,6 +46,9 @@ type Coordinator struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
+
+	// obs holds this node's resolved metric children (obsmetrics.go).
+	obs *coordObs
 }
 
 // NewCoordinator registers the coordinator on the fabric and starts its
@@ -69,6 +72,7 @@ func NewCoordinator(name string, net transport.Fabric, timings Timings, seed int
 		recovering:  recovery,
 		started:     time.Now(),
 		stop:        make(chan struct{}),
+		obs:         newCoordObs(name),
 	}
 	net.Register(name, c.handle)
 	c.wg.Add(1)
@@ -130,6 +134,7 @@ func (c *Coordinator) createTask(spec TaskSpec) (any, error) {
 	asg := Assignment{TaskID: spec.ID, Aggregator: target, Seq: 1}
 	c.assignments[spec.ID] = asg
 	c.demand[spec.ID] = spec.Concurrency
+	c.exposePendingLocked(spec.ID)
 	c.mu.Unlock()
 
 	_, err := c.net.Call(c.name, target, "assign-task",
@@ -190,6 +195,7 @@ func (c *Coordinator) aggReport(r AggReport) (any, error) {
 			c.assignments[taskID] = Assignment{TaskID: taskID, Aggregator: r.Aggregator, Seq: tr.Seq}
 			c.specs[taskID] = tr.Spec
 			c.demand[taskID] = tr.Demand
+			c.exposePendingLocked(taskID)
 		case !known:
 			// Unknown task outside recovery: stale leftover; drop it.
 			drops = append(drops, taskID)
@@ -198,7 +204,8 @@ func (c *Coordinator) aggReport(r AggReport) (any, error) {
 			drops = append(drops, taskID)
 		default:
 			c.demand[taskID] = tr.Demand
-			// Confirmed state supersedes the optimistic pending counter.
+			// Backstop: answers a dead selector never reported would
+			// otherwise hold the task's pending count up for good.
 			c.pending[taskID] = 0
 			// Retain the newest checkpoint for failover.
 			if tr.Version >= c.versions[taskID] && tr.Checkpoint != nil {
@@ -215,11 +222,20 @@ func (c *Coordinator) aggReport(r AggReport) (any, error) {
 
 // assignClient implements Section 6.2's three steps: build the eligible task
 // list (capability match and positive demand), pick one at random, and
-// account for the not-yet-confirmed assignment.
+// account for the not-yet-confirmed assignment. It first releases one
+// pending assignment per join the selector has heard answered, so demand
+// minus pending steers by the check-ins still in flight; the aggregator's
+// join stays the hard concurrency gate (Appendix E.1).
 func (c *Coordinator) assignClient(req AssignClientRequest) (any, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for _, id := range req.Answered {
+		if c.pending[id] > 0 {
+			c.pending[id]--
+		}
+	}
 	if c.recovering && time.Since(c.started) <= c.timings.RecoveryPeriod {
+		c.obs.recovering.Inc()
 		return AssignClientResponse{}, nil // no assignments during recovery
 	}
 	caps := make(map[string]bool, len(req.Capabilities))
@@ -236,10 +252,12 @@ func (c *Coordinator) assignClient(req AssignClientRequest) (any, error) {
 		}
 	}
 	if len(eligible) == 0 {
+		c.obs.noDemand.Inc()
 		return AssignClientResponse{}, nil
 	}
 	taskID := eligible[c.rnd.Intn(len(eligible))]
 	c.pending[taskID]++
+	c.obs.assigned.Inc()
 	asg := c.assignments[taskID]
 	return AssignClientResponse{
 		Assigned:   true,
@@ -247,6 +265,16 @@ func (c *Coordinator) assignClient(req AssignClientRequest) (any, error) {
 		Aggregator: asg.Aggregator,
 		Seq:        asg.Seq,
 	}, nil
+}
+
+// exposePendingLocked registers the task's papaya_coordinator_pending
+// gauge, read under c.mu at scrape time.
+func (c *Coordinator) exposePendingLocked(taskID string) {
+	registerPendingGauge(c.name, taskID, func() float64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return float64(c.pending[taskID])
+	})
 }
 
 func (c *Coordinator) mapRequest() (any, error) {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/secagg"
 	"repro/internal/server"
 	"repro/internal/tee"
-	"repro/internal/transport"
 	"repro/internal/vecf"
 )
 
@@ -42,18 +41,24 @@ type world struct {
 
 func newWorld(t *testing.T, fx fabricFactory, nAggs, nSels int) *world {
 	t.Helper()
+	return newTimedWorld(t, fx, nAggs, nSels, testTimings())
+}
+
+// newTimedWorld is newWorld with every node on the given timings.
+func newTimedWorld(t *testing.T, fx fabricFactory, nAggs, nSels int, tm server.Timings) *world {
+	t.Helper()
 	w := &world{t: t, net: fx.make(t, 1), model: nn.NewBilinear(16, 4)}
-	w.coord = NewTestCoordinator(w.net)
+	w.coord = server.NewCoordinator("coordinator", w.net, tm, 7, false)
 	for i := 0; i < nAggs; i++ {
 		name := agName(i)
-		a := server.NewAggregator(name, w.net, "coordinator", testTimings())
+		a := server.NewAggregator(name, w.net, "coordinator", tm)
 		w.aggs = append(w.aggs, a)
 		if _, err := w.net.Call("test", "coordinator", "register-aggregator", name); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < nSels; i++ {
-		w.sels = append(w.sels, newTestSelector(selName(i), w.net, "coordinator", testTimings()))
+		w.sels = append(w.sels, newTestSelector(selName(i), w.net, "coordinator", tm))
 	}
 	t.Cleanup(func() {
 		for _, a := range w.aggs {
@@ -65,10 +70,6 @@ func newWorld(t *testing.T, fx fabricFactory, nAggs, nSels int) *world {
 		w.coord.Stop()
 	})
 	return w
-}
-
-func NewTestCoordinator(net transport.Fabric) *server.Coordinator {
-	return server.NewCoordinator("coordinator", net, testTimings(), 7, false)
 }
 
 func agName(i int) string  { return "aggregator-" + string(rune('a'+i)) }
@@ -196,8 +197,12 @@ func testEndToEndAsyncTraining(t *testing.T, fx fabricFactory) {
 
 func TestMaxConcurrencyEnforced(t *testing.T) { forEachFabric(t, testMaxConcurrencyEnforced) }
 
+// The aggregator's join is the hard concurrency gate: with the heartbeat
+// parked the coordinator still sees the task's creation-time demand, and
+// each answered join releases its pending slot, so the 3rd-5th clients
+// reach the join and are turned away there, not by the coordinator.
 func testMaxConcurrencyEnforced(t *testing.T, fx fabricFactory) {
-	w := newWorld(t, fx, 1, 1)
+	w := newTimedWorld(t, fx, 1, 1, relayTimings())
 	spec := lmSpec("tight", w.model, core.Async, 2, 100)
 	w.createTask(spec)
 
@@ -209,8 +214,11 @@ func testMaxConcurrencyEnforced(t *testing.T, fx fabricFactory) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.(server.CheckinResponse).Accepted {
+		cr := resp.(server.CheckinResponse)
+		if cr.Accepted {
 			accepted++
+		} else if cr.Reason != "task at max concurrency" {
+			t.Fatalf("check-in %d rejected with %q, want the aggregator's max-concurrency reason", i, cr.Reason)
 		}
 	}
 	if accepted != 2 {

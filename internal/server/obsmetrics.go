@@ -13,7 +13,7 @@ import (
 // name, because one `papaya serve` process hosts a coordinator, N
 // aggregators, and M selectors: the scrape stays one endpoint, the
 // labels keep the tiers apart. Each tier resolves its labeled children
-// once at construction (aggObs/selObs), so hot paths touch only
+// once at construction (aggObs/selObs/coordObs), so hot paths touch only
 // atomics.
 
 // obsreg is the process-global registry every tier family lives on.
@@ -50,6 +50,8 @@ var (
 		"Noised aggregate releases per aggregator; each spends privacy budget.", "node")
 	famDPClipFraction = obs.Default().Histogram("papaya_dp_clip_fraction",
 		"Pre-clip L2 norm over the clip bound per accepted DP upload (above 1 = clipped).", "node")
+	famAssignments = obs.Default().Counter("papaya_coordinator_assignments_total",
+		"Coordinator client assignments by outcome (assigned | no_demand | recovering).", "node", "outcome")
 )
 
 // registerDPEpsilonGauge exposes a DP task's cumulative epsilon as a
@@ -60,6 +62,15 @@ var (
 func registerDPEpsilonGauge(node, task string, read func() float64) {
 	obsreg.GaugeFunc("papaya_dp_epsilon",
 		"Cumulative epsilon spent by a DP task at its configured delta.",
+		read, []string{"node", "task"}, node, task)
+}
+
+// registerPendingGauge exposes a task's coordinator-side count of clients
+// assigned whose join has not answered yet (Section 6.2), read lazily at
+// scrape time like papaya_dp_epsilon.
+func registerPendingGauge(node, task string, read func() float64) {
+	obsreg.GaugeFunc("papaya_coordinator_pending",
+		"Clients assigned to the task whose join has not answered yet.",
 		read, []string{"node", "task"}, node, task)
 }
 
@@ -153,4 +164,18 @@ func newSelObs(node string) *selObs {
 // span records one selector-side stage of a traced session.
 func (o *selObs) span(trace uint64, name, task string, start time.Time, errText string) {
 	obs.RecordSpan(trace, "selector", o.node, name, task, 0, start, time.Since(start), errText)
+}
+
+// coordObs is the coordinator's resolved metric children; constructed in
+// NewCoordinator.
+type coordObs struct {
+	assigned, noDemand, recovering *metrics.Counter
+}
+
+func newCoordObs(node string) *coordObs {
+	return &coordObs{
+		assigned:   famAssignments.CounterWith(node, "assigned"),
+		noDemand:   famAssignments.CounterWith(node, "no_demand"),
+		recovering: famAssignments.CounterWith(node, "recovering"),
+	}
 }

@@ -2,35 +2,26 @@ package server_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/server"
 )
 
 // uploadOne opens a session and uploads a trivial update, returning the
-// upload response. Check-in retries briefly: the coordinator's optimistic
-// pending counter clears on the next aggregator heartbeat, and a rejected
-// client simply tries again later (Section 6.1).
+// upload response. The check-in must be accepted the first time: sessions
+// run one at a time, and each answered join releases its pending slot at
+// the coordinator.
 func uploadOne(t *testing.T, w *world, taskID string, clientID int64) server.UploadResponse {
 	t.Helper()
-	var cr server.CheckinResponse
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		resp, err := w.net.Call("test", selName(0), "checkin", server.CheckinRequest{
-			ClientID: clientID, Capabilities: []string{"lm"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cr = resp.(server.CheckinResponse)
-		if cr.Accepted {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("client %d rejected until deadline: %s", clientID, cr.Reason)
-		}
-		time.Sleep(5 * time.Millisecond)
+	resp, err := w.net.Call("test", selName(0), "checkin", server.CheckinRequest{
+		ClientID: clientID, Capabilities: []string{"lm"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := resp.(server.CheckinResponse)
+	if !cr.Accepted {
+		t.Fatalf("client %d rejected: %s", clientID, cr.Reason)
 	}
 	delta := make([]float32, w.model.NumParams())
 	delta[0] = 0.01

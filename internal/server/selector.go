@@ -29,6 +29,10 @@ type Selector struct {
 
 	mu          sync.Mutex
 	assignments map[string]Assignment
+	// answered holds the task of every join answered since the last
+	// assign-client, which carries it to the coordinator
+	// (AssignClientRequest.Answered).
+	answered []string
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -92,12 +96,21 @@ type RouteRequest struct {
 // checkin runs the selection phase for one client: ask the Coordinator for
 // an eligible task with positive demand, then open a session on the owning
 // Aggregator. Rejection is a normal outcome ("the client will try to
-// participate at another time").
+// participate at another time"). Once the join answers, whatever the
+// outcome, the task is queued for the next assign-client so the
+// coordinator stops counting this client as pending (Section 6.2).
 func (s *Selector) checkin(req CheckinRequest) (any, error) {
 	start := time.Now()
+	s.mu.Lock()
+	answered := s.answered
+	s.answered = nil
+	s.mu.Unlock()
+	// Answers lost with a failed call stay counted until the next
+	// heartbeat resets the coordinator's pending count.
 	resp, err := s.net.Call(s.name, s.coord, "assign-client", AssignClientRequest{
 		ClientID:     req.ClientID,
 		Capabilities: req.Capabilities,
+		Answered:     answered,
 	})
 	if err != nil {
 		s.obs.checkinsErrored.Inc()
@@ -118,6 +131,9 @@ func (s *Selector) checkin(req CheckinRequest) (any, error) {
 
 	joinResp, err := s.net.Call(s.name, asg.Aggregator, "join",
 		JoinRequest{TaskID: asg.TaskID, ClientID: req.ClientID, TraceID: req.TraceID})
+	s.mu.Lock()
+	s.answered = append(s.answered, asg.TaskID)
+	s.mu.Unlock()
 	if err != nil {
 		s.obs.checkinsErrored.Inc()
 		s.obs.checkinSeconds.Observe(time.Since(start).Seconds())

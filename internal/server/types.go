@@ -259,6 +259,14 @@ type CheckinResponse struct {
 type AssignClientRequest struct {
 	ClientID     int64
 	Capabilities []string
+
+	// Answered names the task of every join this selector has heard back
+	// from (accepted, rejected or failed) since its last assign-client, one
+	// entry per check-in. The coordinator releases one of Section 6.2's
+	// "assigned but not yet confirmed" clients per entry, so its pending
+	// count covers only check-ins still in flight instead of waiting for the
+	// next aggregator heartbeat to clear it.
+	Answered []string
 }
 
 // AssignClientResponse names the chosen task and its owning aggregator

@@ -79,7 +79,7 @@ func samples(t *testing.T, w *secaggWorld) map[string]any {
 			Spec: spec, Seq: 5, Checkpoint: []float32{9, 8, 7, 6}, Version: 11,
 		},
 		"papaya/v1/server.AssignClientRequest": server.AssignClientRequest{
-			ClientID: 77, Capabilities: []string{"lm", "gpu"},
+			ClientID: 77, Capabilities: []string{"lm", "gpu"}, Answered: []string{"wt", "wt"},
 		},
 		"papaya/v1/server.AssignClientResponse": server.AssignClientResponse{
 			Assigned: true, TaskID: "wt", Aggregator: "agg-0", Seq: 4,
