@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/vecf"
@@ -59,73 +60,141 @@ func (m *Bilinear) slices(params []float32) (e, u, b []float32) {
 // Loss implements Model.
 func (m *Bilinear) Loss(params []float32, seqs [][]int) float64 {
 	checkParams(m, params)
-	e, u, b := m.slices(params)
-	logits := make([]float32, m.V)
-	var total float64
-	var count int
-	for _, seq := range seqs {
-		checkSeq(m, seq)
-		for t := 0; t+1 < len(seq); t++ {
-			h := e[seq[t]*m.D : (seq[t]+1)*m.D]
-			vecf.MatVec(logits, u, m.V, m.D, h)
-			vecf.Add(logits, b)
-			logZ := vecf.LogSumExp(logits)
-			total += logZ - float64(logits[seq[t+1]])
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
+	s := getScratch(m, seqs)
+	defer scratchPool.Put(s)
+	return m.forward(params, s, nil)
 }
 
 // Gradient implements Model.
+//
+// The model conditions each prediction on the previous token alone, so the
+// batch enters the loss and the gradient only through its bigram counts:
+// every pair (x, y) with the same context x shares one embedding row, one
+// set of logits and one softmax p_x. Summed over x's n_x pairs, the logit
+// gradient is n_x*p_x - hist_x, where hist_x counts x's next tokens. So the
+// pairs are grouped by context and each distinct context costs one forward
+// and one backward pass, not one per token. The result equals the per-token
+// sum up to float32 summation order.
 func (m *Bilinear) Gradient(params []float32, seqs [][]int, grad []float32) float64 {
 	checkParams(m, params)
 	checkParams(m, grad)
-	e, u, b := m.slices(params)
+	s := getScratch(m, seqs)
+	defer scratchPool.Put(s)
+	if s.count == 0 {
+		return 0
+	}
+	e, u, _ := m.slices(params)
 	ge, gu, gb := m.slices(grad)
+	inv := float32(1 / float64(s.count))
+	return m.forward(params, s, func(x int, next []int32) {
+		// dL/dlogits summed over x's pairs: n_x*probs - hist_x, in place.
+		dlogits := s.probs
+		vecf.Scale(dlogits, float32(len(next)))
+		for _, y := range next {
+			dlogits[y] -= 1
+		}
+		h := e[x*m.D : (x+1)*m.D]
+		vecf.AXPY(gb, inv, dlogits)
+		vecf.OuterAccum(gu, m.V, m.D, inv, dlogits, h)
+		// h gradient: U^T dlogits, accumulated into the embedding row.
+		vecf.MatTVec(s.dh, u, m.V, m.D, dlogits)
+		vecf.AXPY(ge[x*m.D:(x+1)*m.D], inv, s.dh)
+	})
+}
 
-	// Count targets first so the gradient is per-token averaged in one pass.
+// forward is the model's one forward pass. For each distinct context x of
+// the pairs grouped in s, in increasing x, it computes logits = U E[x] + b
+// and their softmax into s.logits and s.probs, adds the negative
+// log-likelihood of each of x's next tokens to the total, and calls visit,
+// if not nil, with x and its next tokens. It returns the mean per-token
+// loss, or 0 when s holds no pairs.
+func (m *Bilinear) forward(params []float32, s *bilinearScratch, visit func(x int, next []int32)) float64 {
+	if s.count == 0 {
+		return 0
+	}
+	e, u, b := m.slices(params)
+	var total float64
+	for x := 0; x < m.V; x++ {
+		next := s.next[s.start[x]:s.start[x+1]]
+		if len(next) == 0 {
+			continue
+		}
+		vecf.MatVec(s.logits, u, m.V, m.D, e[x*m.D:(x+1)*m.D])
+		vecf.Add(s.logits, b)
+		logZ := vecf.Softmax(s.probs, s.logits)
+		for _, y := range next {
+			total += logZ - float64(s.logits[y])
+		}
+		if visit != nil {
+			visit(x, next)
+		}
+	}
+	return total / float64(s.count)
+}
+
+// bilinearScratch is one call's working memory: the (context, next) pairs
+// of a batch counting-sorted by context, so that context x's next tokens
+// are next[start[x]:start[x+1]], plus the forward and backward vectors.
+type bilinearScratch struct {
+	count             int
+	start, next       []int32
+	logits, probs, dh []float32
+}
+
+// scratchPool is shared by every Bilinear: one model value serves all of a
+// run's trainers and executors, so per-model scratch would need a lock.
+// Buffers grow to fit and are kept, so a steady-state call allocates
+// nothing.
+var scratchPool = sync.Pool{New: func() any { return new(bilinearScratch) }}
+
+// getScratch validates every sequence, then takes a scratch from the pool
+// and groups seqs' pairs into it. Validating first means an out-of-vocab
+// token panics before any caller state is touched.
+func getScratch(m *Bilinear, seqs [][]int) *bilinearScratch {
 	count := 0
 	for _, seq := range seqs {
+		checkSeq(m, seq)
 		if len(seq) > 1 {
 			count += len(seq) - 1
 		}
 	}
-	if count == 0 {
-		return 0
-	}
-	inv := float32(1 / float64(count))
-
-	logits := make([]float32, m.V)
-	probs := make([]float32, m.V)
-	dh := make([]float32, m.D)
-	var total float64
+	s := scratchPool.Get().(*bilinearScratch)
+	s.count = count
+	s.start = grow(s.start, m.V+1)
+	s.next = grow(s.next, count)
+	s.logits = grow(s.logits, m.V)
+	s.probs = grow(s.probs, m.V)
+	s.dh = grow(s.dh, m.D)
+	// Counting sort by context: count each context at start[x+1], prefix
+	// sum so start[x] is x's offset, fill using start[x] as x's cursor
+	// (which leaves it at x's end, the old start[x+1]), then shift back.
+	clear(s.start)
 	for _, seq := range seqs {
-		checkSeq(m, seq)
 		for t := 0; t+1 < len(seq); t++ {
-			x, y := seq[t], seq[t+1]
-			h := e[x*m.D : (x+1)*m.D]
-			vecf.MatVec(logits, u, m.V, m.D, h)
-			vecf.Add(logits, b)
-			logZ := vecf.Softmax(probs, logits)
-			total += logZ - float64(logits[y])
-
-			// dL/dlogits = probs - onehot(y); reuse probs in place.
-			probs[y] -= 1
-
-			// b gradient.
-			vecf.AXPY(gb, inv, probs)
-			// U gradient: outer(dlogits, h).
-			vecf.OuterAccum(gu, m.V, m.D, inv, probs, h)
-			// h gradient: U^T dlogits, accumulated into the embedding row.
-			vecf.MatTVec(dh, u, m.V, m.D, probs)
-			vecf.AXPY(ge[x*m.D:(x+1)*m.D], inv, dh)
+			s.start[seq[t]+1]++
 		}
 	}
-	return total / float64(count)
+	for x := 1; x <= m.V; x++ {
+		s.start[x] += s.start[x-1]
+	}
+	for _, seq := range seqs {
+		for t := 0; t+1 < len(seq); t++ {
+			x := seq[t]
+			s.next[s.start[x]] = int32(seq[t+1])
+			s.start[x]++
+		}
+	}
+	copy(s.start[1:], s.start[:m.V])
+	s.start[0] = 0
+	return s
+}
+
+// grow returns buf resliced to n, reallocating only when it is too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 var _ Model = (*Bilinear)(nil)

@@ -1,7 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -149,12 +152,33 @@ func TestEmptyAndShortSequences(t *testing.T) {
 func TestOutOfVocabPanics(t *testing.T) {
 	m := NewBilinear(8, 4)
 	p := m.InitParams(rng.New(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-vocab token accepted")
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: out-of-vocab token accepted", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("Loss", func() { m.Loss(p, [][]int{{1, 99}}) })
+
+	// The bad token sits in a later sequence: Gradient must panic before it
+	// writes any of grad.
+	grad := make([]float32, m.NumParams())
+	vecf.Fill(grad, 0.25)
+	for _, bad := range [][][]int{
+		{{1, 2, 3}, {0, 4}, {1, 99}},
+		{{1, 2, 3}, {5, -1, 2}},
+		{{1, 2}, {8}},
+	} {
+		mustPanic("Gradient", func() { m.Gradient(p, bad, grad) })
+		for i, g := range grad {
+			if g != 0.25 {
+				t.Fatalf("Gradient on %v wrote grad[%d] = %v before panicking", bad, i, g)
+			}
 		}
-	}()
-	m.Loss(p, [][]int{{1, 99}})
+	}
 }
 
 func TestParamLengthPanics(t *testing.T) {
@@ -409,5 +433,172 @@ func TestProxMuShrinksDrift(t *testing.T) {
 	bad.ProxMu = -0.1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("negative ProxMu accepted")
+	}
+}
+
+// perTokenGradient is the reference the grouped Bilinear.Gradient must
+// match: one forward and backward pass per token, accumulated in token
+// order. It returns the mean per-token loss.
+func perTokenGradient(m *Bilinear, params []float32, seqs [][]int, grad []float32) float64 {
+	e, u, b := m.slices(params)
+	ge, gu, gb := m.slices(grad)
+	count := 0
+	for _, seq := range seqs {
+		if len(seq) > 1 {
+			count += len(seq) - 1
+		}
+	}
+	if count == 0 {
+		return 0
+	}
+	inv := float32(1 / float64(count))
+	logits := make([]float32, m.V)
+	probs := make([]float32, m.V)
+	dh := make([]float32, m.D)
+	var total float64
+	for _, seq := range seqs {
+		for t := 0; t+1 < len(seq); t++ {
+			x, y := seq[t], seq[t+1]
+			h := e[x*m.D : (x+1)*m.D]
+			vecf.MatVec(logits, u, m.V, m.D, h)
+			vecf.Add(logits, b)
+			logZ := vecf.Softmax(probs, logits)
+			total += logZ - float64(logits[y])
+			probs[y] -= 1
+			vecf.AXPY(gb, inv, probs)
+			vecf.OuterAccum(gu, m.V, m.D, inv, probs, h)
+			vecf.MatTVec(dh, u, m.V, m.D, probs)
+			vecf.AXPY(ge[x*m.D:(x+1)*m.D], inv, dh)
+		}
+	}
+	return total / float64(count)
+}
+
+// bilinearCase is one (model, params, batch) the grouped gradient is
+// checked on. Biases are random so the bias gradient is not trivially
+// uniform.
+type bilinearCase struct {
+	name   string
+	m      *Bilinear
+	params []float32
+	seqs   [][]int
+}
+
+func bilinearCases() []bilinearCase {
+	var cases []bilinearCase
+	for _, shape := range [][2]int{{256, 32}, {32, 8}, {37, 5}} {
+		v, d := shape[0], shape[1]
+		m := NewBilinear(v, d)
+		r := rng.New(uint64(v))
+		params := m.InitParams(r)
+		_, _, b := m.slices(params)
+		for i := range b {
+			b[i] = float32(0.5 * r.NormFloat64())
+		}
+		corpus := lmdata.NewCorpus(lmdata.Config{
+			VocabSize: v, NumDialects: 4, Seed: 12,
+			SeqLenMin: 6, SeqLenMax: 14, BranchFactor: 4, ZipfS: 1.2, SmoothMass: 0.05,
+		})
+		lm := corpus.ClientExamples(3, 1, 0.9, 16)
+		dup := append(append(append([][]int{}, lm[:4]...), lm[:4]...), lm[0])
+		add := func(name string, seqs [][]int) {
+			cases = append(cases, bilinearCase{fmt.Sprintf("%dx%d/%s", v, d, name), m, params, seqs})
+		}
+		add("lmdata", lm)
+		add("lmdata-32", corpus.ClientExamples(4, 2, 0.5, 32))
+		add("empty", nil)
+		add("no-pairs", [][]int{{3}, {}, {v - 1}})
+		add("one-token", [][]int{{2, 2, 2, 2, 2}, {2, 2}, {2}})
+		add("last-context", [][]int{{v - 1, 0}, {v - 1, v - 1, 1}, {0, v - 1}})
+		add("duplicates", dup)
+	}
+	return cases
+}
+
+func TestBilinearGradientMatchesPerToken(t *testing.T) {
+	for _, c := range bilinearCases() {
+		t.Run(c.name, func(t *testing.T) {
+			want := make([]float32, c.m.NumParams())
+			wantLoss := perTokenGradient(c.m, c.params, c.seqs, want)
+			got := make([]float32, c.m.NumParams())
+			gotLoss := c.m.Gradient(c.params, c.seqs, got)
+			evalLoss := c.m.Loss(c.params, c.seqs)
+			for _, l := range []float64{gotLoss, evalLoss} {
+				if math.Abs(l-wantLoss) > 1e-12*math.Abs(wantLoss) {
+					t.Fatalf("loss %v, per-token %v", l, wantLoss)
+				}
+			}
+			scale := vecf.MaxAbs(want)
+			var l1, l1Ref float64
+			for i := range want {
+				diff := math.Abs(float64(got[i]) - float64(want[i]))
+				if diff > 1e-6*scale {
+					t.Fatalf("grad[%d] = %v, per-token %v (max|g| %v)", i, got[i], want[i], scale)
+				}
+				l1 += diff
+				l1Ref += math.Abs(float64(want[i]))
+			}
+			if l1Ref > 0 {
+				t.Logf("relative L1 gap %.3g", l1/l1Ref)
+			}
+		})
+	}
+}
+
+func TestBilinearGradientAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	for _, c := range bilinearCases() {
+		grad := make([]float32, c.m.NumParams())
+		c.m.Gradient(c.params, c.seqs, grad) // warm the scratch pool
+		if n := testing.AllocsPerRun(50, func() { c.m.Gradient(c.params, c.seqs, grad) }); n != 0 {
+			t.Fatalf("%s: Gradient allocates %v times per call", c.name, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { c.m.Loss(c.params, c.seqs) }); n != 0 {
+			t.Fatalf("%s: Loss allocates %v times per call", c.name, n)
+		}
+	}
+}
+
+// One Bilinear serves every trainer of a run, and models of different
+// sizes share the scratch pool: concurrent calls must give the serial
+// results bit for bit.
+func TestBilinearGradientConcurrent(t *testing.T) {
+	var cases []bilinearCase
+	for _, c := range bilinearCases() {
+		if c.m.V != 37 && len(c.seqs) > 0 {
+			cases = append(cases, c)
+		}
+	}
+	serial := make([][]float32, len(cases))
+	losses := make([]float64, len(cases))
+	for i, c := range cases {
+		serial[i] = make([]float32, c.m.NumParams())
+		losses[i] = c.m.Gradient(c.params, c.seqs, serial[i])
+	}
+	const workers, rounds = 8, 2
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < rounds*len(cases); k++ {
+				i := (w + k) % len(cases)
+				c := cases[i]
+				grad := make([]float32, c.m.NumParams())
+				loss := c.m.Gradient(c.params, c.seqs, grad)
+				if loss != losses[i] || !slices.Equal(grad, serial[i]) {
+					errs <- c.name
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for name := range errs {
+		t.Errorf("%s: a concurrent Gradient differs from the serial one", name)
 	}
 }
