@@ -24,7 +24,6 @@ func runAgent(args []string) {
 	coordURL := fs.String("coordinator", "", "base URL of the papaya serve process (required; a tcp:// URL selects the raw-TCP fabric)")
 	coordName := fs.String("coordinator-name", "coordinator", "coordinator node name")
 	name := fs.String("name", "", "aggregator node name (default agent-<pid>)")
-	compressName := fs.String("compress", "", "deflate large frames this process sends: none|streamed|flate (heartbeat checkpoints are the win here)")
 	heartbeat := fs.Duration("heartbeat", 250*time.Millisecond, "heartbeat cadence (match the server)")
 	obsListen := fs.String("obs-listen", "", "observability listen address (H:P): /metrics, /trace, /debug/vars, /debug/pprof; empty disables")
 	_ = fs.Parse(args)
@@ -42,7 +41,7 @@ func runAgent(args []string) {
 	// flag covers both deployments.
 	fabric, err := newFabric(fabricSpec{
 		kind: fabricKindForURL(*coordURL), listen: *listen,
-		advertise: *advertise, compress: *compressName, seed: 1,
+		advertise: *advertise, seed: 1,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

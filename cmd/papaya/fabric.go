@@ -35,7 +35,6 @@ type fabricSpec struct {
 	kind      string // "http" or "tcp"
 	listen    string
 	advertise string
-	compress  string
 	seed      int64
 }
 
@@ -44,13 +43,11 @@ func newFabric(spec fabricSpec) (fabricConn, error) {
 	switch spec.kind {
 	case "http", "":
 		return httptransport.New(httptransport.Options{
-			Listen: spec.listen, AdvertiseURL: spec.advertise,
-			Compress: spec.compress, Seed: spec.seed,
+			Listen: spec.listen, AdvertiseURL: spec.advertise, Seed: spec.seed,
 		})
 	case "tcp":
 		return tcptransport.New(tcptransport.Options{
-			Listen: spec.listen, AdvertiseAddr: spec.advertise,
-			Compress: spec.compress, Seed: spec.seed,
+			Listen: spec.listen, AdvertiseAddr: spec.advertise, Seed: spec.seed,
 		})
 	default:
 		return nil, fmt.Errorf("unknown fabric %q (want http|tcp)", spec.kind)

@@ -199,10 +199,7 @@ func runLoadtest(args []string) {
 		offered = []string{*compressFlag}
 	}
 
-	fabric, err := newFabric(fabricSpec{
-		kind: fabricKindForURL(*serverURL), listen: "127.0.0.1:0",
-		compress: *compressFlag, seed: 2,
-	})
+	fabric, err := newFabric(fabricSpec{kind: fabricKindForURL(*serverURL), listen: "127.0.0.1:0", seed: 2})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -18,7 +18,6 @@ func runScenario(args []string) {
 	fs := flag.NewFlagSet("scenario", flag.ExitOnError)
 	file := fs.String("file", "", "scenario profile JSON (see examples/scenarios/)")
 	fabricKind := fs.String("fabric", "inmem", "in-process fabric: inmem|http|tcp")
-	compressFlag := fs.String("compress", "", "frame compression for http/tcp fabrics (e.g. streamed)")
 	workers := fs.Int("workers", 0, "driver concurrency; 0 = one worker per client")
 	aggregation := fs.String("aggregation", "", "override the profile's aggregation rule: fedavg|fedbuff|fedprox")
 	aggParam := fs.Float64("agg-param", 0, "override the rule parameter (fedbuff exponent, fedprox mu); 0 keeps the rule default")
@@ -56,10 +55,7 @@ func runScenario(args []string) {
 	case "inmem":
 		fabric = transport.NewNetwork(int64(spec.Seed))
 	case "http", "tcp":
-		f, err := newFabric(fabricSpec{
-			kind: *fabricKind, listen: "127.0.0.1:0",
-			compress: *compressFlag, seed: int64(spec.Seed),
-		})
+		f, err := newFabric(fabricSpec{kind: *fabricKind, listen: "127.0.0.1:0", seed: int64(spec.Seed)})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "papaya scenario:", err)
 			os.Exit(1)

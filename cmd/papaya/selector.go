@@ -27,7 +27,6 @@ func runSelector(args []string) {
 	coordURL := fs.String("coordinator", "", "base URL of the papaya serve process (required; a tcp:// URL selects the raw-TCP fabric)")
 	coordName := fs.String("coordinator-name", "coordinator", "coordinator node name")
 	name := fs.String("name", "", "selector node name (default selector-<pid>)")
-	compressName := fs.String("compress", "", "deflate large frames this process sends: none|streamed|flate")
 	refresh := fs.Duration("refresh", 250*time.Millisecond, "assignment-map and route-discovery refresh cadence")
 	obsListen := fs.String("obs-listen", "", "observability listen address (H:P): /metrics, /trace, /debug/vars, /debug/pprof; empty disables")
 	_ = fs.Parse(args)
@@ -43,7 +42,7 @@ func runSelector(args []string) {
 
 	fabric, err := newFabric(fabricSpec{
 		kind: fabricKindForURL(*coordURL), listen: *listen,
-		advertise: *advertise, compress: *compressName, seed: 1,
+		advertise: *advertise, seed: 1,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

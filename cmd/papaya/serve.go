@@ -44,7 +44,7 @@ func runServe(args []string) {
 	dpBudget := fs.Float64("dp-epsilon-budget", 0, "central DP: refuse releases once one more would exceed this epsilon (0 = unlimited)")
 	dpLocal := fs.Bool("dp-local", false, "local DP: clients also noise their own deltas on-device")
 	dpSeed := fs.Uint64("dp-seed", 0, "deterministic DP noise seed, tests only (0 = crypto/rand, the safe default)")
-	compressName := fs.String("compress", "", "wire compression codec preferred for uploads: none|quantized|quantized16|streamed|flate (negotiated per client at report time); streamed|flate also deflate large frames")
+	compressName := fs.String("compress", "", "wire compression codec preferred for uploads: none|quantized|quantized16|streamed|flate (negotiated per client at report time)")
 	heartbeat := fs.Duration("heartbeat", 250*time.Millisecond, "aggregator heartbeat cadence")
 	obsListen := fs.String("obs-listen", "", "observability listen address (H:P): /metrics, /trace, /debug/vars, /debug/pprof; empty disables")
 	_ = fs.Parse(args)
@@ -68,8 +68,7 @@ func runServe(args []string) {
 	}
 
 	fabric, err := newFabric(fabricSpec{
-		kind: *fabricKind, listen: *listen, advertise: *advertise,
-		compress: *compressName, seed: 1,
+		kind: *fabricKind, listen: *listen, advertise: *advertise, seed: 1,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

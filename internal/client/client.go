@@ -351,21 +351,22 @@ func (r *Runtime) RunOnce(now time.Time) (*Result, error) {
 		}
 	}
 
-	// Stage 4: chunked upload — compressed when negotiated, masked when
-	// SecAgg is enabled.
+	// Stage 4: chunked upload — masked and raw when SecAgg is enabled,
+	// otherwise compressed when negotiated.
 	staleness := report.CurrentVersion - download.Version
 	if staleness < 0 {
 		staleness = 0
 	}
-	codec := r.uploadCodec(report.Compress)
 	if dropStage == DropDuringUpload {
 		p.dropUpload, p.dropVanish = true, dropVanish
 	}
 	var meter uploadMeter
 	var uploadErr *Result
+	var codec compress.Codec
 	if report.SecAggEnabled {
-		uploadErr, err = r.uploadSecAgg(p, checkin, report, delta, len(examples), staleness, codec, &meter)
+		uploadErr, err = r.uploadSecAgg(p, checkin, report, delta, len(examples), staleness, &meter)
 	} else {
+		codec = r.uploadCodec(report.Compress)
 		uploadErr, err = r.uploadPlain(p, checkin, report, delta, len(examples), codec, &meter)
 	}
 	if err != nil {
@@ -694,10 +695,12 @@ func (r *Runtime) uploadPlainChunks(p *participation, es transport.ElidingSessio
 
 // uploadSecAgg applies the client-side weight, encodes the weight-extended
 // vector, masks it, and ships the masked chunks plus the sealed seed
-// envelope. The plaintext delta never leaves the device.
+// envelope. The plaintext delta never leaves the device. Masked chunks
+// always travel raw: the values are uniform over Z_2^32, so no codec
+// shrinks them.
 func (r *Runtime) uploadSecAgg(p *participation, checkin server.CheckinResponse,
 	report server.ReportResponse, delta []float32, numExamples, staleness int,
-	codec compress.Codec, meter *uploadMeter) (*Result, error) {
+	meter *uploadMeter) (*Result, error) {
 	w := float64(numExamples) * fedopt.DefaultStaleness()(staleness)
 	if w <= 0 {
 		w = 1
@@ -723,23 +726,21 @@ func (r *Runtime) uploadSecAgg(p *participation, checkin server.CheckinResponse,
 
 	if es := p.elider(); es != nil {
 		saved := *meter
-		res, serr := r.uploadMaskedChunks(p, es, checkin, report, up, numExamples, codec, meter)
+		res, serr := r.uploadMaskedChunks(p, es, checkin, report, up, numExamples, meter)
 		if !errors.Is(serr, errElidedTrainLost) {
 			return res, serr
 		}
 		*meter = saved
 		p.close()
 	}
-	return r.uploadMaskedChunks(p, nil, checkin, report, up, numExamples, codec, meter)
+	return r.uploadMaskedChunks(p, nil, checkin, report, up, numExamples, meter)
 }
 
 // uploadMaskedChunks ships one masked SecAgg vector in chunks — elided when
 // es is set (see uploadPlain), acked per chunk otherwise.
 func (r *Runtime) uploadMaskedChunks(p *participation, es transport.ElidingSession,
 	checkin server.CheckinResponse, report server.ReportResponse,
-	up secagg.Upload, numExamples int, codec compress.Codec,
-	meter *uploadMeter) (*Result, error) {
-	var scratch []byte
+	up secagg.Upload, numExamples int, meter *uploadMeter) (*Result, error) {
 	for off := 0; off < len(up.Masked); off += report.ChunkSize {
 		end := off + report.ChunkSize
 		if end > len(up.Masked) {
@@ -755,20 +756,9 @@ func (r *Runtime) uploadMaskedChunks(p *participation, es transport.ElidingSessi
 		if p.dropUpload && chunk.Done {
 			return r.abandon(p, checkin, DropDuringUpload, p.dropVanish, 0), nil
 		}
-		raw := int64(4 * (end - off))
-		meter.raw += raw
-		if codec != nil {
-			frame, err := compress.AppendCompressedUints(scratch[:0], codec, up.Masked[off:end])
-			if err != nil {
-				return nil, fmt.Errorf("client: compressing masked chunk at %d: %w", off, err)
-			}
-			scratch = frame
-			chunk.Packed = frame
-			meter.wire += int64(len(frame))
-		} else {
-			chunk.Masked = up.Masked[off:end]
-			meter.wire += raw
-		}
+		chunk.Masked = up.Masked[off:end]
+		meter.raw += int64(4 * (end - off))
+		meter.wire += int64(4 * (end - off))
 		if chunk.Done {
 			chunk.SecAggIndex = up.Index
 			chunk.SecAggCompleting = up.Completing

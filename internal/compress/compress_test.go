@@ -29,17 +29,6 @@ func testFloats(n int) []float32 {
 	return out
 }
 
-// testUints builds a deterministic high-entropy vector (masked-upload
-// shaped: uniform over Z_2^32).
-func testUints(n int) []uint32 {
-	r := rng.New(43)
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = uint32(r.Uint64())
-	}
-	return out
-}
-
 func TestRoundTripAllCodecs(t *testing.T) {
 	for _, name := range compress.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -61,26 +50,6 @@ func TestRoundTripAllCodecs(t *testing.T) {
 					t.Fatalf("n=%d: decoded %d elements", n, len(got))
 				}
 				checkFloatFidelity(t, name, src, got)
-
-				// The uint path must be lossless for every codec — SecAgg
-				// unmasking is exact group arithmetic.
-				u := testUints(n)
-				uframe, err := compress.CompressUints(c, u)
-				if err != nil {
-					t.Fatalf("n=%d: %v", n, err)
-				}
-				gotU, err := compress.DecompressUints(uframe)
-				if err != nil {
-					t.Fatalf("n=%d: %v", n, err)
-				}
-				if len(gotU) != n {
-					t.Fatalf("n=%d: decoded %d uints", n, len(gotU))
-				}
-				for i := range u {
-					if gotU[i] != u[i] {
-						t.Fatalf("n=%d: uint[%d] = %d, want %d (uint path must be lossless)", n, i, gotU[i], u[i])
-					}
-				}
 			}
 		})
 	}
@@ -117,35 +86,6 @@ func checkFloatFidelity(t *testing.T, name string, src, got []float32) {
 		if err := math.Abs(float64(got[i]) - float64(src[i])); err > step*0.5000001 {
 			t.Fatalf("%s: float[%d] error %g exceeds half-step %g", name, i, err, step/2)
 		}
-	}
-}
-
-// TestUintPackingAdapts: structured vectors should delta-compress well
-// below 4 bytes/element; uniform-random (masked) vectors must fall back to
-// raw packing instead of growing.
-func TestUintPackingAdapts(t *testing.T) {
-	c, _ := compress.ByName("quantized")
-	structured := make([]uint32, 1000)
-	for i := range structured {
-		structured[i] = uint32(100 + i*3)
-	}
-	frame, err := compress.CompressUints(c, structured)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frame) > 4*len(structured)/2 {
-		t.Fatalf("structured uints: %d-byte frame for %d elements; delta+varint should be ~1 byte/element",
-			len(frame), len(structured))
-	}
-
-	random := testUints(1000)
-	rframe, err := compress.CompressUints(c, random)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rframe) > 4*len(random)+16 {
-		t.Fatalf("random uints: %d-byte frame for %d elements; must fall back to ~4 bytes/element",
-			len(rframe), len(random))
 	}
 }
 
@@ -276,11 +216,9 @@ func TestCorruptFramesFail(t *testing.T) {
 		"bad kind":     mutate(func(b []byte) []byte { b[4] = 9; return b }),
 		"truncated":    frame[:len(frame)-3],
 		"giant count":  mutate(func(b []byte) []byte { return append(b[:5], 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f) }),
-		"wrong kind":   nil, // built below
+		"wrong kind":   mutate(func(b []byte) []byte { b[4] = 2; return b }), // the retired uint32 kind
 		"scale is NaN": mutate(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[6:], math.Float64bits(math.NaN())); return b }),
 	}
-	uframe, _ := compress.CompressUints(c, testUints(8))
-	cases["wrong kind"] = uframe
 	for name, b := range cases {
 		if _, err := compress.DecompressFloats(b); err == nil {
 			t.Errorf("%s: DecompressFloats accepted a corrupt frame", name)
@@ -288,41 +226,48 @@ func TestCorruptFramesFail(t *testing.T) {
 	}
 }
 
-// TestDeltaCountBombRejected: a tiny delta-mode payload declaring a huge
-// element count must be rejected before the decoder allocates the declared
-// count (the allocation-bomb guard on the SecAgg chunk path).
-func TestDeltaCountBombRejected(t *testing.T) {
-	c, _ := compress.ByName("quantized")
-	frame, err := compress.CompressUints(c, []uint32{1, 2, 3, 4}) // delta mode, 1-byte count
+func TestFrameInfo(t *testing.T) {
+	c, _ := compress.ByName("streamed")
+	frame, err := compress.CompressFloats(c, testFloats(17))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bomb := append([]byte(nil), frame[:5]...)
-	bomb = binary.AppendUvarint(bomb, 1<<26) // declare 64M elements
-	bomb = append(bomb, frame[6:]...)        // ...backed by a few bytes
-	if _, err := compress.DecompressUints(bomb); err == nil {
-		t.Fatal("delta frame with infeasible element count was accepted")
+	name, n, err := compress.FrameInfo(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name != "streamed" || n != 17 {
+		t.Fatalf("FrameInfo = (%q, %d)", name, n)
 	}
 }
 
-func TestFrameInfo(t *testing.T) {
-	c, _ := compress.ByName("streamed")
-	frame, err := compress.CompressUints(c, testUints(17))
-	if err != nil {
-		t.Fatal(err)
+// TestNamesAndIDsFixed pins the codec table: clients offer Names() at
+// report time, so its order is on the wire, and each ID is in every frame
+// header.
+func TestNamesAndIDsFixed(t *testing.T) {
+	want := map[string]byte{"flate": 5, "none": 1, "quantized": 2, "quantized16": 3, "streamed": 4}
+	names := compress.Names()
+	if got := strings.Join(names, ","); got != "flate,none,quantized,quantized16,streamed" {
+		t.Fatalf("Names() = %s", got)
 	}
-	name, kind, n, err := compress.FrameInfo(frame)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range names {
+		c, err := compress.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Name() != name || c.ID() != want[name] {
+			t.Fatalf("ByName(%q) = %q with ID %d, want ID %d", name, c.Name(), c.ID(), want[name])
+		}
 	}
-	if name != "streamed" || kind != compress.KindUint32 || n != 17 {
-		t.Fatalf("FrameInfo = (%q, %d, %d)", name, kind, n)
+	names[0] = "mutated"
+	if compress.Names()[0] != "flate" {
+		t.Fatal("Names returned the table's own storage")
 	}
 }
 
 // TestRegistryConcurrentReads: Names and ByName run from every client
 // goroutine concurrently (offer construction on the upload path); the
-// registry's read paths must be race-free. Run under -race.
+// codec table's read paths must be race-free. Run under -race.
 func TestRegistryConcurrentReads(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -331,7 +276,7 @@ func TestRegistryConcurrentReads(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				if got := compress.Names(); len(got) == 0 {
-					t.Error("Names returned empty registry")
+					t.Error("Names returned an empty table")
 					return
 				}
 				_, _ = compress.ByName("no-such-codec") // error path formats the name list

@@ -1,13 +1,15 @@
 package compress_test
 
-// The pooled DEFLATE stage against fresh flate writers and readers: a
-// Reset writer must emit exactly what a new one does, frame after frame, a
-// pooled reader must keep the inflate bound, and steady-state frame
-// deflate/inflate must not rebuild the codec's tables.
+// The pooled DEFLATE stage of the flate and streamed codecs against fresh
+// flate writers: a Reset writer must emit exactly what a new one does,
+// frame after frame, a pooled reader must keep the inflate bound, and
+// steady-state frame encode/decode must not rebuild the codec's tables.
 
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/compress"
@@ -30,78 +32,100 @@ func freshDeflate(t *testing.T, b []byte) []byte {
 	return buf.Bytes()
 }
 
+// flateHeader is the frame header of a flate-codec frame declaring n
+// elements.
+func flateHeader(n int) []byte {
+	return binary.AppendUvarint([]byte{'P', 'Z', compress.FrameVersion, 5, 1}, uint64(n))
+}
+
 func TestPooledDeflateMatchesFreshWriter(t *testing.T) {
-	frames := [][]byte{
+	c, err := compress.ByName("flate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := [][]float32{
 		nil,
-		[]byte("a short ack frame"),
-		floatBits(testFloats(4096)), // a chunk frame's worth of deltas
-		bytes.Repeat([]byte{0}, 1<<16),
-		floatBits(testFloats(300)),
+		testFloats(4),
+		testFloats(4096), // a chunk's worth of deltas
+		make([]float32, 1<<14),
+		testFloats(300),
 	}
 	// Twice round, so later frames run on writers and readers a previous
 	// frame left in the pool.
 	for round := 0; round < 2; round++ {
-		for i, frame := range frames {
-			got, err := compress.DeflateBytes(frame)
+		for i, v := range vecs {
+			frame, err := compress.CompressFloats(c, v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := freshDeflate(t, frame); !bytes.Equal(got, want) {
-				t.Fatalf("round %d frame %d: pooled deflate emitted %d bytes differing from a fresh writer's %d", round, i, len(got), len(want))
+			hdr := flateHeader(len(v))
+			if !bytes.HasPrefix(frame, hdr) {
+				t.Fatalf("round %d frame %d: header %x, want %x", round, i, frame[:len(hdr)], hdr)
 			}
-			back, err := compress.InflateBytes(got, int64(len(frame)))
-			if err != nil || !bytes.Equal(back, frame) {
-				t.Fatalf("round %d frame %d: inflate = %d bytes, %v", round, i, len(back), err)
+			payload := frame[len(hdr):]
+			if want := freshDeflate(t, floatBits(v)); !bytes.Equal(payload, want) {
+				t.Fatalf("round %d frame %d: pooled deflate emitted %d bytes differing from a fresh writer's %d", round, i, len(payload), len(want))
 			}
-			if len(frame) > 0 {
-				if _, err := compress.InflateBytes(got, int64(len(frame)-1)); err == nil {
+			back, err := compress.DecompressFloats(frame)
+			if err != nil || !bytes.Equal(floatBits(back), floatBits(v)) {
+				t.Fatalf("round %d frame %d: inflate = %d elements, %v", round, i, len(back), err)
+			}
+			// The bound is 4n+64 bytes: a stream inflating past what its
+			// declared count allows is a bomb, and a pooled reader must
+			// still refuse it.
+			if short := (4*len(v) - 64) / 4; short > 0 {
+				bomb := append(flateHeader(short), payload...)
+				if _, err := compress.DecompressFloats(bomb); err == nil {
 					t.Fatalf("round %d frame %d: inflate bound not enforced by a pooled reader", round, i)
 				}
-			}
-			head, err := compress.InflateHead(got, 6)
-			if err != nil || !bytes.HasPrefix(frame, head) || len(head) != min(6, len(frame)) {
-				t.Fatalf("round %d frame %d: InflateHead = %x, %v", round, i, head, err)
 			}
 		}
 	}
 	// A corrupt stream fails and leaves nothing broken behind in the pool.
-	if _, err := compress.InflateBytes([]byte{0xff, 0xff, 0xff}, 1<<10); err == nil {
+	if _, err := compress.DecompressFloats(append(flateHeader(4), 0xff, 0xff, 0xff)); err == nil {
 		t.Fatal("corrupt stream inflated")
 	}
-	want := []byte("after a corrupt stream")
-	packed, _ := compress.DeflateBytes(want)
-	if back, err := compress.InflateBytes(packed, 1<<10); err != nil || !bytes.Equal(back, want) {
-		t.Fatalf("inflate after a corrupt stream = %q, %v", back, err)
+	want := []float32{1, 2, 3, float32(math.Pi)}
+	frame, _ := compress.CompressFloats(c, want)
+	if back, err := compress.DecompressFloats(frame); err != nil || !bytes.Equal(floatBits(back), floatBits(want)) {
+		t.Fatalf("inflate after a corrupt stream = %v, %v", back, err)
 	}
 }
 
-// TestDeflateFrameAllocs fences the per-frame cost of the transport's
-// DEFLATE stage on a 1 KiB frame. With a fresh writer and reader per frame
-// it cost 21 allocations (1.2 MB, 0.5 ms on a 2-vCPU x86-64 host) to
-// deflate and 9 to inflate. Pooled it measures 2 and 4, the output slices
-// growing; the fences, 4 and 6, leave room for one more growth step but
-// not for a fresh writer or reader.
+// TestDeflateFrameAllocs fences the per-frame cost of the codecs' DEFLATE
+// stage on a 1 KiB chunk, encoding into a reused scratch buffer and
+// decoding into a reused destination the way the upload path does. With a
+// fresh writer and reader per frame the stage cost 21 allocations (1.2 MB,
+// 0.5 ms on a 2-vCPU x86-64 host) to deflate and 9 to inflate; pooled, the
+// remaining allocations are the inner codec's payload and the inflated
+// bytes. The fences leave room for one more growth step but not for a
+// fresh writer or reader.
 func TestDeflateFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	frame := floatBits(testFloats(256)) // 1 KiB
-	packed, err := compress.DeflateBytes(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deflate := testing.AllocsPerRun(200, func() {
-		if _, err := compress.DeflateBytes(frame); err != nil {
+	src := testFloats(256) // 1 KiB
+	dst := make([]float32, len(src))
+	for _, name := range []string{"flate", "streamed"} {
+		c, _ := compress.ByName(name)
+		frame, err := compress.CompressFloats(c, src)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	inflate := testing.AllocsPerRun(200, func() {
-		if _, err := compress.InflateBytes(packed, 1<<20); err != nil {
-			t.Fatal(err)
+		scratch := make([]byte, 0, 4*len(src)+64)
+		deflate := testing.AllocsPerRun(200, func() {
+			if _, err := compress.AppendCompressedFloats(scratch[:0], c, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		inflate := testing.AllocsPerRun(200, func() {
+			if err := compress.DecompressFloatsInto(dst, frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s, per 1 KiB chunk: deflate %.1f allocs, inflate %.1f allocs", name, deflate, inflate)
+		if deflate > 4 || inflate > 6 {
+			t.Fatalf("%s per-frame allocations: deflate %.1f (fence 4), inflate %.1f (fence 6)", name, deflate, inflate)
 		}
-	})
-	t.Logf("per 1 KiB frame: deflate %.1f allocs, inflate %.1f allocs", deflate, inflate)
-	if deflate > 4 || inflate > 6 {
-		t.Fatalf("per-frame allocations: deflate %.1f (fence 4), inflate %.1f (fence 6)", deflate, inflate)
 	}
 }

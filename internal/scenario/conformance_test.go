@@ -18,21 +18,17 @@ import (
 
 // scenarioFabrics mirrors the cell names of internal/server's transport
 // conformance suite (which lives in another test package and cannot be
-// imported), read the same way: only the carrier (inmem | http | tcp) and
-// "deflate" for frame-level compression still select anything. http,
-// http-bin and http-stream build the same fabric, as do http-deflate and
-// http-deflate-bin — 5 distinct configurations under 8 names, the extras
-// listed only because tier-1's floor pins every cell by name (ROADMAP
-// "Smaller open items").
+// imported), read the same way: only the carrier (inmem | http | tcp)
+// still selects anything. Every http-* name builds the same fabric, and so
+// do tcp and tcp-bin-deflate ("deflate" selects nothing since frame-level
+// compression was removed) — 3 distinct configurations under 8 names, the
+// extras listed only because tier-1's floor pins every cell by name
+// (ROADMAP item 6).
 var scenarioFabrics = []string{"inmem", "http", "http-bin", "http-deflate", "http-deflate-bin",
 	"http-stream", "tcp", "tcp-bin-deflate"}
 
 func makeFabric(t *testing.T, name string, seed int64) transport.Fabric {
 	t.Helper()
-	compress := ""
-	if strings.Contains(name, "deflate") {
-		compress = "streamed"
-	}
 	var f interface {
 		transport.Fabric
 		Close() error
@@ -42,9 +38,9 @@ func makeFabric(t *testing.T, name string, seed int64) transport.Fabric {
 	case name == "inmem":
 		return transport.NewNetwork(seed)
 	case strings.HasPrefix(name, "http"):
-		f, err = httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Compress: compress})
+		f, err = httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
 	default:
-		f, err = tcptransport.New(tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Compress: compress})
+		f, err = tcptransport.New(tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
 	}
 	if err != nil {
 		t.Fatalf("starting %s fabric: %v", name, err)

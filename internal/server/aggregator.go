@@ -622,10 +622,13 @@ func (a *Aggregator) report(req ReportRequest) (any, error) {
 		OK:             true,
 		ChunkSize:      chunk,
 		CurrentVersion: ts.version(),
-		// Upload-compression negotiation: the task's preference against
-		// what this client offered (Section 7's communication lever; an
-		// empty offer from an older client degrades to raw).
-		Compress: compress.Negotiate(ts.spec.Compress, req.Compress),
+	}
+	// Upload-compression negotiation: the task's preference against what
+	// this client offered (Section 7's communication lever; an empty offer
+	// degrades to raw). SecAgg uploads always travel raw: masked values
+	// are uniform over Z_2^32, so no codec shrinks them.
+	if ts.spec.SecAgg == nil {
+		resp.Compress = compress.Negotiate(ts.spec.Compress, req.Compress)
 	}
 	if dpc := ts.spec.DP; dpc != nil {
 		// Ask the client to clip BEFORE it quantizes (ROADMAP ordering) so
@@ -725,45 +728,32 @@ func (a *Aggregator) uploadChunk(c UploadChunk) (out any, err error) {
 
 	// A packed chunk carries a self-describing compression frame instead
 	// of raw elements; decode it into the path the rest of the assembly
-	// logic already handles. Two rules guard the decode: the declared
-	// element count is validated against the task's dimensions *before*
-	// any allocation (a hostile frame must not buy a huge decode), and
-	// the flate/dequantize work runs outside every lock so one client's
-	// decompression never serializes the task's upload path. The decode
-	// target is leased from the pool and released once the elements are
-	// copied into the session buffer. A malformed frame rejects the
-	// session's upload, not the aggregator.
+	// logic already handles. Only plaintext tasks negotiate a codec, so a
+	// packed chunk on a SecAgg task is refused. Two rules guard the
+	// decode: the declared element count is validated against the task's
+	// dimensions *before* any allocation (a hostile frame must not buy a
+	// huge decode), and the flate/dequantize work runs outside every lock
+	// so one client's decompression never serializes the task's upload
+	// path. The decode target is leased from the pool and released once
+	// the elements are copied into the session buffer. A malformed frame
+	// rejects the session's upload, not the aggregator.
 	if len(c.Packed) > 0 {
-		wantKind := compress.KindFloat32
-		limit := numParams
 		if useSecAgg {
-			wantKind = compress.KindUint32
-			limit++
+			return UploadResponse{OK: false, Reason: "compressed chunk on a SecAgg task: masked uploads travel raw"}, nil
 		}
-		_, kind, n, err := compress.FrameInfo(c.Packed)
+		_, n, err := compress.FrameInfo(c.Packed)
 		switch {
 		case err != nil:
 			return UploadResponse{OK: false, Reason: "bad compressed chunk: " + err.Error()}, nil
-		case kind != wantKind:
-			return UploadResponse{OK: false, Reason: "compressed chunk has wrong element kind"}, nil
-		case c.Offset < 0 || c.Offset > limit || n > limit-c.Offset:
+		case c.Offset < 0 || c.Offset > numParams || n > numParams-c.Offset:
 			return UploadResponse{OK: false, Reason: "chunk out of bounds"}, nil
 		}
-		if useSecAgg {
-			vals := vecpool.GetUints(n)
-			defer vecpool.PutUints(vals)
-			if err := compress.DecompressUintsInto(vals, c.Packed); err != nil {
-				return UploadResponse{OK: false, Reason: "bad compressed chunk: " + err.Error()}, nil
-			}
-			c.Masked = vals
-		} else {
-			vals := vecpool.GetFloats(n)
-			defer vecpool.PutFloats(vals)
-			if err := compress.DecompressFloatsInto(vals, c.Packed); err != nil {
-				return UploadResponse{OK: false, Reason: "bad compressed chunk: " + err.Error()}, nil
-			}
-			c.Data = vals
+		vals := vecpool.GetFloats(n)
+		defer vecpool.PutFloats(vals)
+		if err := compress.DecompressFloatsInto(vals, c.Packed); err != nil {
+			return UploadResponse{OK: false, Reason: "bad compressed chunk: " + err.Error()}, nil
 		}
+		c.Data = vals
 	}
 
 	if resp := s.addChunk(&c, useSecAgg, numParams); resp != nil {

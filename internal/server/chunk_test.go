@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"crypto/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +21,9 @@ import (
 // many chunks, exercising the reassembly path on both the plaintext and
 // SecAgg uploads — and, per codec configuration, the negotiated
 // compression path (raw, quantized, and quantized+flate frames must all
-// reassemble and aggregate on every fabric).
+// reassemble and aggregate on every fabric). A SecAgg task negotiates raw
+// whatever its spec prefers: masked values are uniform, so no codec
+// shrinks them.
 func TestChunkedUpload(t *testing.T) { forEachFabric(t, testChunkedUpload) }
 
 func testChunkedUpload(t *testing.T, fx fabricFactory) {
@@ -100,9 +103,10 @@ func testChunkedUpload(t *testing.T, fx fabricFactory) {
 				t.Fatalf("outcome = %s (%s)", res.Outcome, res.Reason)
 			}
 			// The negotiation must land exactly where the spec pointed:
-			// raw for "none", the named codec otherwise.
+			// raw for "none" and for every SecAgg task, the named codec
+			// otherwise.
 			wantCodec := codec
-			if codec == "none" {
+			if codec == "none" || useSecAgg {
 				wantCodec = ""
 			}
 			if res.Compress != wantCodec {
@@ -111,11 +115,14 @@ func testChunkedUpload(t *testing.T, fx fabricFactory) {
 			if res.UploadRawBytes == 0 || res.UploadWireBytes == 0 {
 				t.Fatalf("upload metering missing: raw=%d wire=%d", res.UploadRawBytes, res.UploadWireBytes)
 			}
-			// Quantized plaintext uploads must actually shrink; the
-			// masked SecAgg vector is uniform random and only has the
-			// raw-packing fallback, so no size assertion there.
-			if !useSecAgg && wantCodec != "" && res.UploadWireBytes >= res.UploadRawBytes {
+			// Compressed plaintext uploads must actually shrink; raw
+			// uploads, masked ones included, move exactly their bytes.
+			if wantCodec != "" && res.UploadWireBytes >= res.UploadRawBytes {
 				t.Fatalf("codec %s shipped %d wire bytes for %d raw bytes", codec,
+					res.UploadWireBytes, res.UploadRawBytes)
+			}
+			if wantCodec == "" && res.UploadWireBytes != res.UploadRawBytes {
+				t.Fatalf("raw upload shipped %d wire bytes for %d raw bytes",
 					res.UploadWireBytes, res.UploadRawBytes)
 			}
 			// The goal-1 task must have stepped once.
@@ -156,7 +163,8 @@ func testChunkOutOfBoundsRejected(t *testing.T, fx fabricFactory) {
 // TestPackedChunkValidatedBeforeDecode: a compressed chunk whose frame
 // declares more elements than the task holds, or the wrong element kind,
 // must be rejected up front — the aggregator validates the self-describing
-// header against the task's dimensions before allocating a decode.
+// header against the task's dimensions before allocating a decode. A
+// SecAgg task refuses every compressed chunk: its uploads travel raw.
 func TestPackedChunkValidatedBeforeDecode(t *testing.T) { forEachFabric(t, testPackedChunkValidated) }
 
 func testPackedChunkValidated(t *testing.T, fx fabricFactory) {
@@ -187,10 +195,13 @@ func testPackedChunkValidated(t *testing.T, fx fabricFactory) {
 		t.Fatal("oversize packed chunk accepted")
 	}
 
-	wrongKind, err := compress.CompressUints(codec, make([]uint32, 4))
+	// The header of a four-element quantized frame with its kind byte set
+	// to 2, the retired uint32 kind.
+	wrongKind, err := compress.CompressFloats(codec, make([]float32, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	wrongKind[4] = 2
 	ur, err = w.net.Call("test", agName(0), "upload-chunk", server.UploadChunk{
 		TaskID: "poob", SessionID: cr.SessionID, Offset: 0, Packed: wrongKind, Done: true, NumExamples: 1,
 	})
@@ -199,6 +210,33 @@ func testPackedChunkValidated(t *testing.T, fx fabricFactory) {
 	}
 	if ur.(server.UploadResponse).OK {
 		t.Fatal("wrong-kind packed chunk accepted on a plaintext task")
+	}
+
+	sw := newWorld(t, fx, 1, 1)
+	sspec := lmSpec("psec", sw.model, core.Async, 2, 1)
+	sspec.Compress = "quantized"
+	if sspec.SecAgg, err = secagg.NewDeployment(secagg.Params{
+		VecLen: sw.model.NumParams() + 1, Threshold: 1, Scale: 1 << 16,
+	}, []byte("tsa"), tee.DefaultCostModel(), rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	sw.createTask(sspec)
+	resp, _ = sw.net.Call("test", selName(0), "checkin", server.CheckinRequest{
+		ClientID: 1, Capabilities: []string{"lm"},
+	})
+	scr := resp.(server.CheckinResponse)
+	packed, err := compress.CompressFloats(codec, make([]float32, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ur, err = sw.net.Call("test", agName(0), "upload-chunk", server.UploadChunk{
+		TaskID: "psec", SessionID: scr.SessionID, Offset: 0, Packed: packed, NumExamples: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ur.(server.UploadResponse); got.OK || !strings.Contains(got.Reason, "SecAgg") {
+		t.Fatalf("packed chunk on a SecAgg task = %+v, want a refusal naming SecAgg", got)
 	}
 }
 

@@ -4,8 +4,7 @@ package server_test
 // multi-tenant, and chunk-reassembly test in this package runs once per
 // backend — the deterministic in-memory transport.Network, sessions over
 // HTTP via transport/httptransport, and sessions over raw TCP via
-// transport/tcptransport, each with and without frame-level deflate — so
-// every networked backend inherits the full Appendix E.3/E.4 behaviour
+// transport/tcptransport — so every networked backend inherits the full Appendix E.3/E.4 behaviour
 // matrix (failover, recovery, routing, mode switches) already proven on the
 // in-memory fabric. Test bodies are shared verbatim; only the fabric
 // construction is parameterized.
@@ -37,16 +36,15 @@ type fabricFactory struct {
 // elides acks on streamed chunk trains and exposes Stats).
 func (fx fabricFactory) networked() bool { return fx.name != "inmem" }
 
-// The cells. Only two tokens of a name still select anything: the carrier
-// (inmem | http | tcp) and "deflate" when large frames are
-// DEFLATE-compressed (Options.Compress). "bin" dates from when the codec
-// was an option and "stream" from when the client runtime's dedicated
-// session was one: every networked cell frames bin and every participation
-// rides its own session now, so http, http-bin and http-stream build the
-// same thing, as do http-deflate and http-deflate-bin — 5 distinct
-// configurations under 8 names. The extra names stay listed only because
-// tier-1's floor pins every cell of every test by name; ROADMAP "Smaller
-// open items" asks the next re-anchor to drop them.
+// The cells. Only the carrier (inmem | http | tcp) in a name still selects
+// anything. "bin" dates from when the codec was an option, "stream" from
+// when the client runtime's dedicated session was one, and "deflate" from
+// when frames could be DEFLATE-compressed per frame: every networked cell
+// frames bin, uncompressed, and every participation rides its own session
+// now. So every http-* name builds the same fabric, and tcp and
+// tcp-bin-deflate build the same fabric — 3 distinct configurations under
+// 8 names. The extra names stay listed only because tier-1's floor pins
+// every cell of every test by name; ROADMAP item 6 drops them.
 var fabricFactories = func() []fabricFactory {
 	names := []string{"inmem", "http", "http-bin", "http-deflate", "http-deflate-bin",
 		"http-stream", "tcp", "tcp-bin-deflate"}
@@ -58,10 +56,6 @@ var fabricFactories = func() []fabricFactory {
 }()
 
 func fabricMaker(name string) func(t *testing.T, seed int64) testFabric {
-	compress := ""
-	if strings.Contains(name, "deflate") {
-		compress = "streamed"
-	}
 	return func(t *testing.T, seed int64) testFabric {
 		var f interface {
 			testFabric
@@ -72,9 +66,9 @@ func fabricMaker(name string) func(t *testing.T, seed int64) testFabric {
 		case name == "inmem":
 			return transport.NewNetwork(seed)
 		case strings.HasPrefix(name, "http"):
-			f, err = httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Compress: compress})
+			f, err = httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
 		default:
-			f, err = tcptransport.New(tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Compress: compress})
+			f, err = tcptransport.New(tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
 		}
 		if err != nil {
 			t.Fatalf("starting %s fabric: %v", name, err)

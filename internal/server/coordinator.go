@@ -327,33 +327,33 @@ func (c *Coordinator) checkFailures() {
 	c.mu.Lock()
 	now := time.Now()
 	for name, last := range c.lastReport {
-		if !c.aggregators[name] || now.Sub(last) <= c.timings.FailureDeadline {
+		if c.aggregators[name] && now.Sub(last) > c.timings.FailureDeadline {
+			delete(c.aggregators, name) // name is dead
+			delete(c.lastReport, name)
+		}
+	}
+	// Reassign every task whose aggregator is not live, not only the tasks
+	// of one that died this tick: a task orphaned while no aggregator was
+	// live must move to the first one that registers.
+	for taskID, asg := range c.assignments {
+		if c.aggregators[asg.Aggregator] {
 			continue
 		}
-		// name is dead: remove and reassign its tasks.
-		delete(c.aggregators, name)
-		delete(c.lastReport, name)
-		for taskID, asg := range c.assignments {
-			if asg.Aggregator != name {
-				continue
-			}
-			target := c.placeLocked(taskID)
-			if target == "" {
-				continue // no live aggregator; retry next tick
-			}
-			newAsg := Assignment{TaskID: taskID, Aggregator: target, Seq: asg.Seq + 1}
-			c.assignments[taskID] = newAsg
-			spec := c.specs[taskID]
-			moves = append(moves, move{
-				req: AssignTaskRequest{
-					Spec:       spec,
-					Seq:        newAsg.Seq,
-					Checkpoint: c.checkpoints[taskID],
-					Version:    c.versions[taskID],
-				},
-				target: target,
-			})
+		target := c.placeLocked(taskID)
+		if target == "" {
+			continue // no live aggregator; retry next tick
 		}
+		newAsg := Assignment{TaskID: taskID, Aggregator: target, Seq: asg.Seq + 1}
+		c.assignments[taskID] = newAsg
+		moves = append(moves, move{
+			req: AssignTaskRequest{
+				Spec:       c.specs[taskID],
+				Seq:        newAsg.Seq,
+				Checkpoint: c.checkpoints[taskID],
+				Version:    c.versions[taskID],
+			},
+			target: target,
+		})
 	}
 	c.mu.Unlock()
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/secagg"
 	"repro/internal/server"
 	"repro/internal/tee"
+	"repro/internal/transport"
 	"repro/internal/vecf"
 )
 
@@ -296,6 +297,51 @@ func testAggregatorFailover(t *testing.T, fx fabricFactory) {
 	after := w.driveTraining("failover", corpus, 6, before.Version+2, 20*time.Second)
 	if after.Version < before.Version {
 		t.Fatalf("failover lost progress: version %d -> %d", before.Version, after.Version)
+	}
+}
+
+// TestOrphanedTaskMovesToNewAggregator: when a task's only aggregator
+// dies, the coordinator has nowhere to move it. The first aggregator to
+// register afterwards must receive it — both in the coordinator's map and
+// as a task it hosts.
+func TestOrphanedTaskMovesToNewAggregator(t *testing.T) {
+	net := transport.NewNetwork(1)
+	tm := testTimings()
+	coord := server.NewCoordinator("coordinator", net, tm, 7, false)
+	defer coord.Stop()
+	register := func(name string) *server.Aggregator {
+		a := server.NewAggregator(name, net, "coordinator", tm)
+		if _, err := net.Call("test", "coordinator", "register-aggregator", name); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	first := register("agg-0")
+	if _, err := net.Call("test", "coordinator", "create-task", lmSpec("orphan", nn.NewBilinear(16, 4), core.Async, 4, 2)); err != nil {
+		t.Fatal(err)
+	}
+	first.Stop()
+	// Past the failure deadline the coordinator declares agg-0 dead, with
+	// no live aggregator to take its task.
+	time.Sleep(tm.FailureDeadline + 5*tm.Heartbeat)
+	second := register("agg-1")
+	defer second.Stop()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := net.Call("test", "coordinator", "map-request", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := resp.(server.MapResponse).Assignments["orphan"].Aggregator
+		_, hostErr := net.Call("test", "agg-1", "task-info", "orphan")
+		if owner == "agg-1" && hostErr == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("orphaned task never moved: map names %q, agg-1 task-info error %v", owner, hostErr)
+		}
+		time.Sleep(tm.Heartbeat)
 	}
 }
 

@@ -1,8 +1,8 @@
 package server_test
 
 // Relay conformance. The selector answers an in-session call with a
-// transport.Forward and the fabric moves the frame. On every carrier, with
-// and without frame deflate: an elided chunk train crosses the selector ->
+// transport.Forward and the fabric moves the frame. On every carrier: an
+// elided chunk train crosses the selector ->
 // aggregator hop as one acknowledged exchange; a failure the aggregator
 // holds mid-train answers the Done call with the aggregator's reason; a
 // fault between chunks reaches the client as its sentinel on Done and the
@@ -28,8 +28,10 @@ import (
 	"repro/internal/vecpool"
 )
 
-// relayCells are the in-memory fabric, and HTTP and raw TCP each with and
-// without frame deflate.
+// relayCells are the in-memory fabric, HTTP and raw TCP. The -deflate
+// cells once compressed every frame; that stage is gone, so they build the
+// same fabric as their carrier and stay listed only because tier-1's floor
+// pins them by name (see fabricFactories).
 var relayCells = []string{"inmem", "http", "http-deflate", "tcp", "tcp-deflate"}
 
 func forEachRelayCell(t *testing.T, run func(t *testing.T, cell string)) {
@@ -52,9 +54,8 @@ func relaySpec(id string, params, chunk int, mode core.Algorithm) server.TaskSpe
 	}
 }
 
-// relayDelta is an update of normal deviates, which deflate shrinks by
-// little: a 128 KiB chunk of it passes the 64 KiB no-ack flush threshold on
-// its own on every cell, deflated or not.
+// relayDelta is an update of normal deviates: a 128 KiB chunk of it passes
+// the 64 KiB no-ack flush threshold on its own on every cell.
 func relayDelta(n int) []float32 {
 	r := rng.New(7)
 	d := make([]float32, n)

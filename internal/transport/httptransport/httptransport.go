@@ -54,9 +54,6 @@ type Options struct {
 	// Defaults to "http://<bound address>", which is correct on localhost;
 	// set it explicitly when listening on 0.0.0.0 behind NAT or a proxy.
 	AdvertiseURL string
-	// Compress names the compress.Codec this fabric prefers on the wire
-	// ("" or "none" disables); see streamcore.Options.Compress.
-	Compress string
 	// Stream is ignored (every call rides a session); it survives only
 	// until benchmark/harness.go stops setting it.
 	Stream bool
@@ -100,15 +97,10 @@ func New(opts Options) (*Fabric, error) {
 	// control plane makes many small concurrent calls to few hosts, the
 	// worst case for net/http's default 2-per-host idle cap.
 	f := &Fabric{client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64, MaxIdleConns: 256}}}
-	f.Fabric, err = streamcore.NewFabric(streamcore.Options{
+	f.Fabric = streamcore.NewFabric(streamcore.Options{
 		Prefix: "httptransport", Addr: baseURL,
-		Compress: opts.Compress, Seed: opts.Seed, CallTimeout: opts.CallTimeout,
-		Dial: f.dial,
+		Seed: opts.Seed, CallTimeout: opts.CallTimeout, Dial: f.dial,
 	})
-	if err != nil {
-		_ = ln.Close()
-		return nil, err
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+streamPath+"{node}", f.handleStream)
 	f.srv = &http.Server{Handler: mux}

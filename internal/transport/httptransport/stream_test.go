@@ -176,7 +176,7 @@ func TestBinRejectedOnV1Route(t *testing.T) {
 // TestStreamSessionSurvivesLargeFrames pushes a payload well past the
 // bufio sizes through a session in both directions.
 func TestStreamSessionSurvivesLargeFrames(t *testing.T) {
-	f := newFabric(t, httptransport.Options{Compress: "streamed"})
+	f := newFabric(t, httptransport.Options{})
 	f.Register("node", func(method string, payload any) (any, error) { return payload, nil })
 	sess, err := f.OpenSession("caller", "node")
 	if err != nil {

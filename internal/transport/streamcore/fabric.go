@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
@@ -37,11 +36,6 @@ type Options struct {
 	// Addr is the address peers dial this fabric at, with or without
 	// Scheme.
 	Addr string
-	// Compress names the compress.Codec this fabric prefers on the wire
-	// ("" or "none" disables). When the codec includes a streaming stage
-	// (Streams() true, e.g. "streamed" or "flate"), large request frames
-	// are DEFLATE-compressed per frame and the server answers in kind.
-	Compress string
 	// Seed seeds the probabilistic-loss RNG (SetLoss); 0 is a valid seed.
 	Seed int64
 	// CallTimeout bounds one call end to end (default 30s), enforced with
@@ -62,7 +56,6 @@ type Fabric struct {
 	scheme      string
 	addr        string // route-table form of this fabric's own address
 	dial        Dialer
-	deflate     bool // Options.Compress has a DEFLATE stage
 	callTimeout time.Duration
 
 	mu     sync.RWMutex
@@ -81,17 +74,9 @@ type Fabric struct {
 	pool *Pool
 }
 
-// NewFabric validates opts and returns the shared fabric, ready for
-// Register/Call as soon as the backend's listener accepts.
-func NewFabric(opts Options) (*Fabric, error) {
-	deflate := false
-	if opts.Compress != "" && opts.Compress != "none" {
-		cc, err := compress.ByName(opts.Compress)
-		if err != nil {
-			return nil, err
-		}
-		deflate = cc.Streams()
-	}
+// NewFabric returns the shared fabric, ready for Register/Call as soon as
+// the backend's listener accepts.
+func NewFabric(opts Options) *Fabric {
 	callTimeout := opts.CallTimeout
 	if callTimeout == 0 {
 		callTimeout = 30 * time.Second
@@ -101,14 +86,13 @@ func NewFabric(opts Options) (*Fabric, error) {
 		scheme:      opts.Scheme,
 		addr:        strings.TrimPrefix(opts.Addr, opts.Scheme),
 		dial:        opts.Dial,
-		deflate:     deflate,
 		callTimeout: callTimeout,
 		local:       make(map[string]transport.Handler),
 		routes:      make(map[string]string),
 		pool:        NewPool(maxIdleSessionsPerPeer),
 	}
 	f.InitFaults(opts.Seed)
-	return f, nil
+	return f
 }
 
 // BaseURL returns the URL peers use to reach this fabric.
@@ -219,7 +203,6 @@ func (f *Fabric) dialSession(addr, node string) (*Session, error) {
 		return nil, err
 	}
 	s := NewSession(conn, Config{
-		Deflate:     f.deflate,
 		Node:        node,
 		Prefix:      f.prefix,
 		CallTimeout: f.callTimeout,
@@ -256,11 +239,11 @@ func (f *Fabric) Call(from, to, method string, payload any) (any, error) {
 func (f *Fabric) callAt(addr, from, node, method string, payload any) (any, error) {
 	u := upstream{f: f, from: from}
 	defer u.unpin()
-	rflags, raw, err := u.roundTripAt(addr, node, method, payload)
+	raw, err := u.roundTripAt(addr, node, method, payload)
 	if err != nil {
 		return nil, err
 	}
-	return u.s.decode(rflags, raw)
+	return u.s.decode(raw)
 }
 
 // boundSession is a transport.Session pinned to a (from, to) pair over a

@@ -52,10 +52,7 @@ func TestRouteMoveDropsIdleSessions(t *testing.T) {
 	}
 	for name, move := range movers {
 		d := &pipeDialer{}
-		f, err := NewFabric(Options{Prefix: "test", Addr: "self:1", Dial: d.dial})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := NewFabric(Options{Prefix: "test", Addr: "self:1", Dial: d.dial})
 		defer f.CloseSessions()
 		call := func() {
 			t.Helper()
@@ -95,10 +92,7 @@ func TestRouteMoveDropsIdleSessions(t *testing.T) {
 // no session behind whichever key it was parked under.
 func TestRouteMoveUnderConcurrentCalls(t *testing.T) {
 	d := &pipeDialer{}
-	f, err := NewFabric(Options{Prefix: "test", Addr: "self:1", Dial: d.dial})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := NewFabric(Options{Prefix: "test", Addr: "self:1", Dial: d.dial})
 	f.AddRoute("agent", "a:1")
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -8,6 +8,7 @@ package fabrictest
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -15,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/server"
 	"repro/internal/transport"
 	"repro/internal/transport/streamcore"
 	"repro/internal/transport/wire"
@@ -272,6 +272,40 @@ func RouteGossipIsTransitive(t *testing.T, mk New) {
 	}
 }
 
+// ack is a chunk acknowledgement that, like the server's upload response,
+// opts out of the wire when OK. The suite registers it under its own ID so
+// it needs nothing from the control plane.
+type ack struct {
+	OK     bool
+	Reason string
+}
+
+const ackID = 241
+
+func (a *ack) fields(f *wire.Fields) {
+	f.Bool(&a.OK)
+	f.String(&a.Reason)
+}
+
+// AppendBinary implements wire.BinaryMessage.
+func (a ack) AppendBinary(dst []byte) []byte {
+	f := wire.AppendFields(dst, ackID)
+	a.fields(&f)
+	return f.Appended()
+}
+
+// AckElidable implements transport.AckElidable.
+func (a ack) AckElidable() bool { return a.OK }
+
+func init() {
+	wire.Register(ackID, "papaya/test/fabrictest.ack", func(b []byte) (any, error) {
+		var a ack
+		f := wire.DecodeFields(b)
+		a.fields(&f)
+		return a, f.Done()
+	})
+}
+
 // methodLog is a handler that records the methods it saw, under its own
 // lock: it runs on the serving goroutine and the only ordering toward the
 // test's reads is socket I/O, which the race detector cannot see.
@@ -285,9 +319,9 @@ func (l *methodLog) handle(method string, _ any) (any, error) {
 	l.methods = append(l.methods, method)
 	l.mu.Unlock()
 	if method == "bad" {
-		return server.UploadResponse{OK: false, Reason: "nope"}, nil
+		return ack{OK: false, Reason: "nope"}, nil
 	}
-	return server.UploadResponse{OK: true}, nil
+	return ack{OK: true}, nil
 }
 
 func (l *methodLog) seen() []string {
@@ -314,15 +348,15 @@ func AckElideEndToEnd(t *testing.T, mk New) {
 		t.Fatalf("session does not elide (ok=%v)", ok)
 	}
 	for i := 0; i < 5; i++ {
-		if err := es.SendNoAck("chunk", server.FailRequest{TaskID: "t", SessionID: uint64(i)}); err != nil {
+		if err := es.SendNoAck("chunk", fmt.Sprintf("chunk %d", i)); err != nil {
 			t.Fatalf("no-ack send %d: %v", i, err)
 		}
 	}
-	out, err := es.Call("done", server.FailRequest{TaskID: "t", SessionID: 99})
+	out, err := es.Call("done", "chunk 99")
 	if err != nil {
 		t.Fatalf("final acked call: %v", err)
 	}
-	if ur := out.(server.UploadResponse); !ur.OK {
+	if ur := out.(ack); !ur.OK {
 		t.Fatalf("final response = %+v", ur)
 	}
 	if got := log.seen(); len(got) != 6 || got[0] != "chunk" || got[5] != "done" {
@@ -360,15 +394,15 @@ func AckElideHeldFailureSurfacesOnNextCall(t *testing.T, mk New) {
 	defer sess.Close()
 	es := sess.(transport.ElidingSession)
 	for _, m := range []string{"ok", "bad", "after"} {
-		if err := es.SendNoAck(m, server.FailRequest{TaskID: "t"}); err != nil {
+		if err := es.SendNoAck(m, "t"); err != nil {
 			t.Fatalf("no-ack %s: %v", m, err)
 		}
 	}
-	out, err := es.Call("final", server.FailRequest{TaskID: "t"})
+	out, err := es.Call("final", "t")
 	if err != nil {
 		t.Fatalf("acked call after held failure: %v", err)
 	}
-	if ur := out.(server.UploadResponse); ur.OK || ur.Reason != "nope" {
+	if ur := out.(ack); ur.OK || ur.Reason != "nope" {
 		t.Fatalf("held response = %+v, want the bad chunk's failure", ur)
 	}
 	if got := log.seen(); len(got) != 2 || got[0] != "ok" || got[1] != "bad" {

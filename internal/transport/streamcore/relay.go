@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 
-	"repro/internal/compress"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
@@ -67,25 +66,25 @@ func (u *upstream) unpin() {
 }
 
 // roundTripAt runs one acknowledged exchange with node on addr and returns
-// the response frame undecoded (valid until u unpins). A pooled session that
-// turns out stale before any byte of this exchange went out is discarded and
-// the exchange retried on a fresh connection; once bytes may have reached
-// the peer it is never resent (at most once).
-func (u *upstream) roundTripAt(addr, node, method string, payload any) (byte, []byte, error) {
+// the response payload undecoded (valid until u unpins). A pooled session
+// that turns out stale before any byte of this exchange went out is
+// discarded and the exchange retried on a fresh connection; once bytes may
+// have reached the peer it is never resent (at most once).
+func (u *upstream) roundTripAt(addr, node, method string, payload any) ([]byte, error) {
 	for {
 		if err := u.pinAt(addr, node); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		stale := !u.fresh && u.unanswered == 0
-		rflags, raw, err, wrote := u.s.exchange(u.from, method, payload)
+		raw, err, wrote := u.s.exchange(u.from, method, payload)
 		if err == nil {
 			u.unanswered = 0
-			return rflags, raw, nil
+			return raw, nil
 		}
 		broken := u.s.Broken()
 		u.unpin()
 		if !broken || !stale || wrote {
-			return 0, nil, err
+			return nil, err
 		}
 	}
 }
@@ -128,39 +127,40 @@ func (u *upstream) queue(to string, fwd transport.Forward) error {
 	return nil
 }
 
-// call relays an acknowledged frame and returns the target's response frame
-// undecoded. A frame that ends a train rides the train's session, so a
-// failure the target held from an earlier chunk is this frame's answer. A
-// frame with nothing outstanding before it that fails — no answer, or an
-// answer carrying an error — is retried once at the re-resolved target.
+// call relays an acknowledged frame and returns the target's response
+// payload undecoded. A frame that ends a train rides the train's session,
+// so a failure the target held from an earlier chunk is this frame's
+// answer. A frame with nothing outstanding before it that fails — no
+// answer, or an answer carrying an error — is retried once at the
+// re-resolved target.
 // transport.Forward.Done sees the outcome before the caller writes it on.
-func (u *upstream) call(fwd transport.Forward) (rflags byte, raw []byte, err error) {
+func (u *upstream) call(fwd transport.Forward) (raw []byte, err error) {
 	alone := u.unanswered == 0
-	rflags, raw, err = u.roundTrip(fwd.To, fwd)
+	raw, err = u.roundTrip(fwd.To, fwd)
 	failure := err
 	if failure == nil {
-		failure = responseError(rflags, raw)
+		failure = responseError(raw)
 	}
 	if failure != nil && alone && fwd.Reresolve != nil {
 		var to string
 		if to, err = fwd.Reresolve(); err == nil {
-			rflags, raw, err = u.roundTrip(to, fwd)
+			raw, err = u.roundTrip(to, fwd)
 		}
 		if failure = err; failure == nil {
-			failure = responseError(rflags, raw)
+			failure = responseError(raw)
 		}
 	}
 	if fwd.Done != nil {
 		fwd.Done(failure)
 	}
-	return rflags, raw, err
+	return raw, err
 }
 
 // roundTrip is roundTripAt toward to after the same per-frame fault checks.
-func (u *upstream) roundTrip(to string, fwd transport.Forward) (byte, []byte, error) {
+func (u *upstream) roundTrip(to string, fwd transport.Forward) ([]byte, error) {
 	addr, err := u.f.checkCall(u.from, to, fwd.Method)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	return u.roundTripAt(addr, to, fwd.Method, fwd.Payload)
 }
@@ -168,28 +168,28 @@ func (u *upstream) roundTrip(to string, fwd transport.Forward) (byte, []byte, er
 // relay executes one forwarded inbound frame. A no-ack frame is sent on;
 // its failure comes back as the encoded response the serving loop holds for
 // the session's next acknowledged frame. An acknowledged frame is answered
-// here: with the target's response frame exactly as it arrived (flags
-// included), or with the transport failure that kept it from arriving. An
-// error means the inbound connection broke.
-func (u *upstream) relay(conn Conn, fwd transport.Forward, reqFlags byte, prefix string) (held []byte, err error) {
-	if reqFlags&wire.StreamFlagNoAck != 0 {
+// here: with the target's response frame exactly as it arrived, or with
+// the transport failure that kept it from arriving. An error means the
+// inbound connection broke.
+func (u *upstream) relay(conn Conn, fwd transport.Forward, noAck bool, prefix string) (held []byte, err error) {
+	if noAck {
 		if ferr := u.send(fwd); ferr != nil {
-			_, held, err = failureFrame(nil, ferr, reqFlags, prefix)
+			_, held, err = failureFrame(nil, ferr, prefix)
 			return held, err
 		}
 		return nil, nil
 	}
 	defer u.unpin()
-	rflags, raw, ferr := u.call(fwd)
+	raw, ferr := u.call(fwd)
 	if ferr != nil {
 		var frame []byte
-		if u.hdr, frame, err = failureFrame(u.hdr[:0], ferr, reqFlags, prefix); err != nil {
+		if u.hdr, frame, err = failureFrame(u.hdr[:0], ferr, prefix); err != nil {
 			return nil, err
 		}
 		_, err = conn.WriteFrames(net.Buffers{frame})
 		return nil, err
 	}
-	u.hdr = wire.AppendStreamHeader(u.hdr[:0], rflags, len(raw))
+	u.hdr = wire.AppendStreamHeader(u.hdr[:0], 0, len(raw))
 	u.bufs = append(u.bufs[:0], u.hdr, raw)
 	_, err = conn.WriteFrames(net.Buffers(u.bufs))
 	return nil, err
@@ -197,26 +197,13 @@ func (u *upstream) relay(conn Conn, fwd transport.Forward, reqFlags byte, prefix
 
 // failureFrame encodes err at the end of dst as the response frame a failed
 // call gets, returning the grown buffer and the frame.
-func failureFrame(dst []byte, err error, reqFlags byte, prefix string) (buf, frame []byte, ferr error) {
-	return appendResponseFrame(dst, &wire.Response{Kind: transport.ErrorToKind(err), Err: err.Error()}, reqFlags, prefix)
+func failureFrame(dst []byte, err error, prefix string) (buf, frame []byte, ferr error) {
+	return appendResponseFrame(dst, &wire.Response{Kind: transport.ErrorToKind(err), Err: err.Error()}, prefix)
 }
 
 // responseError reads the error a response frame carries (nil for a good
-// answer) from its head alone. A deflated frame is inflated only as far as
-// a good answer's head unless that head shows a failure.
-func responseError(rflags byte, raw []byte) error {
-	if rflags&wire.StreamFlagDeflate != 0 {
-		head, err := compress.InflateHead(raw, wire.ResponseHeadLen)
-		if err != nil {
-			return err
-		}
-		if msg, kind, err := (wire.Binary{}).ResponseStatus(head); err == nil && msg == "" && kind == "" {
-			return nil
-		}
-		if raw, err = compress.InflateBytes(raw, MaxFrame); err != nil {
-			return err
-		}
-	}
+// answer) from its head alone.
+func responseError(raw []byte) error {
 	msg, kind, err := wire.Binary{}.ResponseStatus(raw)
 	switch {
 	case err != nil:

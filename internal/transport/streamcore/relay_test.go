@@ -38,10 +38,7 @@ func newLoopFabric(t *testing.T, sinks ...string) *loopFabric {
 	for _, n := range sinks {
 		lf.sinks[n] = true
 	}
-	f, err := NewFabric(Options{Prefix: "test", Addr: loopAddr, Dial: lf.dial})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := NewFabric(Options{Prefix: "test", Addr: loopAddr, Dial: lf.dial})
 	lf.Fabric = f
 	t.Cleanup(f.CloseSessions)
 	return lf

@@ -3,7 +3,6 @@ package streamcore
 import (
 	"net"
 
-	"repro/internal/compress"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
@@ -11,7 +10,7 @@ import (
 // ServeConfig parameterizes the server half of the engine for the fabric
 // that owns the connection.
 type ServeConfig struct {
-	// MaxFrame bounds one request payload, raw or inflated.
+	// MaxFrame bounds one request payload.
 	MaxFrame int
 	// Prefix is the owning fabric's error prefix.
 	Prefix string
@@ -28,13 +27,12 @@ type ServeConfig struct {
 }
 
 // Serve runs one inbound streaming session: pipelined request frames
-// answered in order by response frames, compressed responses mirroring the
-// request's deflate choice, and the request's buffer leases released once
-// its response frame is encoded.
+// answered in order by response frames, and the request's buffer leases
+// released once its response frame is encoded.
 //
 // A handler may answer with a wire.EncodedResponse (a published model
 // version): its frame goes out as it is, behind a stream header, in one
-// writev — nothing is encoded, copied or compressed per request.
+// writev — nothing is encoded or copied per request.
 //
 // Frames carrying wire.StreamFlagNoAck are the ack-elision path: a
 // successful response whose payload opts in (transport.AckElidable) is
@@ -81,11 +79,6 @@ func Serve(conn Conn, cfg ServeConfig) {
 			held = nil
 			continue
 		}
-		if flags&wire.StreamFlagDeflate != 0 {
-			if payload, err = compress.InflateBytes(payload, int64(cfg.MaxFrame)); err != nil {
-				return
-			}
-		}
 		req, err := wire.Binary{}.DecodeRequest(payload)
 		if err != nil {
 			// An unknown magic or envelope version (wire versioning rule 1)
@@ -95,7 +88,7 @@ func Serve(conn Conn, cfg ServeConfig) {
 		}
 		resp := cfg.Invoke(req)
 		if fwd, ok := resp.Payload.(transport.Forward); ok {
-			held, err = cfg.relay.relay(conn, fwd, flags, cfg.Prefix)
+			held, err = cfg.relay.relay(conn, fwd, noAck, cfg.Prefix)
 			releaseRequest(req)
 			if err != nil {
 				return
@@ -113,7 +106,7 @@ func Serve(conn Conn, cfg ServeConfig) {
 			wv = append(wv[:0], out, body)
 		} else {
 			var frame []byte
-			out, frame, err = appendResponseFrame(out[:0], resp, flags, cfg.Prefix)
+			out, frame, err = appendResponseFrame(out[:0], resp, cfg.Prefix)
 			if err != nil {
 				releaseRequest(req)
 				return
@@ -155,10 +148,9 @@ func releaseRequest(req *wire.Request) {
 }
 
 // appendResponseFrame encodes one response as a complete stream frame at
-// the end of dst, in place like Session.encodeFrame, the request's deflate
-// choice mirrored back. It returns the grown buffer and the frame within
-// it.
-func appendResponseFrame(dst []byte, resp *wire.Response, reqFlags byte, prefix string) (buf, frame []byte, err error) {
+// the end of dst, in place like Session.encodeFrame. It returns the grown
+// buffer and the frame within it.
+func appendResponseFrame(dst []byte, resp *wire.Response, prefix string) (buf, frame []byte, err error) {
 	start := len(dst)
 	buf, err = wire.Binary{}.AppendResponse(wire.BeginStreamFrame(dst), resp)
 	if err != nil {
@@ -169,5 +161,5 @@ func appendResponseFrame(dst []byte, resp *wire.Response, reqFlags byte, prefix 
 			return dst, nil, err
 		}
 	}
-	return finishFrame(buf, start, 0, reqFlags&wire.StreamFlagDeflate != 0)
+	return buf, wire.EndStreamFrame(buf, start, 0), nil
 }

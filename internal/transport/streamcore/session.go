@@ -8,16 +8,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
 
 // Config parameterizes a client Session for the fabric that owns it.
 type Config struct {
-	// Deflate enables the per-frame deflate stage for large request
-	// frames; the server mirrors the choice on the response.
-	Deflate bool
 	// Node is the callee every frame on this session addresses, used in
 	// error text.
 	Node string
@@ -27,7 +23,7 @@ type Config struct {
 	// CallTimeout bounds one call end to end via Conn.SetDeadline; zero
 	// disables the per-call deadline.
 	CallTimeout time.Duration
-	// MaxFrame bounds one response payload, raw or inflated.
+	// MaxFrame bounds one response payload.
 	MaxFrame int
 	// Counters receives the session's traffic accounting (the owning
 	// fabric's cumulative counters).
@@ -81,34 +77,34 @@ func (s *Session) Node() string { return s.cfg.Node }
 func (s *Session) Do(from, method string, payload any) (out any, err error, wrote bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rflags, raw, err, wrote := s.exchangeLocked(from, method, payload)
+	raw, err, wrote := s.exchangeLocked(from, method, payload)
 	if err != nil {
 		return nil, err, wrote
 	}
-	out, err = s.decode(rflags, raw)
+	out, err = s.decode(raw)
 	return out, err, true
 }
 
-// exchange is Do without the decode: the response frame comes back as its
-// flags and payload, aliasing the conn's read buffer and valid until the
+// exchange is Do without the decode: the response frame's payload comes
+// back aliasing the conn's read buffer and valid until the
 // session's next read. The relay writes it on as it arrived; the caller
 // must hold the session exclusively (pinned, or checked out of the pool)
 // until it has used the frame.
-func (s *Session) exchange(from, method string, payload any) (rflags byte, raw []byte, err error, wrote bool) {
+func (s *Session) exchange(from, method string, payload any) (raw []byte, err error, wrote bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.exchangeLocked(from, method, payload)
 }
 
-func (s *Session) exchangeLocked(from, method string, payload any) (rflags byte, raw []byte, err error, wrote bool) {
+func (s *Session) exchangeLocked(from, method string, payload any) (raw []byte, err error, wrote bool) {
 	if s.closed.Load() || s.broken.Load() {
-		return 0, nil, fmt.Errorf("%w: %s: stream closed", transport.ErrCrashed, s.cfg.Node), false
+		return nil, fmt.Errorf("%w: %s: stream closed", transport.ErrCrashed, s.cfg.Node), false
 	}
 	buf, frame, err := s.encodeFrame(s.outBuf[:0], from, method, payload, 0)
 	s.outBuf = buf
 	if err != nil {
 		// An unregistered payload is a caller bug, not a broken session.
-		return 0, nil, fmt.Errorf("%s: encoding %s call to %s: %w", s.cfg.Prefix, method, s.cfg.Node, err), false
+		return nil, fmt.Errorf("%s: encoding %s call to %s: %w", s.cfg.Prefix, method, s.cfg.Node, err), false
 	}
 	s.cfg.Counters.Calls.Add(1)
 	s.cfg.Counters.RoundTrips.Add(1)
@@ -116,28 +112,21 @@ func (s *Session) exchangeLocked(from, method string, payload any) (rflags byte,
 
 	n, werr := s.writeLocked(frame)
 	if werr != nil {
-		return 0, nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, s.cfg.Node, werr), n > 0
+		return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, s.cfg.Node, werr), n > 0
 	}
-	rflags, raw, err = s.conn.ReadFrame(s.cfg.MaxFrame)
+	_, raw, err = s.conn.ReadFrame(s.cfg.MaxFrame)
 	if err != nil {
 		s.broken.Store(true)
-		return 0, nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, s.cfg.Node, err), true
+		return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, s.cfg.Node, err), true
 	}
 	s.clearDeadline()
 	s.cfg.Counters.BytesReceived.Add(uint64(len(raw)))
-	return rflags, raw, nil, true
+	return raw, nil, true
 }
 
-// decode turns a response frame from exchange into Do's result; a frame
-// that does not inflate or parse marks the session broken.
-func (s *Session) decode(rflags byte, raw []byte) (any, error) {
-	var err error
-	if rflags&wire.StreamFlagDeflate != 0 {
-		if raw, err = compress.InflateBytes(raw, int64(s.cfg.MaxFrame)); err != nil {
-			s.broken.Store(true)
-			return nil, fmt.Errorf("%s: inflating stream response from %s: %w", s.cfg.Prefix, s.cfg.Node, err)
-		}
-	}
+// decode turns a response payload from exchange into Do's result; a
+// payload that does not parse marks the session broken.
+func (s *Session) decode(raw []byte) (any, error) {
 	resp, err := wire.Binary{}.DecodeResponse(raw)
 	if err != nil {
 		s.broken.Store(true)
@@ -207,9 +196,8 @@ func (s *Session) Flush() error {
 
 // encodeFrame encodes one request as a complete stream frame at the end of
 // dst: the wire.Binary body goes straight after a reserved header, which is
-// then written in front of it, so the body is never copied — unless it is
-// deflated, which produces a new body anyway. It returns the grown buffer
-// and the frame within it.
+// then written in front of it, so the body is never copied. It returns the
+// grown buffer and the frame within it.
 func (s *Session) encodeFrame(dst []byte, from, method string, payload any, extraFlags byte) (buf, frame []byte, err error) {
 	s.req.From, s.req.Method, s.req.Payload = from, method, payload
 	start := len(dst)
@@ -218,19 +206,7 @@ func (s *Session) encodeFrame(dst []byte, from, method string, payload any, extr
 	if err != nil {
 		return dst, nil, err
 	}
-	return finishFrame(buf, start, extraFlags, s.cfg.Deflate)
-}
-
-// finishFrame ends the stream frame begun at buf[start:], deflating its
-// body first when deflate is set and that makes it smaller.
-func finishFrame(buf []byte, start int, flags byte, deflate bool) ([]byte, []byte, error) {
-	if body := buf[start+wire.StreamHeaderMax:]; deflate && len(body) >= DeflateMin {
-		if packed, derr := compress.DeflateBytes(body); derr == nil && len(packed) < len(body) {
-			buf = wire.AppendStreamFrame(buf[:start], flags|wire.StreamFlagDeflate, packed)
-			return buf, buf[start:], nil
-		}
-	}
-	return buf, wire.EndStreamFrame(buf, start, flags), nil
+	return buf, wire.EndStreamFrame(buf, start, extraFlags), nil
 }
 
 // writeLocked flushes the queued no-ack frames plus the optional final

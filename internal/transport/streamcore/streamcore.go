@@ -55,14 +55,9 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// DeflateMin is the frame size below which the per-frame deflate stage is
-// skipped: fixed DEFLATE framing would outweigh the savings on a 60-byte
-// ack.
-const DeflateMin = 256
-
-// MaxFrame bounds one frame payload in either direction, raw or inflated
-// (64 MiB ~ a 16M-parameter checkpoint frame), so a hostile length prefix
-// or deflate bomb cannot force a huge allocation.
+// MaxFrame bounds one frame payload in either direction (64 MiB ~ a
+// 16M-parameter checkpoint frame), so a hostile length prefix cannot force
+// a huge allocation.
 const MaxFrame = 64 << 20
 
 // maxIdleSessionsPerPeer caps the cached Call sessions kept per

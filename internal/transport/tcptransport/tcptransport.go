@@ -11,10 +11,9 @@
 // wire.StreamHello naming the node every subsequent request addresses (the
 // HTTP transport carries this in the URL path). After the hello, the
 // connection is a streaming session: pipelined wire.Binary request frames
-// answered in order by response frames, optionally DEFLATE-compressed per
-// frame (wire.StreamFlagDeflate). A hello or frame whose magic or version
-// this build does not know closes the connection (wire versioning rule 1),
-// and the caller sees transport.ErrCrashed.
+// answered in order by response frames. A hello or frame whose magic,
+// version or flags this build does not know closes the connection (wire
+// versioning rule 1), and the caller sees transport.ErrCrashed.
 package tcptransport
 
 import (
@@ -49,9 +48,6 @@ type Options struct {
 	// Codec survives only until benchmark/harness.go stops setting it: ""
 	// or "bin" (the one frame format); anything else is an error.
 	Codec string
-	// Compress names the compress.Codec this fabric prefers on the wire
-	// ("" or "none" disables); see streamcore.Options.Compress.
-	Compress string
 	// AdvertiseAddr is the address peers should dial, with or without the
 	// tcp:// prefix. Defaults to the bound address, which is correct on
 	// localhost; set it explicitly behind NAT.
@@ -93,15 +89,10 @@ func New(opts Options) (*Fabric, error) {
 	if addr == "" {
 		addr = ln.Addr().String()
 	}
-	core, err := streamcore.NewFabric(streamcore.Options{
+	core := streamcore.NewFabric(streamcore.Options{
 		Prefix: "tcptransport", Scheme: Scheme, Addr: addr,
-		Compress: opts.Compress, Seed: opts.Seed, CallTimeout: opts.CallTimeout,
-		Dial: dial,
+		Seed: opts.Seed, CallTimeout: opts.CallTimeout, Dial: dial,
 	})
-	if err != nil {
-		_ = ln.Close()
-		return nil, err
-	}
 	f := &Fabric{Fabric: core, ln: ln, srvConns: make(map[net.Conn]struct{})}
 	f.wg.Add(1)
 	go f.acceptLoop()

@@ -109,24 +109,6 @@ func TestUnknownHelloRefused(t *testing.T) {
 	}
 }
 
-// TestCompressedFrames exercises the per-frame deflate stage with a
-// model-sized payload.
-func TestCompressedFrames(t *testing.T) {
-	f := newTestFabric(t, Options{Compress: "streamed"})
-	f.Register("agg", func(method string, payload any) (any, error) {
-		dl := payload.(server.DownloadRequest)
-		params := make([]float32, 4096)
-		return server.DownloadResponse{Params: params, Version: int(dl.SessionID)}, nil
-	})
-	out, err := f.Call("c", "agg", "download", server.DownloadRequest{TaskID: "t", SessionID: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp := out.(server.DownloadResponse); resp.Version != 3 || len(resp.Params) != 4096 {
-		t.Fatalf("response = %d params v%d", len(resp.Params), resp.Version)
-	}
-}
-
 // TestLossInjection checks SetLoss produces ErrDropped without touching
 // the server side.
 func TestLossInjection(t *testing.T) {

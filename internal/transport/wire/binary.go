@@ -150,11 +150,6 @@ func (Binary) DecodeResponse(b []byte) (*Response, error) {
 	return r, nil
 }
 
-// ResponseHeadLen is the length of a successful response frame's head: the
-// magic, version and kind bytes plus the two empty strings. ResponseStatus
-// needs no more than this to report success.
-const ResponseHeadLen = 6
-
 // ResponseStatus reads only the Err and Kind fields at the head of a
 // response frame, leaving the payload undecoded: how a relay tells a
 // failed answer from a good one without materialising what it forwards.

@@ -8,7 +8,7 @@
 //	uvarint(1 + len(payload)) | flags byte | payload bytes
 //
 // where payload is one complete Binary request/response frame and flags
-// carries per-frame options (StreamFlagDeflate, StreamFlagNoAck). The
+// carries per-frame options (StreamFlagNoAck). The
 // framing is shared by both backends: the HTTP fabric frames the bodies of
 // its long-lived /papaya/v2/stream POST with it, and the raw-TCP fabric
 // (internal/transport/tcptransport) frames everything with it, prefixed by
@@ -24,11 +24,6 @@ import (
 	"io"
 )
 
-// StreamFlagDeflate marks a stream frame whose payload bytes are
-// DEFLATE-compressed (the transport inflates before decoding; frames under
-// streamcore.DeflateMin bytes are never compressed).
-const StreamFlagDeflate = 1 << 0
-
 // StreamFlagNoAck marks a request frame whose sender does not wait for a
 // response: the server answers it only when the call fails (and then on the
 // next acknowledged frame, keeping request/response framing in sync).
@@ -37,7 +32,7 @@ const StreamFlagNoAck = 1 << 1
 // streamKnownFlags masks the flag bits this build understands; a frame
 // carrying unknown flags is rejected (versioning rule 1 — fail loudly
 // instead of misinterpreting a future format).
-const streamKnownFlags = StreamFlagDeflate | StreamFlagNoAck
+const streamKnownFlags = StreamFlagNoAck
 
 // AppendStreamFrame appends one length-prefixed stream frame carrying
 // payload with the given flags. The payload is copied; callers reuse their

@@ -18,9 +18,15 @@ import (
 	"repro/internal/transport/wire"
 )
 
+// retiredDeflate is the flag bit that once marked a DEFLATE-compressed
+// frame. No build sends it now, so the seeds that carry it are
+// unknown-flag sequences the readers must reject mid-stream.
+const retiredDeflate = 1 << 0
+
 func FuzzStreamDecode(f *testing.F) {
 	// Seed with realistic sequences: a hello followed by codec frames of
-	// every shape, deflate-flagged frames, and deliberately broken ones.
+	// every shape, frames with the retired deflate bit, and deliberately
+	// broken ones.
 	bin := wire.Binary{}
 	reqFrame, err := bin.AppendRequest(nil, &wire.Request{From: "client-1", Method: "upload-chunk", Payload: benchChunk(16)})
 	if err != nil {
@@ -32,14 +38,14 @@ func FuzzStreamDecode(f *testing.F) {
 	}
 	seq := wire.AppendStreamFrame(nil, 0, wire.AppendStreamHello(nil, "agg-0"))
 	seq = wire.AppendStreamFrame(seq, 0, reqFrame)
-	seq = wire.AppendStreamFrame(seq, wire.StreamFlagDeflate, respFrame)
+	seq = wire.AppendStreamFrame(seq, retiredDeflate, respFrame)
 	f.Add(seq)
 	// A coalesced no-ack chunk train as the writev path produces it: several
-	// NoAck frames back to back in one buffer, a deflated one among them,
-	// closed by the acked frame that flushes the batch.
+	// NoAck frames back to back in one buffer, one with the retired deflate
+	// bit among them, closed by the acked frame that flushes the batch.
 	batch := wire.AppendStreamFrame(nil, wire.StreamFlagNoAck, reqFrame)
 	batch = wire.AppendStreamFrame(batch, wire.StreamFlagNoAck, reqFrame)
-	batch = wire.AppendStreamFrame(batch, wire.StreamFlagNoAck|wire.StreamFlagDeflate, respFrame)
+	batch = wire.AppendStreamFrame(batch, wire.StreamFlagNoAck|retiredDeflate, respFrame)
 	batch = wire.AppendStreamFrame(batch, 0, reqFrame)
 	f.Add(batch)
 	f.Add(wire.AppendStreamFrame(nil, wire.StreamFlagNoAck, []byte("{}")))
@@ -68,7 +74,7 @@ func FuzzStreamDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	relayed = wire.AppendStreamFrame(relayed, 0, respFrame)
-	relayed = wire.AppendStreamFrame(relayed, wire.StreamFlagDeflate, infoFrame)
+	relayed = wire.AppendStreamFrame(relayed, retiredDeflate, infoFrame)
 	f.Add(relayed)
 
 	const maxFrame = 1 << 20

@@ -24,7 +24,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 	for i, p := range payloads {
 		flags := byte(0)
 		if i%2 == 1 {
-			flags = wire.StreamFlagDeflate
+			flags = wire.StreamFlagNoAck
 		}
 		buf = wire.AppendStreamFrame(buf, flags, p)
 	}
@@ -37,7 +37,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 		}
 		wantFlags := byte(0)
 		if i%2 == 1 {
-			wantFlags = wire.StreamFlagDeflate
+			wantFlags = wire.StreamFlagNoAck
 		}
 		if flags != wantFlags || !bytes.Equal(payload, p) {
 			t.Fatalf("frame %d: flags=%d payload %d bytes", i, flags, len(payload))
@@ -82,11 +82,17 @@ func TestStreamFrameBounds(t *testing.T) {
 	if _, _, _, err := wire.ReadStreamFrameFrom(br, nil, 1<<20); err == nil || err == io.EOF {
 		t.Fatalf("truncated frame error = %v", err)
 	}
-	// Unknown flag bits are a version break, rejected loudly.
-	bad := wire.AppendUvarint(nil, 2)
-	bad = append(bad, 0x80, 'x')
-	if _, _, _, err := wire.ReadStreamFrame(bad, 1<<20); err == nil {
-		t.Fatal("unknown flags accepted")
+	// Unknown flag bits are a version break, rejected loudly. Bit 0 was
+	// the retired per-frame deflate flag: no build sends it any more.
+	for _, flag := range []byte{0x80, 1 << 0} {
+		bad := wire.AppendUvarint(nil, 2)
+		bad = append(bad, flag, 'x')
+		if _, _, _, err := wire.ReadStreamFrame(bad, 1<<20); err == nil {
+			t.Fatalf("unknown flags %#x accepted", flag)
+		}
+		if _, _, _, err := wire.ReadStreamFrameFrom(bufio.NewReader(bytes.NewReader(bad)), nil, 1<<20); err == nil {
+			t.Fatalf("unknown flags %#x accepted by reader", flag)
+		}
 	}
 	// Empty frame (no flags byte) is malformed.
 	if _, _, _, err := wire.ReadStreamFrame(wire.AppendUvarint(nil, 0), 1<<20); err == nil {
