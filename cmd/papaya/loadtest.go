@@ -161,7 +161,7 @@ func runLoadtest(args []string) {
 	clients := fs.Int("clients", 16, "concurrent simulated clients")
 	uploads := fs.Int("uploads", 200, "successful upload target (run ends when reached)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "abort if the target is not reached in time")
-	compressFlag := fs.String("compress", "", "upload codecs clients offer: empty = all registered, \"none\" = opt out, or one codec name (server picks per task)")
+	compressFlag := fs.String("compress", "", "upload codecs clients offer: empty = all codecs, \"none\" = opt out, or one codec name (server picks per task)")
 	train := fs.Bool("train", false, "run real local SGD (internal/nn log-bilinear) instead of a fixed delta, so deltas — and compression ratios — are realistic")
 	vocab := fs.Int("vocab", 16, "with -train: model vocabulary (params = 2*vocab*dim + vocab, must equal the task's -params)")
 	dim := fs.Int("dim", 4, "with -train: embedding dimension")
@@ -188,7 +188,7 @@ func runLoadtest(args []string) {
 	var offered []string
 	switch *compressFlag {
 	case "":
-		// nil: Runtime offers every registered codec.
+		// nil: Runtime offers every codec.
 	case "none":
 		offered = []string{"none"}
 	default:

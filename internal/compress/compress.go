@@ -132,6 +132,7 @@ func parseHeader(frame []byte) (Codec, int, []byte, error) {
 	for _, cc := range codecs {
 		if cc.ID() == frame[3] {
 			c = cc
+			break
 		}
 	}
 	if c == nil {

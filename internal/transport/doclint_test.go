@@ -4,8 +4,8 @@ package transport_test
 // and functions in internal/server and internal/transport/... anchor the
 // implementation back to paper sections (Section 4/6, Appendix E), so an
 // undocumented export is a regression. This lint walks the AST of the
-// control-plane packages (plus internal/compress, the wire-compression
-// subsystem) and fails on any exported declaration without a
+// control-plane packages (plus internal/compress, the upload compression
+// stage) and fails on any exported declaration without a
 // doc comment, and on any exported type/func whose comment does not start
 // with its name (the go doc convention, which keeps anchors findable).
 // CI's vet+gofmt steps handle mechanics; this handles the contract.
