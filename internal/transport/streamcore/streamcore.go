@@ -7,8 +7,9 @@
 // interface (read-frame / write-frames / set-deadline / close):
 //
 //   - One frame format: every call is a wire.Binary frame inside a stream
-//     frame. A frame whose magic or envelope version is unknown kills the
-//     session (wire versioning rule 1); nothing is negotiated.
+//     frame, uncompressed. A frame whose magic, envelope version or flags
+//     are unknown kills the session (wire versioning rule 1); nothing is
+//     negotiated.
 //
 //   - Ack elision (wire.StreamFlagNoAck): calls whose responses the caller
 //     does not need ride the stream unanswered. The server suppresses the
