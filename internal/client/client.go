@@ -693,7 +693,8 @@ func (r *Runtime) uploadPlainChunks(p *participation, es transport.ElidingSessio
 	return nil, nil
 }
 
-// uploadSecAgg applies the client-side weight, encodes the weight-extended
+// uploadSecAgg applies the client-side weight (the default aggregation
+// rule, the only one a SecAgg task accepts), encodes the weight-extended
 // vector, masks it, and ships the masked chunks plus the sealed seed
 // envelope. The plaintext delta never leaves the device. Masked chunks
 // always travel raw: the values are uniform over Z_2^32, so no codec
@@ -701,10 +702,7 @@ func (r *Runtime) uploadPlainChunks(p *participation, es transport.ElidingSessio
 func (r *Runtime) uploadSecAgg(p *participation, checkin server.CheckinResponse,
 	report server.ReportResponse, delta []float32, numExamples, staleness int,
 	meter *uploadMeter) (*Result, error) {
-	w := float64(numExamples) * fedopt.DefaultStaleness()(staleness)
-	if w <= 0 {
-		w = 1
-	}
+	w := fedopt.DefaultAggregation().Weight(numExamples, staleness)
 	weighted := vecf.Clone(delta)
 	vecf.Scale(weighted, float32(w))
 

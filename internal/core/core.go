@@ -68,15 +68,10 @@ type Config struct {
 	// MaxStaleness aborts Async clients whose staleness exceeds it
 	// (Appendix E.1/E.2). 0 means unlimited.
 	MaxStaleness int
-	// Staleness is the down-weighting policy; nil means 1/sqrt(1+s).
-	Staleness fedopt.StalenessWeight
 	// ExampleWeighting weights each update by the client's example count
 	// (the paper's behaviour). Zero value means enabled; set
 	// DisableExampleWeighting for ablations.
 	DisableExampleWeighting bool
-	// ExampleWeightCap caps the example-count weight (keyboard-prediction
-	// deployments cap per-user influence; Hard et al. 2019). 0 means no cap.
-	ExampleWeightCap float64
 	// Server is the server optimizer; nil means the paper's FedAdam.
 	Server fedopt.Optimizer
 	// DP, when non-nil, enables the central differential-privacy extension
@@ -164,9 +159,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxStaleness < 0 {
 		return fmt.Errorf("core: MaxStaleness must be >= 0")
-	}
-	if c.Staleness == nil {
-		c.Staleness = fedopt.DefaultStaleness()
 	}
 	if c.Server == nil {
 		c.Server = fedopt.DefaultFedAdam()

@@ -64,7 +64,7 @@ func TestValidateDefaults(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Server == nil || cfg.Staleness == nil || cfg.AggShards != 8 ||
+	if cfg.Server == nil || cfg.AggShards != 8 ||
 		cfg.SelectionDelayMean != 1 || cfg.Client.BatchSize == 0 {
 		t.Fatalf("defaults not filled: %+v", cfg)
 	}

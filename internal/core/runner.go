@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/buffer"
 	"repro/internal/dp"
+	"repro/internal/fedopt"
 	"repro/internal/lmdata"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -63,6 +64,8 @@ type runner struct {
 	buf    *buffer.Buffered
 	train  *trainEngine
 	dpMech *dp.Mechanism
+	// rule weights accepted updates: the server's default aggregation rule.
+	rule fedopt.Aggregation
 
 	version       int
 	serverUpdates int
@@ -96,6 +99,7 @@ func newRunner(model nn.Model, corpus *lmdata.Corpus, pop *population.Population
 		eng:      simclock.New(),
 		rnd:      rng.New(cfg.Seed),
 		inflight: make(map[int64]*session),
+		rule:     fedopt.DefaultAggregation(),
 		res:      &Result{Algorithm: cfg.Algorithm, Goal: cfg.AggregationGoal},
 	}
 	if cfg.DP != nil {
@@ -264,16 +268,14 @@ func (r *runner) finishSession(s *session) {
 	r.recordParticipant(s, staleness)
 
 	if !r.cfg.NoTraining {
-		w := 1.0
-		if !r.cfg.DisableExampleWeighting {
-			w = float64(s.client.NumExamples)
-			if r.cfg.ExampleWeightCap > 0 && w > r.cfg.ExampleWeightCap {
-				w = r.cfg.ExampleWeightCap
-			}
+		// The server's default rule weights the update, as on the networked
+		// aggregator. A Sync update is never stale (closing a
+		// round discards its stragglers), so its staleness factor is 1.
+		n := s.client.NumExamples
+		if r.cfg.DisableExampleWeighting {
+			n = 1
 		}
-		if r.cfg.Algorithm == Async {
-			w *= r.cfg.Staleness(staleness)
-		}
+		w := r.rule.Weight(n, staleness)
 		// The update is accepted: train it on the worker pool (against the
 		// snapshot downloaded at start, with randomness keyed on session
 		// ID) and enqueue the weighted add on the session's shard, where

@@ -111,13 +111,12 @@ func TestAggregationByName(t *testing.T) {
 	if p.(FedProx).Mu != DefaultProxMu {
 		t.Fatalf("fedprox default mu = %g, want %g", p.(FedProx).Mu, DefaultProxMu)
 	}
-	// The empty-name default must agree with DefaultStaleness at every
-	// staleness (the pre-refactor async path used DefaultStaleness).
+	// The empty-name default is the paper's n/sqrt(1+s), bit for bit: the
+	// simulator and the SecAgg client weight through it too.
 	def, _ := AggregationByName("", 0)
-	stale := DefaultStaleness()
 	for s := 0; s < 20; s++ {
-		if got, want := def.Weight(1, s), stale(s); math.Abs(got-want) > 1e-15 {
-			t.Fatalf("default rule Weight(1, %d) = %v, want legacy %v", s, got, want)
+		if got, want := def.Weight(3, s), 3*math.Pow(1+float64(s), -0.5); got != want {
+			t.Fatalf("default rule Weight(3, %d) = %v, want %v", s, got, want)
 		}
 	}
 }

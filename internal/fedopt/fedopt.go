@@ -149,34 +149,3 @@ func checkLen(a, b []float32) {
 		panic("fedopt: parameter length mismatch")
 	}
 }
-
-// StalenessWeight is a policy mapping an update's staleness (server versions
-// elapsed since the client downloaded the model) to a down-weighting factor.
-type StalenessWeight func(staleness int) float64
-
-// PolynomialStaleness returns FedBuff's weighting family
-// w(s) = (1+s)^(-a); the paper uses a = 0.5, i.e. 1/sqrt(1+s).
-func PolynomialStaleness(a float64) StalenessWeight {
-	if a < 0 {
-		panic("fedopt: staleness exponent must be >= 0")
-	}
-	return func(s int) float64 {
-		if s < 0 {
-			panic("fedopt: negative staleness")
-		}
-		return math.Pow(1+float64(s), -a)
-	}
-}
-
-// DefaultStaleness is the paper's 1/sqrt(1+s).
-func DefaultStaleness() StalenessWeight { return PolynomialStaleness(0.5) }
-
-// ConstantStaleness ignores staleness entirely (ablation baseline).
-func ConstantStaleness() StalenessWeight {
-	return func(s int) float64 {
-		if s < 0 {
-			panic("fedopt: negative staleness")
-		}
-		return 1
-	}
-}

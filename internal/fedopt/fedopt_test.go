@@ -132,33 +132,33 @@ func TestOptimizerStateSizeChangePanics(t *testing.T) {
 }
 
 func TestStalenessWeights(t *testing.T) {
-	w := DefaultStaleness()
-	if w(0) != 1 {
-		t.Fatalf("w(0) = %v", w(0))
+	w := NewFedBuff(0.5)
+	if w.Weight(1, 0) != 1 {
+		t.Fatalf("Weight(1, 0) = %v", w.Weight(1, 0))
 	}
-	if math.Abs(w(3)-0.5) > 1e-12 {
-		t.Fatalf("w(3) = %v, want 0.5", w(3))
+	if math.Abs(w.Weight(1, 3)-0.5) > 1e-12 {
+		t.Fatalf("Weight(1, 3) = %v, want 0.5", w.Weight(1, 3))
 	}
 	// Monotone decreasing.
 	prev := 2.0
 	for s := 0; s < 50; s++ {
-		v := w(s)
+		v := w.Weight(1, s)
 		if v >= prev {
 			t.Fatalf("staleness weight not decreasing at s=%d", s)
 		}
 		prev = v
 	}
-	c := ConstantStaleness()
-	if c(0) != 1 || c(100) != 1 {
-		t.Fatal("constant staleness not constant")
+	var c FedAvg
+	if c.Weight(1, 0) != 1 || c.Weight(1, 100) != 1 {
+		t.Fatal("fedavg weight not constant in staleness")
 	}
 }
 
 func TestStalenessPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { PolynomialStaleness(-1) },
-		func() { DefaultStaleness()(-1) },
-		func() { ConstantStaleness()(-1) },
+		func() { NewFedBuff(-1) },
+		func() { NewFedBuff(0.5).Weight(1, -1) },
+		func() { FedAvg{}.Weight(1, -1) },
 	} {
 		func() {
 			defer func() {
@@ -197,12 +197,11 @@ func TestQuickFedSGDIdentity(t *testing.T) {
 	}
 }
 
-// Property: polynomial staleness weight lies in (0, 1] and decreases with s.
+// Property: FedBuff's staleness factor lies in (0, 1] and decreases with s.
 func TestQuickStalenessMonotone(t *testing.T) {
 	f := func(aRaw uint8, s uint8) bool {
-		a := float64(aRaw)/64 + 0.1
-		w := PolynomialStaleness(a)
-		v1, v2 := w(int(s)), w(int(s)+1)
+		w := NewFedBuff(float64(aRaw)/64 + 0.1)
+		v1, v2 := w.Weight(1, int(s)), w.Weight(1, int(s)+1)
 		return v1 > 0 && v1 <= 1 && v2 < v1
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -139,8 +139,9 @@ func (s *sessionState) close() {
 // optimizer's moments, the DP accountant and the release scratch — only a
 // server step writes them, and cold readers (task-info, the heartbeat
 // checkpoint) copy them under it. published is what every download serves:
-// one record per model version, swapped by a single pointer store. Lock
-// order is mu before stepMu; the off-path stepper never holds both.
+// one record per model version, swapped by a single pointer store. No code
+// path holds mu and stepMu at once: every server step runs on the task's
+// stepper, which takes them one after the other.
 type taskState struct {
 	mu   sync.Mutex
 	spec TaskSpec
@@ -158,14 +159,19 @@ type taskState struct {
 	// allocates nothing model-sized besides the new version's frame.
 	scratch []float32
 
-	buf    *buffer.Buffered
-	secAgg *secagg.Aggregator // guarded by mu: SecAgg adds and unmasks are task-atomic
+	buf *buffer.Buffered
+	// secAgg takes adds under mu and the unmask in step without it. That is
+	// safe because the finisher that meets the goal adds and arms the drain
+	// in one mu section, and every later finisher waits in awaitDrainLocked
+	// until step closes the drain after the unmask: nothing else touches
+	// secAgg during a drain, and each release holds exactly the goal.
+	secAgg *secagg.Aggregator
 	agg    fedopt.Aggregation
 
-	// stepPending marks an AsyncFL server step running off the finishing
-	// session's path; settled is broadcast when it clears. draining, while
-	// open, is a release whose goal is met and whose drain is still owed;
-	// the stepper closes it once drained. All three use mu.
+	// stepPending marks a server step running off the finishing session's
+	// path; settled is broadcast when it clears. draining, while open, is a
+	// release whose goal is met and whose drain is still owed; the stepper
+	// closes it once drained. All three use mu.
 	stepPending bool
 	settled     *sync.Cond
 	draining    chan struct{}
@@ -310,6 +316,12 @@ func newTaskState(req AssignTaskRequest) (*taskState, error) {
 		}
 	}
 	if spec.SecAgg != nil {
+		// SecAgg clients weight on-device with the default rule and the
+		// server only sees the masked sum, so any other rule would be
+		// silently ignored.
+		if spec.Aggregation != "" && spec.Aggregation != "default" {
+			return nil, fmt.Errorf("server: SecAgg tasks aggregate with the default rule (clients weight on-device), not %q", spec.Aggregation)
+		}
 		// A spec that crossed the wire carries an inert deployment recipe;
 		// placement is where this host launches its own enclave from it
 		// (Section 5 — each aggregator host runs its own TSA).
@@ -541,6 +553,11 @@ func (a *Aggregator) join(req JoinRequest) (any, error) {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	if ts.spec.Mode == core.Sync {
+		// A closed round may still be stepping; the next cohort starts at
+		// the version that step publishes.
+		ts.settleLocked()
+	}
 	if ts.dpExhausted {
 		// The task is complete: its privacy budget cannot cover another
 		// release, so new participants would train for nothing.
@@ -795,18 +812,10 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 	// bound the noise is calibrated for. ClipUpdate is stateless, so it is
 	// safe on this sharded concurrent path; dpMech itself is immutable
 	// after placement.
+	finite := true
 	if pendingGp == nil {
-		if !vecf.AllFinite(pending) {
-			ts.mu.Lock()
-			if cur, live := ts.sessions[c.SessionID]; live && cur == s {
-				ts.dropSessionLocked(c.SessionID)
-				a.obs.sessionsClosed.Inc()
-			}
-			ts.mu.Unlock()
-			release()
-			return UploadResponse{OK: false, Reason: "non-finite update"}, nil
-		}
-		if ts.dpMech != nil {
+		finite = vecf.AllFinite(pending)
+		if finite && ts.dpMech != nil {
 			pre := ts.dpMech.ClipUpdate(pending)
 			a.obs.dpClipFraction.Observe(pre / ts.dpMech.Clip())
 		}
@@ -819,49 +828,40 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 		release()
 		return UploadResponse{OK: false, Reason: "unknown session"}, nil
 	}
-	if s.aborted {
-		reason := s.abortReason
+	// reject refuses the upload and closes its session. Caller holds ts.mu;
+	// reject releases it.
+	reject := func(reason string) (any, error) {
 		ts.dropSessionLocked(c.SessionID)
 		ts.mu.Unlock()
 		release()
 		a.obs.sessionsClosed.Inc()
 		return UploadResponse{OK: false, Reason: reason}, nil
 	}
-	if ts.dpExhausted {
+	staleness := ts.version() - s.startVersion
+	switch {
+	case !finite:
+		return reject("non-finite update")
+	case s.aborted:
+		return reject(s.abortReason)
+	case ts.dpExhausted:
 		// The budget capped out while this client trained; its update can
 		// never be released, so refuse it like an abort.
-		ts.dropSessionLocked(c.SessionID)
-		ts.mu.Unlock()
-		release()
-		a.obs.sessionsClosed.Inc()
-		return UploadResponse{OK: false, Reason: "budget_exhausted"}, nil
+		return reject("budget_exhausted")
+	case ts.spec.MaxStaleness > 0 && staleness > ts.spec.MaxStaleness:
+		return reject("staleness exceeded")
+	case ts.spec.SecAgg != nil && received != ts.spec.NumParams+1:
+		return reject("incomplete masked upload")
+	case ts.spec.SecAgg == nil && received != ts.spec.NumParams:
+		return reject("incomplete upload")
 	}
-	staleness := ts.version() - s.startVersion
-	if ts.spec.MaxStaleness > 0 && staleness > ts.spec.MaxStaleness {
-		ts.dropSessionLocked(c.SessionID)
-		ts.mu.Unlock()
-		release()
-		a.obs.sessionsClosed.Inc()
-		return UploadResponse{OK: false, Reason: "staleness exceeded"}, nil
-	}
-
-	// Weight for the plaintext paths (SecAgg clients weight on-device).
-	// The task's aggregation rule owns the whole mapping — example-count
-	// floor and staleness damping both — so sync and async share one call.
-	w := ts.agg.Weight(c.NumExamples, staleness)
 
 	switch {
 	case ts.spec.SecAgg != nil:
-		// The SecAgg aggregate (host sum + enclave boundary call) is not
-		// concurrency-safe and stays under the task mutex; the boundary
-		// crossing dominates its cost anyway (Section 5).
-		if received != ts.spec.NumParams+1 {
-			ts.dropSessionLocked(c.SessionID)
-			ts.mu.Unlock()
-			release()
-			a.obs.sessionsClosed.Inc()
-			return UploadResponse{OK: false, Reason: "incomplete masked upload"}, nil
-		}
+		// The SecAgg add (host sum + enclave boundary call) is not
+		// concurrency-safe and stays under the task mutex, in the same
+		// section as the goal check; the boundary crossing dominates its
+		// cost anyway (Section 5). Clients weight on-device with the
+		// default rule, the only one a SecAgg task accepts.
 		up := secagg.Upload{
 			Index:      c.SecAggIndex,
 			Masked:     pendingGp,
@@ -869,33 +869,14 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 			EncSeed:    c.SecAggEncSeed,
 		}
 		if err := ts.secAgg.Add(up); err != nil {
-			ts.dropSessionLocked(c.SessionID)
-			ts.mu.Unlock()
-			release()
-			a.obs.sessionsClosed.Inc()
-			return UploadResponse{OK: false, Reason: err.Error()}, nil
+			return reject(err.Error())
 		}
-		out, err := a.countAndMaybeStepLocked(ts, c.SessionID)
-		ts.mu.Unlock()
-		release()
-		return out, err
 
 	case ts.spec.Mode == core.Sync:
-		// SyncFL rounds close atomically: the add, the round counter, and
-		// the possible round close (with its over-selection discard,
-		// Appendix E.3) stay consistent under the task mutex.
-		if received != ts.spec.NumParams {
-			ts.dropSessionLocked(c.SessionID)
-			ts.mu.Unlock()
-			release()
-			a.obs.sessionsClosed.Inc()
-			return UploadResponse{OK: false, Reason: "incomplete upload"}, nil
-		}
-		ts.buf.Add(pending, w, int(s.clientID))
-		out, err := a.countAndMaybeStepLocked(ts, c.SessionID)
-		ts.mu.Unlock()
-		release()
-		return out, err
+		// A SyncFL round closes atomically: the add, the round counter and
+		// the round close (with its over-selection discard, Appendix E.3)
+		// stay consistent under the task mutex.
+		ts.buf.Add(pending, ts.agg.Weight(c.NumExamples, staleness), int(s.clientID))
 
 	default:
 		// AsyncFL (FedBuff): the sharded fast path. The accumulate runs
@@ -904,7 +885,7 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 		// so concurrent finishing sessions contend per shard. Whether the
 		// goal is met is decided from the buffered count once the counters
 		// are re-locked, which keeps exactly one finisher triggering each
-		// server step, and that step runs off this session's path.
+		// server step.
 		//
 		// One deliberate relaxation versus a fully locked path: the version
 		// can advance between the staleness check above and this Add. A
@@ -916,41 +897,33 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 		// stays bounded at one step: the staleness check reads the version
 		// under ts.mu, awaitDrainLocked kept this finisher out of any drain
 		// already running, and only one step is ever pending.
-		if received != ts.spec.NumParams {
-			ts.dropSessionLocked(c.SessionID)
-			ts.mu.Unlock()
-			release()
-			a.obs.sessionsClosed.Inc()
-			return UploadResponse{OK: false, Reason: "incomplete upload"}, nil
-		}
-		clientID := s.clientID
+		w := ts.agg.Weight(c.NumExamples, staleness)
 		ts.mu.Unlock()
-
-		ts.buf.Add(pending, w, int(clientID))
-		release()
-
+		ts.buf.Add(pending, w, int(s.clientID))
 		ts.mu.Lock()
-		out, err := a.countAndMaybeStepLocked(ts, c.SessionID)
-		ts.mu.Unlock()
-		return out, err
 	}
+	a.countAndMaybeStepLocked(ts, c.SessionID)
+	ts.mu.Unlock()
+	release()
+	return UploadResponse{OK: true}, nil
 }
 
-// countAndMaybeStepLocked finishes an accepted upload's bookkeeping and
-// triggers the server step when the aggregation goal is met. Caller holds
-// ts.mu. The goal check reads live state under the lock (buffered count,
-// SecAgg received count, or the sync round counter) rather than a value
-// computed before locking, so concurrent async finishers cannot
-// double-trigger a release.
+// countAndMaybeStepLocked finishes an accepted upload's bookkeeping and,
+// when the aggregation goal is met, hands the release to the task's
+// stepper. Caller holds ts.mu. The goal check reads live state under the
+// lock (buffered count, SecAgg received count, or the sync round counter)
+// rather than a value computed before locking, so concurrent finishers
+// cannot double-trigger a release.
 //
-// Who runs the step follows from the task's mode. A sync round's close
-// (with its over-selection discard) and a SecAgg unmask are task-atomic, so
-// their finisher steps inline, under ts.mu, before it is answered. In
-// AsyncFL the finisher that meets the goal marks a step pending, starts it
-// on its own goroutine and is answered at once; a finisher that meets the
-// goal again while that step is pending only arms the next drain, because
-// the stepper re-checks the goal under ts.mu before it lets go.
-func (a *Aggregator) countAndMaybeStepLocked(ts *taskState, sessionID uint64) (any, error) {
+// Every mode releases on the same schedule. The finisher that meets the
+// goal arms the drain, marks a step pending, starts the stepper and is
+// answered at once; it never runs a server step itself. A sync round
+// closes here, with its over-selection discard (Appendix E.3): every
+// session still training is aborted, and one released by the drain sees
+// its abort. A finisher that meets the goal again while a step is pending
+// only arms the next drain, because the stepper re-checks the goal under
+// ts.mu before it lets go.
+func (a *Aggregator) countAndMaybeStepLocked(ts *taskState, sessionID uint64) {
 	var trace uint64
 	if s := ts.sessions[sessionID]; s != nil {
 		trace = s.trace
@@ -961,24 +934,20 @@ func (a *Aggregator) countAndMaybeStepLocked(ts *taskState, sessionID uint64) (a
 	a.obs.uploads.Inc()
 	a.obs.sessionsClosed.Inc()
 
-	switch {
-	case !ts.goalMetLocked():
-	case ts.stepsInlineLocked():
-		released, err := a.timedStep(ts, nil, trace, sessionID)
-		if err != nil {
-			return nil, err
-		}
-		a.afterStepLocked(ts, released)
-	case !ts.stepPending:
-		ts.stepPending = true
-		go a.stepLoop(ts, ts.armDrainLocked(), trace, sessionID)
-	default:
-		// The goal is met again while a step is pending: the stepper takes
-		// this release when it re-checks the goal, and finishers wait for
-		// its drain from here on.
-		ts.armDrainLocked()
+	if !ts.goalMetLocked() {
+		return
 	}
-	return UploadResponse{OK: true}, nil
+	if ts.spec.Mode == core.Sync {
+		ts.roundReceived = 0
+		for _, s := range ts.sessions {
+			s.aborted, s.abortReason = true, "round closed"
+		}
+	}
+	drained := ts.armDrainLocked()
+	if !ts.stepPending {
+		ts.stepPending = true
+		go a.stepLoop(ts, drained, trace, sessionID)
+	}
 }
 
 // goalMetLocked reports whether the task holds a release's worth of
@@ -1005,33 +974,46 @@ func (ts *taskState) goalMetLocked() bool {
 	return met && (ts.spec.SecAgg != nil || ts.buf.Count() > 0)
 }
 
-// stepsInlineLocked reports whether the task's finishers run the server
-// step themselves: sync rounds and SecAgg, whose releases are task-atomic.
-// Caller holds ts.mu.
-func (ts *taskState) stepsInlineLocked() bool {
-	return ts.spec.Mode == core.Sync || ts.spec.SecAgg != nil
-}
-
-// stepLoop is the AsyncFL stepper, started by the finisher that met the
-// goal: it steps while the buffer holds at least the goal, then clears the
+// stepLoop is the task's stepper, started by the finisher that met the
+// goal. It steps while the task holds at least the goal, then clears the
 // pending mark and wakes whoever waits for a settled task. drained is the
-// channel each step closes once its drain is done; a drain armed for a
-// release that will not happen (the budget ran out) is closed on the way
-// out. Only the first step is attributed to the triggering session's
-// trace.
+// channel the next step closes once its drain is done; a drain armed for a
+// release that will not happen is closed on the way out. Each released
+// step feeds the step histogram and counter, and the first one also the
+// aggregate span on the triggering session's trace (its last hop).
+//
+// After each step, under ts.mu: a refused release (one more would exceed
+// the epsilon budget) completes the task with status "budget_exhausted",
+// aborting its sessions with that reason, and join and upload refuse it
+// from then on; after an AsyncFL release, sessions whose staleness now
+// exceeds the limit are aborted (Appendix E.2).
 func (a *Aggregator) stepLoop(ts *taskState, drained chan struct{}, trace, sessionID uint64) {
 	for {
-		released, err := a.timedStep(ts, drained, trace, sessionID)
-		if !released {
-			close(drained)
+		start := time.Now()
+		released, err := a.step(ts, drained)
+		if released {
+			a.obs.stepSeconds.Observe(time.Since(start).Seconds())
+			a.obs.aggregateSteps.Inc()
+			a.obs.span(trace, "aggregate", ts.spec.ID, sessionID, start, "")
 		}
 		ts.mu.Lock()
-		if err == nil {
-			a.afterStepLocked(ts, released)
-		} else {
+		switch {
+		case err != nil:
 			log.Printf("aggregator %s: task %q: %v", a.name, ts.spec.ID, err)
+		case !released:
+			ts.dpExhausted = true
+			for _, s := range ts.sessions {
+				s.aborted, s.abortReason = true, "budget_exhausted"
+			}
+		case ts.spec.Mode != core.Sync && ts.spec.MaxStaleness > 0:
+			version := ts.version()
+			for _, s := range ts.sessions {
+				if version-s.startVersion > ts.spec.MaxStaleness {
+					s.aborted, s.abortReason = true, "staleness exceeded"
+				}
+			}
 		}
-		if err != nil || !ts.goalMetLocked() || ts.stepsInlineLocked() {
+		if err != nil || !ts.goalMetLocked() {
 			if ch := ts.draining; ch != nil && !isClosed(ch) {
 				close(ch)
 			}
@@ -1046,27 +1028,13 @@ func (a *Aggregator) stepLoop(ts *taskState, drained chan struct{}, trace, sessi
 	}
 }
 
-// timedStep runs step and records it: the step histogram, the step
-// counter, and the aggregate span on the session whose upload met the goal
-// (the last hop of that session's trace).
-func (a *Aggregator) timedStep(ts *taskState, drained chan struct{}, trace, sessionID uint64) (bool, error) {
-	start := time.Now()
-	released, err := a.step(ts, drained)
-	if released {
-		a.obs.stepSeconds.Observe(time.Since(start).Seconds())
-		a.obs.aggregateSteps.Inc()
-		a.obs.span(trace, "aggregate", ts.spec.ID, sessionID, start, "")
-	}
-	return released, err
-}
-
-// step is one server step, the whole release, under the step lock: the DP
-// budget check, the drain (or the SecAgg unmask, whose caller holds ts.mu),
-// the noise, the rule's Transform, the optimizer step, one encode of the
-// new version's download response, and its publication. It reports false,
-// releasing nothing, when one more release would exceed the epsilon budget.
-// An off-path step passes drained, which step closes once the buffer is
-// drained. The caller then runs afterStepLocked under ts.mu.
+// step is one server step, the whole release, under the step lock and
+// never under ts.mu: the DP budget check, the drain (ReleaseIntoStats, or
+// the SecAgg unmask), the noise, the rule's Transform, the optimizer step,
+// one encode of the new version's download response, and its publication.
+// It closes drained on every path, right after the drain when there is
+// one. It reports false, releasing nothing, when one more release would
+// exceed the epsilon budget.
 func (a *Aggregator) step(ts *taskState, drained chan struct{}) (bool, error) {
 	ts.stepMu.Lock()
 	defer ts.stepMu.Unlock()
@@ -1075,6 +1043,7 @@ func (a *Aggregator) step(ts *taskState, drained chan struct{}) (bool, error) {
 	// unreleased (releasing them un-noised would silently void the
 	// guarantee) and the task completes with status "budget_exhausted".
 	if ts.dpMech != nil && !ts.dpMech.CanRelease() {
+		close(drained)
 		log.Printf("aggregator %s: task %q epsilon budget exhausted after %d release(s) (eps=%.3f, budget=%.3f)",
 			a.name, ts.spec.ID, ts.dpMech.Releases(), ts.dpMech.Epsilon(), ts.dpMech.Budget())
 		return false, nil
@@ -1082,6 +1051,7 @@ func (a *Aggregator) step(ts *taskState, drained chan struct{}) (bool, error) {
 	var update []float32
 	if ts.spec.SecAgg != nil {
 		group, _, err := ts.secAgg.UnmaskGroup()
+		close(drained)
 		if err != nil {
 			return false, fmt.Errorf("aggregator %s: unmask: %w", a.name, err)
 		}
@@ -1099,9 +1069,7 @@ func (a *Aggregator) step(ts *taskState, drained chan struct{}) (bool, error) {
 		// ReleaseIntoStats recycles the task's scratch vector (the
 		// optimizer only reads update).
 		stats := ts.buf.ReleaseIntoStats(ts.scratch)
-		if drained != nil {
-			close(drained)
-		}
+		close(drained)
 		update = ts.scratch
 		if ts.dpMech != nil {
 			// Noise the released weighted mean before the rule's Transform
@@ -1126,36 +1094,6 @@ func (a *Aggregator) step(ts *taskState, drained chan struct{}) (bool, error) {
 	ts.opt.Step(ts.params, update)
 	ts.published.Store(newModelVersion(ts.params, ts.version()+1))
 	return true, nil
-}
-
-// afterStepLocked is a step's ts.mu half. After a release: Appendix E.2's
-// abort of sessions whose staleness now exceeds the limit, or, in Sync
-// mode, Appendix E.3's abort of everyone still training (the
-// over-selection discard). After a refused release: the task completes
-// with status "budget_exhausted", aborting in-flight sessions with that
-// reason; join and upload refuse it from here on. Caller holds ts.mu.
-func (a *Aggregator) afterStepLocked(ts *taskState, released bool) {
-	if !released {
-		ts.dpExhausted = true
-		for _, s := range ts.sessions {
-			s.aborted = true
-			s.abortReason = "budget_exhausted"
-		}
-		return
-	}
-	ts.roundReceived = 0
-	version := ts.version()
-	for _, s := range ts.sessions {
-		if ts.spec.Mode == core.Sync {
-			s.aborted = true
-			s.abortReason = "round closed"
-			continue
-		}
-		if ts.spec.MaxStaleness > 0 && version-s.startVersion > ts.spec.MaxStaleness {
-			s.aborted = true
-			s.abortReason = "staleness exceeded"
-		}
-	}
 }
 
 // TaskInfo is the "task-info" response: a task's observable state (model

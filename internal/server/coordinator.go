@@ -140,6 +140,13 @@ func (c *Coordinator) createTask(spec TaskSpec) (any, error) {
 	_, err := c.net.Call(c.name, target, "assign-task",
 		AssignTaskRequest{Spec: spec, Seq: asg.Seq})
 	if err != nil {
+		// A refused placement leaves no task behind, so the heartbeat does
+		// not re-send it and the caller may create it again.
+		c.mu.Lock()
+		delete(c.specs, spec.ID)
+		delete(c.assignments, spec.ID)
+		delete(c.demand, spec.ID)
+		c.mu.Unlock()
 		return nil, fmt.Errorf("coordinator: placing task on %s: %w", target, err)
 	}
 	return asg, nil
@@ -179,9 +186,23 @@ func (c *Coordinator) placeLocked(taskID string) string {
 
 // aggReport ingests a heartbeat: refresh liveness, pool demand, learn about
 // tasks (recovery), and instruct the aggregator to drop stale assignments.
+// An assignment that names the reporting aggregator but is missing from its
+// report is sent again, once per beat: the first assign-task was lost, or
+// the aggregator restarted under its own name before it was declared dead.
+// The re-send keeps the assignment's Seq, so assignTask ignores a duplicate.
 func (c *Coordinator) aggReport(r AggReport) (any, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	var resend []AssignTaskRequest
+	for taskID, asg := range c.assignments {
+		if _, reported := r.Tasks[taskID]; asg.Aggregator == r.Aggregator && !reported {
+			resend = append(resend, AssignTaskRequest{
+				Spec:       c.specs[taskID],
+				Seq:        asg.Seq,
+				Checkpoint: c.checkpoints[taskID],
+				Version:    c.versions[taskID],
+			})
+		}
+	}
 	c.aggregators[r.Aggregator] = true
 	c.lastReport[r.Aggregator] = time.Now()
 
@@ -216,6 +237,12 @@ func (c *Coordinator) aggReport(r AggReport) (any, error) {
 	}
 	if c.recovering && time.Since(c.started) > c.timings.RecoveryPeriod {
 		c.recovering = false
+	}
+	c.mu.Unlock()
+
+	for _, req := range resend {
+		// Best effort, like checkFailures: the next beat retries.
+		_, _ = c.net.Call(c.name, r.Aggregator, "assign-task", req)
 	}
 	return AggDirective{DropTasks: drops}, nil
 }

@@ -345,6 +345,40 @@ func TestOrphanedTaskMovesToNewAggregator(t *testing.T) {
 	}
 }
 
+// TestRestartedAggregatorGetsItsTaskBack: an aggregator that restarts
+// under its own name before the failure deadline is never declared dead,
+// so no failover moves its task. It comes back hosting nothing and reports
+// no tasks; the coordinator must re-send the assignment it still holds.
+func TestRestartedAggregatorGetsItsTaskBack(t *testing.T) {
+	net := transport.NewNetwork(1)
+	tm := testTimings()
+	tm.FailureDeadline = time.Hour
+	coord := server.NewCoordinator("coordinator", net, tm, 7, false)
+	defer coord.Stop()
+	first := server.NewAggregator("agg-0", net, "coordinator", tm)
+	if _, err := net.Call("test", "coordinator", "register-aggregator", "agg-0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Call("test", "coordinator", "create-task", lmSpec("restart", nn.NewBilinear(16, 4), core.Async, 4, 2)); err != nil {
+		t.Fatal(err)
+	}
+	first.Stop()
+	second := server.NewAggregator("agg-0", net, "coordinator", tm)
+	defer second.Stop()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, err := net.Call("test", "agg-0", "task-info", "restart")
+		if err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted aggregator never got its task back: %v", err)
+		}
+		time.Sleep(tm.Heartbeat)
+	}
+}
+
 func TestCoordinatorRecovery(t *testing.T) { forEachFabric(t, testCoordinatorRecovery) }
 
 func testCoordinatorRecovery(t *testing.T, fx fabricFactory) {

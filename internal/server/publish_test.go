@@ -1,7 +1,7 @@
 package server_test
 
 // The invariants of published model versions and the off-path server step.
-// In AsyncFL the finisher that meets the aggregation goal is answered at
+// In every mode the finisher that meets the aggregation goal is answered at
 // once and the release runs on its own goroutine; every download serves the
 // one frame its version was encoded into when it was published. These
 // drills run concurrent finishers and downloaders against one task on the
