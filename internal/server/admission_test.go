@@ -59,6 +59,10 @@ func TestLateAnswersNeverDrivePendingNegative(t *testing.T) {
 		return obs.Default().Snapshot()[fmt.Sprintf(`%s{node=%q,%s}`, name, node, labels)]
 	}
 	pending := func() float64 { return sample("papaya_coordinator_pending", `task="pend"`) }
+	// The registry is process-global, so -count>1 reruns see the earlier
+	// runs' outcome counters: assert on this run's increments.
+	assigned0 := sample("papaya_coordinator_assignments_total", `outcome="assigned"`)
+	noDemand0 := sample("papaya_coordinator_assignments_total", `outcome="no_demand"`)
 
 	net := transport.NewNetwork(5)
 	tm := relayTimings()
@@ -124,10 +128,10 @@ func TestLateAnswersNeverDrivePendingNegative(t *testing.T) {
 	if assign(lm) {
 		t.Fatal("a fifth client was assigned against demand 4: late answers drove pending negative")
 	}
-	if got := sample("papaya_coordinator_assignments_total", `outcome="assigned"`); got != 7 {
+	if got := sample("papaya_coordinator_assignments_total", `outcome="assigned"`) - assigned0; got != 7 {
 		t.Fatalf("assigned outcomes = %g, want 7", got)
 	}
-	if got := sample("papaya_coordinator_assignments_total", `outcome="no_demand"`); got != 2 {
+	if got := sample("papaya_coordinator_assignments_total", `outcome="no_demand"`) - noDemand0; got != 2 {
 		t.Fatalf("no_demand outcomes = %g, want 2", got)
 	}
 }
