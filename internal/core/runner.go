@@ -269,8 +269,8 @@ func (r *runner) finishSession(s *session) {
 
 	if !r.cfg.NoTraining {
 		// The server's default rule weights the update, as on the networked
-		// aggregator. A Sync update is never stale (closing a
-		// round discards its stragglers), so its staleness factor is 1.
+		// aggregator. A Sync update is never stale (closing a round
+		// discards its stragglers), so its staleness factor is 1.
 		n := s.client.NumExamples
 		if r.cfg.DisableExampleWeighting {
 			n = 1
