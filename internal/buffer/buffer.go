@@ -7,8 +7,8 @@
 // is sharded: incoming updates are added into one of several intermediate
 // aggregates chosen by a caller-supplied shard hint (the paper hashes the
 // aggregating thread's ID), so concurrent Adds contend only on their shard's
-// lock. Release folds the shards together, normalizes by total weight, and
-// resets the buffer.
+// lock. A release folds the shards together, normalizes by total weight,
+// and resets the buffer.
 //
 // The same type serves SyncFL: a round is simply a buffer with goal equal to
 // the round's aggregation goal and staleness zero.
@@ -29,10 +29,10 @@ type Buffered struct {
 	goal      atomic.Int64
 	shards    []shard
 	count     atomic.Int64
-	released  atomic.Int64 // number of Release calls, for stats
+	released  atomic.Int64 // number of releases, for stats
 	drained   atomic.Int64 // updates aggregated by those calls, for stats
 
-	releaseMu sync.Mutex // serializes Release against itself
+	releaseMu sync.Mutex // serializes releases against each other
 }
 
 type shard struct {
@@ -79,7 +79,7 @@ func (b *Buffered) SetGoal(goal int) {
 	b.goal.Store(int64(goal))
 }
 
-// Count returns the number of updates buffered since the last Release.
+// Count returns the number of updates buffered since the last release.
 func (b *Buffered) Count() int { return int(b.count.Load()) }
 
 // Releases returns how many times the buffer has been released.
@@ -92,7 +92,7 @@ func (b *Buffered) Drained() int { return int(b.drained.Load()) }
 // intermediate aggregate (any value; it is reduced modulo the shard count).
 // It returns true exactly once per goal-full: for the Add call that makes
 // the buffered count reach the goal. The caller that receives true is
-// responsible for calling Release.
+// responsible for releasing the buffer.
 //
 // Add panics if the update length is wrong or the weight is not positive,
 // since silently dropping a client's contribution would corrupt training.
@@ -118,20 +118,12 @@ func (b *Buffered) Add(update []float32, weight float64, shardHint int) bool {
 	return b.count.Add(1) == b.goal.Load()
 }
 
-// Release folds all shards into the final weighted-mean update
-// sum_i(w_i * u_i) / sum_i(w_i), resets the buffer, and returns the update
-// together with the total weight and the number of client updates it
-// aggregates. Calling Release on an empty buffer panics: it signals a
-// protocol bug (a release without a triggering Add).
-func (b *Buffered) Release() (update []float32, totalWeight float64, n int) {
-	update = make([]float32, b.numParams)
-	totalWeight, n = b.ReleaseInto(update)
-	return update, totalWeight, n
-}
-
-// ReleaseInto is Release writing the aggregated update into dst (which it
-// zeroes first), so callers on a hot path can recycle the output vector. It
-// panics if dst has the wrong length or the buffer is empty.
+// ReleaseInto folds all shards into the final weighted-mean update
+// sum_i(w_i * u_i) / sum_i(w_i), written into dst (which it zeroes first,
+// so callers on a hot path recycle the output vector), resets the buffer,
+// and returns the total weight and the number of client updates it
+// aggregates. It panics if dst has the wrong length or the buffer is
+// empty: a release without a triggering Add signals a protocol bug.
 func (b *Buffered) ReleaseInto(dst []float32) (totalWeight float64, n int) {
 	stats := b.ReleaseIntoStats(dst)
 	return stats.TotalWeight, stats.N

@@ -9,6 +9,13 @@ import (
 	"repro/internal/rng"
 )
 
+// release drains b through ReleaseInto into a fresh vector.
+func release(b *Buffered) (update []float32, totalWeight float64, n int) {
+	update = make([]float32, b.numParams)
+	totalWeight, n = b.ReleaseInto(update)
+	return update, totalWeight, n
+}
+
 func TestWeightedMean(t *testing.T) {
 	b := New(2, 2, 1)
 	if b.Add([]float32{1, 0}, 1, 0) {
@@ -17,7 +24,7 @@ func TestWeightedMean(t *testing.T) {
 	if !b.Add([]float32{4, 2}, 3, 0) {
 		t.Fatal("goal not reported on 2/2")
 	}
-	u, w, n := b.Release()
+	u, w, n := release(b)
 	if n != 2 || w != 4 {
 		t.Fatalf("n=%d w=%v", n, w)
 	}
@@ -54,7 +61,7 @@ func TestShardingDoesNotChangeResult(t *testing.T) {
 		for i := range updates {
 			b.Add(updates[i], weights[i], i)
 		}
-		u, _, _ := b.Release()
+		u, _, _ := release(b)
 		results = append(results, u)
 	}
 	for s := 1; s < len(results); s++ {
@@ -70,7 +77,7 @@ func TestReleaseResetsState(t *testing.T) {
 	b := New(1, 2, 2)
 	b.Add([]float32{2}, 1, 0)
 	b.Add([]float32{2}, 1, 1)
-	u1, _, _ := b.Release()
+	u1, _, _ := release(b)
 	if u1[0] != 2 {
 		t.Fatalf("first release = %v", u1)
 	}
@@ -79,7 +86,7 @@ func TestReleaseResetsState(t *testing.T) {
 	}
 	b.Add([]float32{6}, 1, 0)
 	b.Add([]float32{6}, 1, 1)
-	u2, _, _ := b.Release()
+	u2, _, _ := release(b)
 	if u2[0] != 6 {
 		t.Fatalf("second release contaminated by first: %v", u2)
 	}
@@ -94,7 +101,7 @@ func TestReleaseEmptyPanics(t *testing.T) {
 			t.Fatal("empty release did not panic")
 		}
 	}()
-	New(1, 1, 1).Release()
+	release(New(1, 1, 1))
 }
 
 func TestAddValidation(t *testing.T) {
@@ -133,7 +140,7 @@ func TestNegativeShardHint(t *testing.T) {
 	if !b.Add([]float32{1}, 1, -7) {
 		t.Fatal("goal not reached")
 	}
-	u, _, _ := b.Release()
+	u, _, _ := release(b)
 	if u[0] != 1 {
 		t.Fatalf("update = %v", u)
 	}
@@ -182,7 +189,7 @@ func TestConcurrentAdds(t *testing.T) {
 	if goalHits.load() != 1 {
 		t.Fatalf("goal hit %d times under concurrency", goalHits.load())
 	}
-	u, w, n := b.Release()
+	u, w, n := release(b)
 	if n != workers*perW {
 		t.Fatalf("n = %d", n)
 	}
@@ -235,7 +242,7 @@ func TestQuickWeightedMeanMatchesDirect(t *testing.T) {
 			totalW += w
 			b.Add(u, w, r.Intn(1000))
 		}
-		got, gw, gn := b.Release()
+		got, gw, gn := release(b)
 		if gn != n || math.Abs(gw-totalW) > 1e-9*totalW {
 			return false
 		}

@@ -70,3 +70,23 @@ func TestDPConfigValidation(t *testing.T) {
 		t.Fatal("DP with NoTraining accepted")
 	}
 }
+
+// TestSimulatorStopsAtEpsilonBudget pins the simulator to the budget the
+// networked aggregator enforces: a release that would exceed the epsilon
+// budget is refused, the run halts, and the spent epsilon stays within it.
+func TestSimulatorStopsAtEpsilonBudget(t *testing.T) {
+	w := newTestWorld()
+	cfg := asyncCfg()
+	cfg.MaxServerUpdates = 20
+	dpc := dp.Config{Clip: 1, NoiseMultiplier: 1, Delta: 1e-6, Seed: 5}
+	budget := dp.New(dpc).EpsilonAfter(3) + 1e-9
+	dpc.EpsilonBudget = budget
+	cfg.DP = &dpc
+	res := Run(w.model, w.corpus, w.pop, cfg)
+	if res.ServerUpdates != 3 {
+		t.Errorf("ServerUpdates = %d, want 3 (the budget covers three releases)", res.ServerUpdates)
+	}
+	if res.DPEpsilon > budget {
+		t.Errorf("DPEpsilon = %.2f, over the budget %.2f", res.DPEpsilon, budget)
+	}
+}

@@ -4,11 +4,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/buffer"
-	"repro/internal/dp"
 	"repro/internal/lmdata"
 	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/round"
 )
 
 // This file implements the parallel training engine: client local SGD runs
@@ -26,7 +25,7 @@ import (
 //     concurrent server steps never race with training reads.
 //   - Floating-point accumulation order is fixed: each buffer shard has a
 //     dedicated consumer goroutine that applies adds in the FIFO order the
-//     event loop enqueued them (session-finish order), and Release folds
+//     event loop enqueued them (session-finish order), and a release folds
 //     shards in index order on the event loop.
 //
 // The event loop blocks only at serverStep, where it flushes the shard
@@ -79,8 +78,7 @@ type trainEngine struct {
 	model     nn.Model
 	corpus    *lmdata.Corpus
 	clientCfg nn.SGDConfig
-	dpMech    *dp.Mechanism
-	buf       *buffer.Buffered
+	stage     *round.Stage
 	pool      *nn.Pool
 
 	// sessRoot is a frozen generator at the run seed. Workers only call
@@ -95,17 +93,16 @@ type trainEngine struct {
 	stopping atomic.Bool
 }
 
-func newTrainEngine(model nn.Model, corpus *lmdata.Corpus, cfg Config, dpMech *dp.Mechanism, buf *buffer.Buffered, pool *nn.Pool) *trainEngine {
+func newTrainEngine(model nn.Model, corpus *lmdata.Corpus, cfg Config, stage *round.Stage, pool *nn.Pool) *trainEngine {
 	t := &trainEngine{
 		model:     model,
 		corpus:    corpus,
 		clientCfg: cfg.Client,
-		dpMech:    dpMech,
-		buf:       buf,
+		stage:     stage,
 		pool:      pool,
 		sessRoot:  rng.New(cfg.Seed),
 		jobs:      make(chan *session, 2*cfg.Concurrency+2),
-		shardQ:    make([]chan aggReq, buf.NumShards()),
+		shardQ:    make([]chan aggReq, stage.Buf.NumShards()),
 	}
 	qcap := cfg.Concurrency + cfg.AggregationGoal + 1
 	for i := range t.shardQ {
@@ -153,7 +150,7 @@ func (t *trainEngine) shardOf(s *session) int {
 }
 
 // flush blocks until every add enqueued so far has been applied to the
-// buffer. serverStep calls it immediately before Release; this is the only
+// buffer. serverStep calls it just before the release; this is the only
 // point where the event loop waits on training.
 func (t *trainEngine) flush() {
 	var wg sync.WaitGroup
@@ -197,12 +194,12 @@ func (t *trainEngine) worker() {
 		clientRng := t.sessRoot.SplitAt("local-update", uint64(s.id))
 		s.delta = t.pool.Get()
 		tr.LocalUpdateInto(s.delta, s.snap.data, seqs, t.clientCfg, clientRng)
-		if t.dpMech != nil {
+		if t.stage.DP != nil {
 			// DP sensitivity bound: every update is clipped before it can
 			// influence the aggregate. ClipUpdate is stateless, so clipping
 			// on the worker is safe and keeps the O(model) work off the
 			// event loop.
-			t.dpMech.ClipUpdate(s.delta)
+			t.stage.DP.ClipUpdate(s.delta)
 		}
 		s.snap.release(t.pool)
 		close(s.done)
@@ -224,7 +221,7 @@ func (t *trainEngine) shardConsumer(i int) {
 		if req.s.delta == nil {
 			continue // skipped during shutdown; nothing to reclaim
 		}
-		t.buf.Add(req.s.delta, req.w, i)
+		t.stage.Buf.Add(req.s.delta, req.w, i)
 		t.pool.Put(req.s.delta)
 	}
 }

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"repro/internal/buffer"
-	"repro/internal/dp"
 	"repro/internal/fedopt"
 	"repro/internal/lmdata"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/population"
 	"repro/internal/rng"
+	"repro/internal/round"
 	"repro/internal/simclock"
 )
 
@@ -57,15 +56,12 @@ type runner struct {
 	corpus *lmdata.Corpus
 	pop    *population.Population
 
-	eng    *simclock.Engine
-	rnd    *rng.RNG    // selection / timing stream
-	cur    *paramsSnap // current server model snapshot (nil when NoTraining)
-	pool   *nn.Pool
-	buf    *buffer.Buffered
-	train  *trainEngine
-	dpMech *dp.Mechanism
-	// rule weights accepted updates: the server's default aggregation rule.
-	rule fedopt.Aggregation
+	eng   *simclock.Engine
+	rnd   *rng.RNG    // selection / timing stream
+	cur   *paramsSnap // current server model snapshot (nil when NoTraining)
+	pool  *nn.Pool
+	train *trainEngine
+	stage *round.Stage // the aggregator's release stage, default rule (nil when NoTraining)
 
 	version       int
 	serverUpdates int
@@ -99,17 +95,14 @@ func newRunner(model nn.Model, corpus *lmdata.Corpus, pop *population.Population
 		eng:      simclock.New(),
 		rnd:      rng.New(cfg.Seed),
 		inflight: make(map[int64]*session),
-		rule:     fedopt.DefaultAggregation(),
 		res:      &Result{Algorithm: cfg.Algorithm, Goal: cfg.AggregationGoal},
-	}
-	if cfg.DP != nil {
-		r.dpMech = dp.New(*cfg.DP)
 	}
 	if !cfg.NoTraining {
 		r.cur = newSnap(model.InitParams(r.rnd.Split("init")))
 		r.pool = nn.NewPool(model.NumParams())
-		r.buf = buffer.New(model.NumParams(), cfg.AggregationGoal, cfg.AggShards)
-		r.train = newTrainEngine(model, corpus, cfg, r.dpMech, r.buf, r.pool)
+		r.stage = round.New(model.NumParams(), cfg.AggregationGoal, cfg.AggShards,
+			fedopt.DefaultAggregation(), cfg.Server, cfg.DP)
+		r.train = newTrainEngine(model, corpus, cfg, r.stage, r.pool)
 	}
 	return r
 }
@@ -154,9 +147,9 @@ func (r *runner) run() *Result {
 	if len(r.res.LossCurve) > 0 {
 		r.res.FinalLoss = r.res.LossCurve[len(r.res.LossCurve)-1].V
 	}
-	if r.dpMech != nil {
-		r.res.DPEpsilon = r.dpMech.Epsilon()
-		r.res.DPDelta = r.dpMech.Delta()
+	if r.stage != nil && r.stage.DP != nil {
+		r.res.DPEpsilon = r.stage.DP.Epsilon()
+		r.res.DPDelta = r.stage.DP.Delta()
 	}
 	return r.res
 }
@@ -275,7 +268,7 @@ func (r *runner) finishSession(s *session) {
 		if r.cfg.DisableExampleWeighting {
 			n = 1
 		}
-		w := r.rule.Weight(n, staleness)
+		w := r.stage.Rule.Weight(n, staleness)
 		// The update is accepted: train it on the worker pool (against the
 		// snapshot downloaded at start, with randomness keyed on session
 		// ID) and enqueue the weighted add on the session's shard, where
@@ -314,26 +307,21 @@ func (r *runner) finishSession(s *session) {
 	r.checkBudgets()
 }
 
-// serverStep flushes the shard queues, releases the aggregation buffer, and
-// applies the server optimizer to a fresh copy-on-write snapshot. This is
-// the only point where the event loop waits on the parallel engine; in-
-// flight clients keep training against the snapshot they downloaded.
+// serverStep flushes the shard queues and runs the release stage onto a
+// fresh copy-on-write snapshot. This is the only point where the event
+// loop waits on the parallel engine; in-flight clients keep training
+// against the snapshot they downloaded. A release the epsilon budget
+// refuses halts the run, as a budget-exhausted server task stops
+// releasing: the buffered updates stay unreleased.
 func (r *runner) serverStep() {
 	r.train.flush()
-	update := r.pool.Get()
-	stats := r.buf.ReleaseIntoStats(update)
-	if r.dpMech != nil {
-		// Calibrate to the release's actual weight statistics: staleness
-		// weights make the weighted mean's sensitivity MaxWeight*Clip/W,
-		// not Clip/n.
-		r.dpMech.NoiseRelease(update, dp.Release{
-			N: stats.N, TotalWeight: stats.TotalWeight, MaxWeight: stats.MaxWeight,
-		})
-	}
 	next := r.pool.Get()
 	copy(next, r.cur.data)
-	r.cfg.Server.Step(next, update)
-	r.pool.Put(update)
+	if !r.stage.Release(next, nil) {
+		r.pool.Put(next)
+		r.halt()
+		return
+	}
 	old := r.cur
 	r.cur = newSnap(next)
 	old.release(r.pool)

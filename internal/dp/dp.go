@@ -169,18 +169,6 @@ func (m *Mechanism) NoiseRelease(aggregated []float32, rel Release) {
 	m.releases++
 }
 
-// NoiseAggregate adds noise for the uniform-weight special case: aggregated
-// must be the plain MEAN of k clipped updates, and the applied stddev is
-// z*Clip/k per coordinate. Weighted aggregation paths (fedopt staleness
-// weights) must use NoiseRelease with the buffer's weight statistics
-// instead, since a dominant weight raises the mean's sensitivity.
-func (m *Mechanism) NoiseAggregate(aggregated []float32, k int) {
-	if k < 1 {
-		panic("dp: k must be >= 1")
-	}
-	m.NoiseRelease(aggregated, Release{N: k, TotalWeight: float64(k), MaxWeight: 1})
-}
-
 // Releases returns the number of noised aggregates so far.
 func (m *Mechanism) Releases() int { return m.releases }
 

@@ -59,11 +59,15 @@ func TestClipBoundsNorm(t *testing.T) {
 	}
 }
 
+// uniform is the release statistics of a plain mean of k clipped updates
+// (every weight 1), whose noise stddev is z*Clip/k per coordinate.
+func uniform(k int) Release { return Release{N: k, TotalWeight: float64(k), MaxWeight: 1} }
+
 func TestNoiseMagnitude(t *testing.T) {
 	m := New(testConfig())
 	const dim, k = 20000, 10
 	agg := make([]float32, dim)
-	m.NoiseAggregate(agg, k)
+	m.NoiseRelease(agg, uniform(k))
 	// Expected stddev = z*clip/k = 0.1.
 	var sumsq float64
 	for _, v := range agg {
@@ -79,7 +83,7 @@ func TestNoiseScalesInverselyWithK(t *testing.T) {
 	measure := func(k int) float64 {
 		m := New(testConfig())
 		agg := make([]float32, 5000)
-		m.NoiseAggregate(agg, k)
+		m.NoiseRelease(agg, uniform(k))
 		var s float64
 		for _, v := range agg {
 			s += float64(v) * float64(v)
@@ -99,7 +103,7 @@ func TestAccountantMonotone(t *testing.T) {
 	prev := 0.0
 	agg := make([]float32, 4)
 	for i := 0; i < 50; i++ {
-		m.NoiseAggregate(agg, 10)
+		m.NoiseRelease(agg, uniform(10))
 		eps := m.Epsilon()
 		if eps <= prev {
 			t.Fatalf("epsilon not increasing at release %d: %v <= %v", i, eps, prev)
@@ -119,7 +123,7 @@ func TestEpsilonAfterMatchesActual(t *testing.T) {
 	want := m.EpsilonAfter(7)
 	agg := make([]float32, 2)
 	for i := 0; i < 7; i++ {
-		m.NoiseAggregate(agg, 5)
+		m.NoiseRelease(agg, uniform(5))
 	}
 	if math.Abs(m.Epsilon()-want) > 1e-12 {
 		t.Fatalf("EpsilonAfter(7)=%v but actual=%v", want, m.Epsilon())
@@ -144,7 +148,7 @@ func TestNoiseAggregatePanicsOnBadK(t *testing.T) {
 			t.Fatal("k=0 accepted")
 		}
 	}()
-	New(testConfig()).NoiseAggregate(make([]float32, 2), 0)
+	New(testConfig()).NoiseRelease(make([]float32, 2), uniform(0))
 }
 
 // Property: clipping is idempotent and never increases the norm.
@@ -172,7 +176,7 @@ func BenchmarkNoiseAggregate(b *testing.B) {
 	agg := make([]float32, 4096)
 	b.SetBytes(4096 * 4)
 	for i := 0; i < b.N; i++ {
-		m.NoiseAggregate(agg, 100)
+		m.NoiseRelease(agg, uniform(100))
 	}
 }
 
@@ -185,8 +189,8 @@ func TestZeroSeedIsUnpredictable(t *testing.T) {
 	cfg := Config{Clip: 1, NoiseMultiplier: 1, Delta: 1e-6} // Seed: 0
 	a := make([]float32, 64)
 	b := make([]float32, 64)
-	New(cfg).NoiseAggregate(a, 1)
-	New(cfg).NoiseAggregate(b, 1)
+	New(cfg).NoiseRelease(a, uniform(1))
+	New(cfg).NoiseRelease(b, uniform(1))
 	same := true
 	for i := range a {
 		if a[i] != b[i] {
@@ -206,8 +210,8 @@ func TestExplicitSeedIsDeterministic(t *testing.T) {
 	cfg := testConfig() // Seed: 1
 	a := make([]float32, 64)
 	b := make([]float32, 64)
-	New(cfg).NoiseAggregate(a, 1)
-	New(cfg).NoiseAggregate(b, 1)
+	New(cfg).NoiseRelease(a, uniform(1))
+	New(cfg).NoiseRelease(b, uniform(1))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("seeded mechanisms diverged at coordinate %d: %v vs %v", i, a[i], b[i])
@@ -216,7 +220,7 @@ func TestExplicitSeedIsDeterministic(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Seed = 2
 	c := make([]float32, 64)
-	New(cfg2).NoiseAggregate(c, 1)
+	New(cfg2).NoiseRelease(c, uniform(1))
 	if a[0] == c[0] && a[1] == c[1] && a[2] == c[2] {
 		t.Fatal("different seeds produced the same noise stream")
 	}
@@ -285,7 +289,7 @@ func TestBudgetGate(t *testing.T) {
 		if !m.CanRelease() {
 			t.Fatalf("release %d refused inside budget", i+1)
 		}
-		m.NoiseAggregate(agg, 5)
+		m.NoiseRelease(agg, uniform(5))
 	}
 	if m.CanRelease() {
 		t.Fatalf("4th release allowed: eps after 4 = %v > budget %v",

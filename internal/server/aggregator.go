@@ -8,11 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/buffer"
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/dp"
 	"repro/internal/fedopt"
+	"repro/internal/round"
 	"repro/internal/secagg"
 	"repro/internal/transport"
 	"repro/internal/vecf"
@@ -135,8 +134,8 @@ func (s *sessionState) close() {
 // Coordinator moves it.
 //
 // Three things guard it. mu, the task mutex, guards the session table and
-// the counters. stepMu, the step lock, owns the model: params, the
-// optimizer's moments, the DP accountant and the release scratch — only a
+// the counters. stepMu, the step lock, owns the model: params and the
+// release stage's optimizer moments, DP accountant and scratch — only a
 // server step writes them, and cold readers (task-info, the heartbeat
 // checkpoint) copy them under it. published is what every download serves:
 // one record per model version, swapped by a single pointer store. No code
@@ -154,19 +153,13 @@ type taskState struct {
 
 	stepMu sync.Mutex
 	params []float32
-	opt    fedopt.Optimizer
-	// scratch receives buffer releases (ReleaseIntoStats), so a server step
-	// allocates nothing model-sized besides the new version's frame.
-	scratch []float32
-
-	buf *buffer.Buffered
+	round  *round.Stage // releases run only in step, under stepMu
 	// secAgg takes adds under mu and the unmask in step without it. That is
 	// safe because the finisher that meets the goal adds and arms the drain
 	// in one mu section, and every later finisher waits in awaitDrainLocked
 	// until step closes the drain after the unmask: nothing else touches
 	// secAgg during a drain, and each release holds exactly the goal.
 	secAgg *secagg.Aggregator
-	agg    fedopt.Aggregation
 
 	// stepPending marks a server step running off the finishing session's
 	// path; settled is broadcast when it clears. draining, while open, is a
@@ -182,12 +175,6 @@ type taskState struct {
 	// roundReceived counts updates in the current sync round.
 	roundReceived int
 
-	// dpMech is the task's central-DP mechanism (nil without a spec DP
-	// block). ClipUpdate is stateless and runs on the sharded accumulate
-	// path outside every lock; the budget check, the noise and the
-	// accounting run only inside step, under stepMu, which is what
-	// serializes releases for the non-concurrency-safe mechanism.
-	dpMech *dp.Mechanism
 	// dpExhausted marks the task complete with status "budget_exhausted":
 	// the goal was met but one more release would exceed the epsilon
 	// budget, so the buffered updates stay unreleased and new joins and
@@ -331,14 +318,12 @@ func newTaskState(req AssignTaskRequest) (*taskState, error) {
 		}
 		spec.SecAgg = live
 	}
+	// A placement's optimizer starts fresh: its moments are soft state.
 	ts := &taskState{
 		spec:     spec,
 		seq:      req.Seq,
-		opt:      optimizerFor(spec),
-		buf:      buffer.New(spec.NumParams, spec.AggregationGoal, shards),
-		agg:      agg,
+		round:    round.New(spec.NumParams, spec.AggregationGoal, shards, agg, fedopt.DefaultFedAdam(), spec.DP),
 		sessions: make(map[uint64]*sessionState),
-		scratch:  make([]float32, spec.NumParams),
 	}
 	ts.settled = sync.NewCond(&ts.mu)
 	if req.Checkpoint != nil {
@@ -349,9 +334,6 @@ func newTaskState(req AssignTaskRequest) (*taskState, error) {
 	ts.published.Store(newModelVersion(ts.params, req.Version))
 	if spec.SecAgg != nil {
 		ts.secAgg = spec.SecAgg.NewAggregator()
-	}
-	if spec.DP != nil {
-		ts.dpMech = dp.New(*spec.DP)
 	}
 	return ts, nil
 }
@@ -480,7 +462,7 @@ func (a *Aggregator) reconfigureTask(req ReconfigureRequest) (any, error) {
 	ts.spec.Mode = req.Mode
 	ts.spec.AggregationGoal = req.AggregationGoal
 	ts.spec.MaxStaleness = req.MaxStaleness
-	ts.buf.SetGoal(req.AggregationGoal)
+	ts.round.Buf.SetGoal(req.AggregationGoal)
 	ts.roundReceived = 0
 	return true, nil
 }
@@ -498,7 +480,7 @@ func (a *Aggregator) assignTask(req AssignTaskRequest) (any, error) {
 		return nil, fmt.Errorf("aggregator %s: placing task %q: %w", a.name, req.Spec.ID, err)
 	}
 	a.tasks[req.Spec.ID] = ts
-	if ts.dpMech != nil {
+	if ts.round.DP != nil {
 		// Per-task epsilon gauge, sampled lock-free at scrape time from
 		// the bits cached at each release; re-placement re-registers the
 		// same label tuple, replacing the closure.
@@ -810,14 +792,12 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 	// raw path. DP tasks then re-clip after dequantize, because int8/int16
 	// quantization error can inflate a client-side-clipped norm past the
 	// bound the noise is calibrated for. ClipUpdate is stateless, so it is
-	// safe on this sharded concurrent path; dpMech itself is immutable
-	// after placement.
+	// safe on this sharded concurrent path.
 	finite := true
 	if pendingGp == nil {
 		finite = vecf.AllFinite(pending)
-		if finite && ts.dpMech != nil {
-			pre := ts.dpMech.ClipUpdate(pending)
-			a.obs.dpClipFraction.Observe(pre / ts.dpMech.Clip())
+		if m := ts.round.DP; finite && m != nil {
+			a.obs.dpClipFraction.Observe(m.ClipUpdate(pending) / m.Clip())
 		}
 	}
 
@@ -876,7 +856,7 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 		// A SyncFL round closes atomically: the add, the round counter and
 		// the round close (with its over-selection discard, Appendix E.3)
 		// stay consistent under the task mutex.
-		ts.buf.Add(pending, ts.agg.Weight(c.NumExamples, staleness), int(s.clientID))
+		ts.round.Buf.Add(pending, ts.round.Rule.Weight(c.NumExamples, staleness), int(s.clientID))
 
 	default:
 		// AsyncFL (FedBuff): the sharded fast path. The accumulate runs
@@ -897,9 +877,9 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 		// stays bounded at one step: the staleness check reads the version
 		// under ts.mu, awaitDrainLocked kept this finisher out of any drain
 		// already running, and only one step is ever pending.
-		w := ts.agg.Weight(c.NumExamples, staleness)
+		w := ts.round.Rule.Weight(c.NumExamples, staleness)
 		ts.mu.Unlock()
-		ts.buf.Add(pending, w, int(s.clientID))
+		ts.round.Buf.Add(pending, w, int(s.clientID))
 		ts.mu.Lock()
 	}
 	a.countAndMaybeStepLocked(ts, c.SessionID)
@@ -966,12 +946,12 @@ func (ts *taskState) goalMetLocked() bool {
 		// Also covers a runtime goal change (Appendix E.3): a buffer
 		// already holding more than the new goal triggers on the next
 		// accepted upload.
-		met = ts.buf.Count() >= ts.spec.AggregationGoal
+		met = ts.round.Buf.Count() >= ts.spec.AggregationGoal
 	}
 	// A mode switch can leave the round counter satisfied while the buffer
 	// is empty (the updates were released under the previous mode); a
 	// release on an empty buffer is a protocol bug, so there is no step.
-	return met && (ts.spec.SecAgg != nil || ts.buf.Count() > 0)
+	return met && (ts.spec.SecAgg != nil || ts.round.Buf.Count() > 0)
 }
 
 // stepLoop is the task's stepper, started by the finisher that met the
@@ -1028,70 +1008,43 @@ func (a *Aggregator) stepLoop(ts *taskState, drained chan struct{}, trace, sessi
 	}
 }
 
-// step is one server step, the whole release, under the step lock and
-// never under ts.mu: the DP budget check, the drain (ReleaseIntoStats, or
-// the SecAgg unmask), the noise, the rule's Transform, the optimizer step,
-// one encode of the new version's download response, and its publication.
-// It closes drained on every path, right after the drain when there is
-// one. It reports false, releasing nothing, when one more release would
-// exceed the epsilon budget.
+// step is one server step under the step lock and never under ts.mu: the
+// task's release stage runs the release (a SecAgg task drains by
+// unmasking), then step publishes the new version, its download response
+// encoded once. drained is closed right after the drain. step reports
+// false, releasing nothing, when one more release would exceed the
+// epsilon budget; stepLoop then closes drained on its way out.
 func (a *Aggregator) step(ts *taskState, drained chan struct{}) (bool, error) {
 	ts.stepMu.Lock()
 	defer ts.stepMu.Unlock()
-	// Budget enforcement happens BEFORE the release: once one more release
-	// would exceed the epsilon budget, the buffered updates stay
-	// unreleased (releasing them un-noised would silently void the
-	// guarantee) and the task completes with status "budget_exhausted".
-	if ts.dpMech != nil && !ts.dpMech.CanRelease() {
-		close(drained)
-		log.Printf("aggregator %s: task %q epsilon budget exhausted after %d release(s) (eps=%.3f, budget=%.3f)",
-			a.name, ts.spec.ID, ts.dpMech.Releases(), ts.dpMech.Epsilon(), ts.dpMech.Budget())
-		return false, nil
-	}
-	var update []float32
 	if ts.spec.SecAgg != nil {
-		group, _, err := ts.secAgg.UnmaskGroup()
-		close(drained)
-		if err != nil {
-			return false, fmt.Errorf("aggregator %s: unmask: %w", a.name, err)
+		// Slots [0,n) of the unmasked group hold sum(w_i * delta_i) and slot
+		// n holds sum(w_i).
+		if err := ts.round.ReleaseFrom(ts.params, func(mean []float32) error {
+			group, _, err := ts.secAgg.UnmaskGroup()
+			close(drained)
+			if err != nil {
+				return fmt.Errorf("aggregator %s: unmask: %w", a.name, err)
+			}
+			codec := ts.spec.SecAgg.Params.Codec()
+			codec.DecodeVec(mean, group[:len(mean)])
+			totalW := float32(codec.Decode(group[len(mean)]))
+			if totalW <= 0 {
+				return fmt.Errorf("aggregator %s: secure aggregate has non-positive total weight", a.name)
+			}
+			vecf.Scale(mean, 1/totalW)
+			return nil
+		}); err != nil {
+			return false, err
 		}
-		// Slots [0,n) hold sum(w_i * delta_i); slot n holds sum(w_i).
-		codec := ts.spec.SecAgg.Params.Codec()
-		decoded := make([]float32, len(group))
-		codec.DecodeVec(decoded, group)
-		totalW := decoded[len(decoded)-1]
-		if totalW <= 0 {
-			return false, fmt.Errorf("aggregator %s: secure aggregate has non-positive total weight", a.name)
-		}
-		update = decoded[:len(decoded)-1]
-		vecf.Scale(update, 1/totalW)
-	} else {
-		// ReleaseIntoStats recycles the task's scratch vector (the
-		// optimizer only reads update).
-		stats := ts.buf.ReleaseIntoStats(ts.scratch)
-		close(drained)
-		update = ts.scratch
-		if ts.dpMech != nil {
-			// Noise the released weighted mean before the rule's Transform
-			// and the optimizer step touch it — both only post-process the
-			// released value, which is DP-safe. Sensitivity is calibrated
-			// from the release's actual weight statistics (staleness
-			// weights make it MaxWeight*Clip/TotalWeight, not Clip/n).
-			// stepMu serializes this with every other release, satisfying
-			// the mechanism's no-concurrency contract.
-			ts.dpMech.NoiseRelease(update, dp.Release{
-				N:           stats.N,
-				TotalWeight: stats.TotalWeight,
-				MaxWeight:   stats.MaxWeight,
-			})
-			ts.dpEpsilonBits.Store(math.Float64bits(ts.dpMech.Epsilon()))
-			a.obs.dpReleases.Inc()
-		}
+	} else if m := ts.round.DP; !ts.round.Release(ts.params, func() { close(drained) }) {
+		log.Printf("aggregator %s: task %q epsilon budget exhausted after %d release(s) (eps=%.3f, budget=%.3f)",
+			a.name, ts.spec.ID, m.Releases(), m.Epsilon(), m.Budget())
+		return false, nil
+	} else if m != nil {
+		ts.dpEpsilonBits.Store(math.Float64bits(m.Epsilon()))
+		a.obs.dpReleases.Inc()
 	}
-	// The rule's server-side transform (e.g. FedProx's 1/(1+mu) damp) sees
-	// the weighted mean exactly as the optimizer would.
-	ts.agg.Transform(update)
-	ts.opt.Step(ts.params, update)
 	ts.published.Store(newModelVersion(ts.params, ts.version()+1))
 	return true, nil
 }
@@ -1149,12 +1102,12 @@ func (a *Aggregator) taskInfo(taskID string) (any, error) {
 	defer ts.stepMu.Unlock()
 	info.Version = ts.version()
 	info.Params = vecf.Clone(ts.params)
-	if ts.dpMech != nil {
+	if m := ts.round.DP; m != nil {
 		info.DPEnabled = true
-		info.DPEpsilon = ts.dpMech.Epsilon()
-		info.DPDelta = ts.dpMech.Delta()
-		info.DPReleases = ts.dpMech.Releases()
-		info.DPBudget = ts.dpMech.Budget()
+		info.DPEpsilon = m.Epsilon()
+		info.DPDelta = m.Delta()
+		info.DPReleases = m.Releases()
+		info.DPBudget = m.Budget()
 	}
 	return info, nil
 }

@@ -39,5 +39,5 @@ func (a *Aggregator) ReleaseTally(taskID string) (releases, drained, buffered in
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.settleLocked()
-	return ts.buf.Releases(), ts.buf.Drained(), ts.buf.Count()
+	return ts.round.Buf.Releases(), ts.round.Buf.Drained(), ts.round.Buf.Count()
 }

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dp"
-	"repro/internal/fedopt"
 	"repro/internal/secagg"
 )
 
@@ -76,11 +75,6 @@ type TaskSpec struct {
 	// a spec-carried seed is visible to every client (see dp.Config.Seed).
 	DP *dp.Config
 }
-
-// optimizerFor builds the server optimizer for a task. Each placement gets a
-// fresh optimizer seeded from the checkpoint; moments are not preserved
-// across failovers (they are soft state).
-func optimizerFor(TaskSpec) fedopt.Optimizer { return fedopt.DefaultFedAdam() }
 
 // Assignment maps a task to its owning aggregator. Seq increases every time
 // the Coordinator moves the task; Aggregators and Selectors discard

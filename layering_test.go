@@ -21,3 +21,19 @@ func TestTransportDoesNotImportCompress(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundIsEngineFree keeps the release stage shared by both engines
+// free of either: internal/round may not depend, directly or transitively,
+// on the networked server, the simulator, or any transport package.
+func TestRoundIsEngineFree(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "./internal/round").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -deps ./internal/round: %v\n%s", err, out)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "repro/internal/server" || pkg == "repro/internal/core" ||
+			strings.HasPrefix(pkg, "repro/internal/transport") {
+			t.Fatalf("internal/round depends on %s", pkg)
+		}
+	}
+}
