@@ -62,7 +62,7 @@ func (m *Bilinear) Loss(params []float32, seqs [][]int) float64 {
 	checkParams(m, params)
 	s := getScratch(m, seqs)
 	defer scratchPool.Put(s)
-	return m.forward(params, s, nil)
+	return m.pass(params, s, nil)
 }
 
 // Gradient implements Model.
@@ -80,53 +80,82 @@ func (m *Bilinear) Gradient(params []float32, seqs [][]int, grad []float32) floa
 	checkParams(m, grad)
 	s := getScratch(m, seqs)
 	defer scratchPool.Put(s)
-	if s.count == 0 {
-		return 0
-	}
-	e, u, _ := m.slices(params)
-	ge, gu, gb := m.slices(grad)
-	inv := float32(1 / float64(s.count))
-	return m.forward(params, s, func(x int, next []int32) {
-		// dL/dlogits summed over x's pairs: n_x*probs - hist_x, in place.
-		dlogits := s.probs
-		vecf.Scale(dlogits, float32(len(next)))
-		for _, y := range next {
-			dlogits[y] -= 1
-		}
-		h := e[x*m.D : (x+1)*m.D]
-		vecf.AXPY(gb, inv, dlogits)
-		vecf.OuterAccum(gu, m.V, m.D, inv, dlogits, h)
-		// h gradient: U^T dlogits, accumulated into the embedding row.
-		vecf.MatTVec(s.dh, u, m.V, m.D, dlogits)
-		vecf.AXPY(ge[x*m.D:(x+1)*m.D], inv, s.dh)
-	})
+	return m.pass(params, s, grad)
 }
 
-// forward is the model's one forward pass. For each distinct context x of
-// the pairs grouped in s, in increasing x, it computes logits = U E[x] + b
-// and their softmax into s.logits and s.probs, adds the negative
-// log-likelihood of each of x's next tokens to the total, and calls visit,
-// if not nil, with x and its next tokens. It returns the mean per-token
-// loss, or 0 when s holds no pairs.
-func (m *Bilinear) forward(params []float32, s *bilinearScratch, visit func(x int, next []int32)) float64 {
+// pass is the model's one pass over the distinct contexts grouped in s, in
+// increasing order and four at a time. For each context x it computes
+// logits = U E[x] + b and their softmax, and adds the negative
+// log-likelihood of each of x's next tokens to the total. If grad is not
+// nil it then accumulates the gradient of the mean loss into grad. It
+// returns the mean per-token loss, or 0 when s holds no pairs.
+//
+// A block of four contexts runs on vecf's 4-wide kernels, a last block of
+// fewer on the 1-wide ones. Both sum every output element in the same
+// order as a pass of one context at a time, so the result does not depend
+// on how the contexts fall into blocks.
+func (m *Bilinear) pass(params []float32, s *bilinearScratch, grad []float32) float64 {
 	if s.count == 0 {
 		return 0
 	}
 	e, u, b := m.slices(params)
+	var ge, gu, gb []float32
+	if grad != nil {
+		ge, gu, gb = m.slices(grad)
+	}
+	inv := float32(1 / float64(s.count))
+	var h [4][]float32
 	var total float64
-	for x := 0; x < m.V; x++ {
-		next := s.next[s.start[x]:s.start[x+1]]
-		if len(next) == 0 {
+	for ctx := s.ctx; len(ctx) > 0; {
+		blk := ctx[:min(len(ctx), 4)]
+		ctx = ctx[len(blk):]
+		for k, x := range blk {
+			h[k] = e[int(x)*m.D : int(x+1)*m.D]
+		}
+		if len(blk) == 4 {
+			vecf.MatVec4(s.logits, u, m.V, m.D, h)
+		} else {
+			for k := range blk {
+				vecf.MatVec(s.logits[k], u, m.V, m.D, h[k])
+			}
+		}
+		for k, x := range blk {
+			logits := s.logits[k]
+			vecf.Add(logits, b)
+			logZ := vecf.Softmax(s.probs, logits)
+			next := s.next[s.start[x]:s.start[x+1]]
+			for _, y := range next {
+				total += logZ - float64(logits[y])
+			}
+			if grad == nil {
+				continue
+			}
+			// dL/dlogits summed over x's pairs, n_x*probs - hist_x,
+			// written over the logits.
+			nx := float32(len(next))
+			for i, p := range s.probs {
+				logits[i] = p * nx
+			}
+			for _, y := range next {
+				logits[y] -= 1
+			}
+			vecf.AXPY(gb, inv, logits)
+		}
+		if grad == nil {
 			continue
 		}
-		vecf.MatVec(s.logits, u, m.V, m.D, e[x*m.D:(x+1)*m.D])
-		vecf.Add(s.logits, b)
-		logZ := vecf.Softmax(s.probs, s.logits)
-		for _, y := range next {
-			total += logZ - float64(s.logits[y])
+		// U's gradient is the outer product of dlogits and h; h's is
+		// U^T dlogits, accumulated into the embedding row.
+		if len(blk) == 4 {
+			vecf.OuterAccumMatTVec4(gu, u, m.V, m.D, inv, s.logits, h, s.dh)
+		} else {
+			for k := range blk {
+				vecf.OuterAccum(gu, m.V, m.D, inv, s.logits[k], h[k])
+				vecf.MatTVec(s.dh[k], u, m.V, m.D, s.logits[k])
+			}
 		}
-		if visit != nil {
-			visit(x, next)
+		for k, x := range blk {
+			vecf.AXPY(ge[int(x)*m.D:int(x+1)*m.D], inv, s.dh[k])
 		}
 	}
 	return total / float64(s.count)
@@ -134,11 +163,14 @@ func (m *Bilinear) forward(params []float32, s *bilinearScratch, visit func(x in
 
 // bilinearScratch is one call's working memory: the (context, next) pairs
 // of a batch counting-sorted by context, so that context x's next tokens
-// are next[start[x]:start[x+1]], plus the forward and backward vectors.
+// are next[start[x]:start[x+1]], the distinct contexts in increasing
+// order, and the vectors of one block of four contexts: their logits
+// (overwritten by dlogits), one softmax at a time, and their h gradients.
 type bilinearScratch struct {
-	count             int
-	start, next       []int32
-	logits, probs, dh []float32
+	count            int
+	start, next, ctx []int32
+	logits, dh       [4][]float32
+	probs            []float32
 }
 
 // scratchPool is shared by every Bilinear: one model value serves all of a
@@ -162,9 +194,11 @@ func getScratch(m *Bilinear, seqs [][]int) *bilinearScratch {
 	s.count = count
 	s.start = grow(s.start, m.V+1)
 	s.next = grow(s.next, count)
-	s.logits = grow(s.logits, m.V)
+	for k := range s.logits {
+		s.logits[k] = grow(s.logits[k], m.V)
+		s.dh[k] = grow(s.dh[k], m.D)
+	}
 	s.probs = grow(s.probs, m.V)
-	s.dh = grow(s.dh, m.D)
 	// Counting sort by context: count each context at start[x+1], prefix
 	// sum so start[x] is x's offset, fill using start[x] as x's cursor
 	// (which leaves it at x's end, the old start[x+1]), then shift back.
@@ -186,6 +220,12 @@ func getScratch(m *Bilinear, seqs [][]int) *bilinearScratch {
 	}
 	copy(s.start[1:], s.start[:m.V])
 	s.start[0] = 0
+	s.ctx = s.ctx[:0]
+	for x := int32(0); x < int32(m.V); x++ {
+		if s.start[x+1] > s.start[x] {
+			s.ctx = append(s.ctx, x)
+		}
+	}
 	return s
 }
 

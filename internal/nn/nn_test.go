@@ -346,16 +346,36 @@ func TestDialectSpecialization(t *testing.T) {
 	}
 }
 
+// BenchmarkBilinearGradient times one batch's Gradient at three shapes:
+// 64x16; device_16k's, a device's 16 examples on the 256x32 model as the
+// benchmark harness builds them; and sim_fedbuff's, a 32-example batch on
+// the paper-scale world's 32x8 model.
 func BenchmarkBilinearGradient(b *testing.B) {
-	m := NewBilinear(64, 16)
-	p := m.InitParams(rng.New(1))
-	g := make([]float32, m.NumParams())
-	corpus := lmdata.NewCorpus(lmdata.DefaultConfig())
-	seqs := corpus.ClientExamples(1, 0, 0.5, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vecf.Zero(g)
-		m.Gradient(p, seqs, g)
+	device := lmdata.Config{
+		VocabSize: 256, NumDialects: 4, Seed: 12,
+		SeqLenMin: 6, SeqLenMax: 14, BranchFactor: 4, ZipfS: 1.2, SmoothMass: 0.05,
+	}
+	paper := lmdata.DefaultConfig()
+	paper.VocabSize = 32
+	for _, bc := range []struct {
+		name string
+		v, d int
+		seqs [][]int
+	}{
+		{"64x16", 64, 16, lmdata.NewCorpus(lmdata.DefaultConfig()).ClientExamples(1, 0, 0.5, 32)},
+		{"256x32", 256, 32, lmdata.NewCorpus(device).ClientExamples(1, 1, 0.9, 16)},
+		{"32x8", 32, 8, lmdata.NewCorpus(paper).ClientExamples(1, 0, 0.5, 32)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := NewBilinear(bc.v, bc.d)
+			p := m.InitParams(rng.New(1))
+			g := make([]float32, m.NumParams())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vecf.Zero(g)
+				m.Gradient(p, bc.seqs, g)
+			}
+		})
 	}
 }
 
@@ -545,6 +565,159 @@ func TestBilinearGradientMatchesPerToken(t *testing.T) {
 	}
 }
 
+// groupedGradient is the reference the blocked Bilinear.Gradient must
+// match bit for bit: one forward and one backward pass per distinct
+// context, in increasing context order, on the 1-wide kernels. It returns
+// the mean per-token loss.
+func groupedGradient(m *Bilinear, params []float32, seqs [][]int, grad []float32) float64 {
+	e, u, b := m.slices(params)
+	ge, gu, gb := m.slices(grad)
+	byContext := make([][]int, m.V)
+	count := 0
+	for _, seq := range seqs {
+		for t := 0; t+1 < len(seq); t++ {
+			byContext[seq[t]] = append(byContext[seq[t]], seq[t+1])
+			count++
+		}
+	}
+	if count == 0 {
+		return 0
+	}
+	inv := float32(1 / float64(count))
+	logits := make([]float32, m.V)
+	dlogits := make([]float32, m.V)
+	dh := make([]float32, m.D)
+	var total float64
+	for x, next := range byContext {
+		if len(next) == 0 {
+			continue
+		}
+		h := e[x*m.D : (x+1)*m.D]
+		vecf.MatVec(logits, u, m.V, m.D, h)
+		vecf.Add(logits, b)
+		logZ := vecf.Softmax(dlogits, logits)
+		for _, y := range next {
+			total += logZ - float64(logits[y])
+		}
+		vecf.Scale(dlogits, float32(len(next)))
+		for _, y := range next {
+			dlogits[y] -= 1
+		}
+		vecf.AXPY(gb, inv, dlogits)
+		vecf.OuterAccum(gu, m.V, m.D, inv, dlogits, h)
+		vecf.MatTVec(dh, u, m.V, m.D, dlogits)
+		vecf.AXPY(ge[x*m.D:(x+1)*m.D], inv, dh)
+	}
+	return total / float64(count)
+}
+
+// underflowCase is a batch whose biases are spread over hundreds of nats,
+// so that some probabilities underflow to 0 (the kernels skip a row of U
+// for them) and some are subnormal with inv*p == 0 (the U gradient skips
+// the row, h's gradient does not).
+func underflowCase() bilinearCase {
+	const v, d = 64, 16
+	m := NewBilinear(v, d)
+	r := rng.New(99)
+	params := m.InitParams(r)
+	_, _, b := m.slices(params)
+	for i := range b {
+		b[i] = -float32(i%8) * 17
+	}
+	corpus := lmdata.NewCorpus(lmdata.Config{
+		VocabSize: v, NumDialects: 4, Seed: 12,
+		SeqLenMin: 6, SeqLenMax: 14, BranchFactor: 4, ZipfS: 1.2, SmoothMass: 0.05,
+	})
+	return bilinearCase{"64x16/underflow", m, params, corpus.ClientExamples(5, 0, 0.9, 16)}
+}
+
+// The underflow case must reach both skip branches, or it tests nothing
+// the other cases do not.
+func TestUnderflowCaseSkips(t *testing.T) {
+	c := underflowCase()
+	s := getScratch(c.m, c.seqs)
+	defer scratchPool.Put(s)
+	inv := float32(1 / float64(s.count))
+	e, u, b := c.m.slices(c.params)
+	logits := make([]float32, c.m.V)
+	probs := make([]float32, c.m.V)
+	var zero, tiny int
+	for _, x := range s.ctx {
+		vecf.MatVec(logits, u, c.m.V, c.m.D, e[int(x)*c.m.D:int(x+1)*c.m.D])
+		vecf.Add(logits, b)
+		vecf.Softmax(probs, logits)
+		for _, p := range probs {
+			switch {
+			case p == 0:
+				zero++
+			case inv*p == 0:
+				tiny++
+			}
+		}
+	}
+	if zero == 0 || tiny == 0 {
+		t.Fatalf("%d probabilities are 0 and %d vanish when scaled by 1/%d; want some of each", zero, tiny, s.count)
+	}
+}
+
+// The blocked Gradient and Loss are the grouped per-context pass, bit for
+// bit, whether the contexts fill blocks of four or leave a tail.
+func TestBilinearGradientMatchesGrouped(t *testing.T) {
+	for _, c := range append(bilinearCases(), underflowCase()) {
+		t.Run(c.name, func(t *testing.T) {
+			// Both accumulate into a gradient that is not zero.
+			want := make([]float32, c.m.NumParams())
+			vecf.Fill(want, 0.125)
+			got := vecf.Clone(want)
+			wantLoss := groupedGradient(c.m, c.params, c.seqs, want)
+			gotLoss := c.m.Gradient(c.params, c.seqs, got)
+			evalLoss := c.m.Loss(c.params, c.seqs)
+			for _, l := range []float64{gotLoss, evalLoss} {
+				if math.Float64bits(l) != math.Float64bits(wantLoss) {
+					t.Fatalf("loss %v, grouped %v", l, wantLoss)
+				}
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("grad[%d] = %v, grouped %v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// groupedModel is a Bilinear whose Gradient is the grouped reference.
+type groupedModel struct{ *Bilinear }
+
+func (g groupedModel) Gradient(params []float32, seqs [][]int, grad []float32) float64 {
+	return groupedGradient(g.Bilinear, params, seqs, grad)
+}
+
+// Differences too small to show in one gradient can grow over a training
+// run; 300 SGD steps at device_16k's shape must end on the same bits.
+func TestSGDTrajectoryMatchesGrouped(t *testing.T) {
+	const v, d = 256, 32
+	m := NewBilinear(v, d)
+	corpus := lmdata.NewCorpus(lmdata.Config{
+		VocabSize: v, NumDialects: 4, Seed: 12,
+		SeqLenMin: 6, SeqLenMax: 14, BranchFactor: 4, ZipfS: 1.2, SmoothMass: 0.05,
+	})
+	seqs := corpus.ClientExamples(7, 2, 0.9, 16)
+	cfg := SGDConfig{LearningRate: 0.5, Epochs: 75, BatchSize: 4, ClipNorm: 5}
+	got := m.InitParams(rng.New(3))
+	want := vecf.Clone(got)
+	gotLoss := SGD(m, got, seqs, cfg, rng.New(4))
+	wantLoss := SGD(groupedModel{m}, want, seqs, cfg, rng.New(4))
+	if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+		t.Fatalf("final-epoch loss %v, grouped %v", gotLoss, wantLoss)
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("params[%d] = %v after 300 steps, grouped %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestBilinearGradientAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -600,5 +773,21 @@ func TestBilinearGradientConcurrent(t *testing.T) {
 	close(errs)
 	for name := range errs {
 		t.Errorf("%s: a concurrent Gradient differs from the serial one", name)
+	}
+}
+
+// SGD's gradient scratch comes from a pool: after the first call, a call
+// allocates only its example order and batch, never a model-sized vector.
+func TestSGDAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	c := bilinearCases()[0]
+	params := vecf.Clone(c.params)
+	cfg := DefaultSGDConfig()
+	r := rng.New(1)
+	SGD(c.m, params, c.seqs, cfg, r)
+	if n := testing.AllocsPerRun(50, func() { SGD(c.m, params, c.seqs, cfg, r) }); n > 2 {
+		t.Fatalf("SGD allocates %v times per call, want at most 2", n)
 	}
 }

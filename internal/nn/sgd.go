@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/vecf"
@@ -53,8 +54,17 @@ func (c SGDConfig) Validate() error {
 // shuffled per epoch with the caller's RNG, so local training is
 // deterministic given the RNG state.
 func SGD(m Model, params []float32, seqs [][]int, cfg SGDConfig, r *rng.RNG) float64 {
-	return sgdScratch(m, params, make([]float32, m.NumParams()), seqs, cfg, r)
+	grad := gradPool.Get().(*[]float32)
+	defer gradPool.Put(grad)
+	*grad = grow(*grad, m.NumParams())
+	return sgdScratch(m, params, *grad, seqs, cfg, r)
 }
+
+// gradPool holds SGD's gradient scratch, shared by every model as
+// Bilinear's scratchPool is. A buffer grows to fit and is kept, so SGD
+// needs no model-sized allocation in the steady state while its callers
+// (client.SGDExecutor, one per device) stay stateless.
+var gradPool = sync.Pool{New: func() any { return new([]float32) }}
 
 // sgdScratch is SGD with a caller-provided gradient scratch buffer, the
 // allocation-free core shared by SGD and Trainer.LocalUpdateInto.

@@ -56,12 +56,11 @@ func Scale(x []float32, a float32) {
 
 // AXPY computes dst[i] += a*src[i]. It panics if lengths differ.
 //
-// AXPY and Dot are the inner loops of the matrix kernels below, where
-// training spends most of its time. They take four elements per iteration
-// in the same order as one, so results are bit-identical. The wider body
-// keeps their speed from hinging on where the linker places the loop: on
-// an x86-64 Xeon the one-element loops ran up to 16% slower when the code
-// before them moved by 32 bytes.
+// AXPY and Dot are the inner loops of the 1-wide matrix kernels below.
+// They take four elements per iteration in the same order as one, so
+// results are bit-identical. The wider body keeps their speed from hinging
+// on where the linker places the loop: on an x86-64 Xeon the one-element
+// loops ran up to 16% slower when the code before them moved by 32 bytes.
 func AXPY(dst []float32, a float32, src []float32) {
 	checkLen(len(dst), len(src))
 	i := 0
@@ -237,6 +236,105 @@ func OuterAccum(w []float32, r, c int, a float32, x, y []float32) {
 			continue
 		}
 		AXPY(row, ax, y)
+	}
+}
+
+// MatVec4 computes y[k] = W x[k] for four vectors at once, where W is an
+// r-by-c row-major matrix. Each y[k] is bit-identical to MatVec(y[k], w,
+// r, c, x[k]): every element is one float64 dot product summed in column
+// order. The four vectors' sums, over two rows at a time, are eight
+// independent add chains, where Dot runs one; a row of W is loaded once
+// for all four. It panics if dimensions do not line up.
+func MatVec4(y [4][]float32, w []float32, r, c int, x [4][]float32) {
+	if len(w) != r*c {
+		panic("vecf: MatVec4 dimension mismatch")
+	}
+	for k := range x {
+		if len(x[k]) != c || len(y[k]) != r {
+			panic("vecf: MatVec4 dimension mismatch")
+		}
+	}
+	i := 0
+	for ; i+2 <= r; i += 2 {
+		wa := w[i*c : (i+1)*c]
+		wb := w[(i+1)*c : (i+2)*c][:len(wa)]
+		x0, x1, x2, x3 := x[0][:len(wa)], x[1][:len(wa)], x[2][:len(wa)], x[3][:len(wa)]
+		var a0, a1, a2, a3, b0, b1, b2, b3 float64
+		for j, v := range wa {
+			ua, ub := float64(v), float64(wb[j])
+			h := float64(x0[j])
+			a0 += ua * h
+			b0 += ub * h
+			h = float64(x1[j])
+			a1 += ua * h
+			b1 += ub * h
+			h = float64(x2[j])
+			a2 += ua * h
+			b2 += ub * h
+			h = float64(x3[j])
+			a3 += ua * h
+			b3 += ub * h
+		}
+		y[0][i], y[1][i], y[2][i], y[3][i] = float32(a0), float32(a1), float32(a2), float32(a3)
+		y[0][i+1], y[1][i+1], y[2][i+1], y[3][i+1] = float32(b0), float32(b1), float32(b2), float32(b3)
+	}
+	if i < r {
+		row := w[i*c : (i+1)*c]
+		for k := range y {
+			y[k][i] = float32(Dot(row, x[k]))
+		}
+	}
+}
+
+// OuterAccumMatTVec4 runs, for k = 0..3, OuterAccum(g, r, c, a, x[k],
+// y[k]) and MatTVec(z[k], w, r, c, x[k]) in one pass over the rows of the
+// r-by-c row-major matrices g and w, and the results are bit-identical to
+// those eight calls: an element of g adds its four terms in k order, an
+// element of z[k] adds its terms in row order, and a term is skipped
+// exactly where OuterAccum (a*x[k][i] == 0) or MatTVec (x[k][i] == 0)
+// skips it. A row where no term is skipped updates g and all four z[k] in
+// one loop that loads the rows of g and w once. g must not overlap w or
+// any z[k]. It panics if dimensions do not line up.
+func OuterAccumMatTVec4(g, w []float32, r, c int, a float32, x, y, z [4][]float32) {
+	if len(g) != r*c || len(w) != r*c {
+		panic("vecf: OuterAccumMatTVec4 dimension mismatch")
+	}
+	for k := range x {
+		if len(x[k]) != r || len(y[k]) != c || len(z[k]) != c {
+			panic("vecf: OuterAccumMatTVec4 dimension mismatch")
+		}
+		Zero(z[k])
+	}
+	for i := 0; i < r; i++ {
+		gr := g[i*c : (i+1)*c]
+		wr := w[i*c : (i+1)*c][:len(gr)]
+		c0, c1, c2, c3 := x[0][i], x[1][i], x[2][i], x[3][i]
+		a0, a1, a2, a3 := a*c0, a*c1, a*c2, a*c3
+		if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 || c0 == 0 || c1 == 0 || c2 == 0 || c3 == 0 {
+			for k := range x {
+				if ak := a * x[k][i]; ak != 0 {
+					AXPY(gr, ak, y[k])
+				}
+				if ck := x[k][i]; ck != 0 {
+					AXPY(z[k], ck, wr)
+				}
+			}
+			continue
+		}
+		y0, y1, y2, y3 := y[0][:len(gr)], y[1][:len(gr)], y[2][:len(gr)], y[3][:len(gr)]
+		z0, z1, z2, z3 := z[0][:len(gr)], z[1][:len(gr)], z[2][:len(gr)], z[3][:len(gr)]
+		for j, u := range wr {
+			s := gr[j]
+			s += a0 * y0[j]
+			s += a1 * y1[j]
+			s += a2 * y2[j]
+			s += a3 * y3[j]
+			gr[j] = s
+			z0[j] += c0 * u
+			z1[j] += c1 * u
+			z2[j] += c2 * u
+			z3[j] += c3 * u
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package vecf
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -396,4 +397,173 @@ func BenchmarkMatVec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MatVec(y, w, r, c, x)
 	}
+}
+
+// wideCase is a row-major r-by-c matrix and four vectors of each length
+// the 4-wide kernels take, filled so that the coefficient vectors hold 0,
+// -0 and values small enough that a*x underflows to 0.
+type wideCase struct {
+	r, c int
+	w    []float32
+	xr   [4][]float32 // length r: MatTVec coefficients
+	xc   [4][]float32 // length c
+}
+
+func newWideCase(r, c int, seed uint32) wideCase {
+	next := func() float32 {
+		seed = seed*1664525 + 1013904223
+		return float32(int32(seed>>8)-1<<23) / (1 << 23)
+	}
+	wc := wideCase{r: r, c: c, w: make([]float32, r*c)}
+	for i := range wc.w {
+		wc.w[i] = next()
+	}
+	specials := []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32}
+	for k := range wc.xr {
+		wc.xr[k] = make([]float32, r)
+		wc.xc[k] = make([]float32, c)
+		for i := range wc.xr[k] {
+			wc.xr[k][i] = next()
+			// A different pattern per vector, so rows mix skipped and
+			// unskipped terms.
+			if (i+k)%3 == 0 {
+				wc.xr[k][i] = specials[(i+k)%len(specials)]
+			}
+		}
+		for j := range wc.xc[k] {
+			wc.xc[k][j] = next()
+		}
+		// The last row's coefficients are all zeros, which both kernels
+		// skip; the one before is all smallest subnormals, where a*x
+		// underflows for a < 1/2, so OuterAccum skips it and MatTVec
+		// does not.
+		wc.xr[k][r-1] = specials[k%2]
+		if r > 1 {
+			wc.xr[k][r-2] = specials[2+k%2]
+		}
+	}
+	return wc
+}
+
+func sameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#08x), 1-wide %v (%#08x)", what, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// Each 4-wide kernel is four calls of its 1-wide kernel, bit for bit, at
+// row counts odd and even and at column counts below, at and past the
+// 1-wide kernels' four-element unroll.
+func TestWideKernelsMatchOneWide(t *testing.T) {
+	for _, c := range []int{1, 5, 8, 32} {
+		for _, r := range []int{1, 6, 7} {
+			wc := newWideCase(r, c, uint32(31*r+c))
+			var got, want [4][]float32
+			for k := range got {
+				got[k], want[k] = make([]float32, r), make([]float32, r)
+				MatVec(want[k], wc.w, r, c, wc.xc[k])
+			}
+			MatVec4(got, wc.w, r, c, wc.xc)
+			for k := range got {
+				sameBits(t, fmt.Sprintf("%dx%d MatVec4 y[%d]", r, c, k), got[k], want[k])
+			}
+
+			// A skipped term shows only where nothing else moves the
+			// sum: in g's rows of skipped coefficients, which start at
+			// -0 (adding a +0 term makes them +0), and in an Inf in the
+			// all-zero row of w (a 0*Inf term makes z[k] NaN).
+			w := Clone(wc.w)
+			w[(r-1)*c] = float32(math.Inf(1))
+			for _, a := range []float32{0.75, 1.0 / 3} {
+				g, gWant := make([]float32, r*c), make([]float32, r*c)
+				for i := range g {
+					g[i] = float32(i%5) - 2
+					if i >= (r-2)*c {
+						g[i] = float32(math.Copysign(0, -1))
+					}
+				}
+				copy(gWant, g)
+				for k := range got {
+					got[k], want[k] = make([]float32, c), make([]float32, c)
+					Fill(got[k], 9) // the kernel zeroes z first, as MatTVec does
+					OuterAccum(gWant, r, c, a, wc.xr[k], wc.xc[k])
+					MatTVec(want[k], w, r, c, wc.xr[k])
+				}
+				OuterAccumMatTVec4(g, w, r, c, a, wc.xr, wc.xc, got)
+				sameBits(t, fmt.Sprintf("%dx%d a=%v g", r, c, a), g, gWant)
+				for k := range got {
+					sameBits(t, fmt.Sprintf("%dx%d a=%v z[%d]", r, c, a, k), got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
+func TestWideKernelDimPanics(t *testing.T) {
+	four := func(n int) [4][]float32 {
+		return [4][]float32{make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)}
+	}
+	short := four(2)
+	short[3] = short[3][:1]
+	for i, f := range []func(){
+		func() { MatVec4(four(3), make([]float32, 5), 3, 2, four(2)) },
+		func() { MatVec4(four(3), make([]float32, 6), 3, 2, short) },
+		func() { OuterAccumMatTVec4(make([]float32, 6), make([]float32, 5), 3, 2, 1, four(3), four(2), four(2)) },
+		func() { OuterAccumMatTVec4(make([]float32, 6), make([]float32, 6), 3, 2, 1, four(3), four(2), short) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("case %d did not panic", i)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// BenchmarkWideKernels times each 4-wide kernel against four calls of its
+// 1-wide kernel at a 256x32 model's shape, with no zero coefficients.
+func BenchmarkWideKernels(b *testing.B) {
+	const r, c = 256, 32
+	wc := newWideCase(r, c, 1)
+	for k := range wc.xr {
+		for i := range wc.xr[k] {
+			wc.xr[k][i] = 0.5 + float32(i%7)/8
+		}
+	}
+	g := make([]float32, r*c)
+	var yr, yc [4][]float32
+	for k := range yr {
+		yr[k], yc[k] = make([]float32, r), make([]float32, c)
+	}
+	b.Run("MatVec", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := range yr {
+				MatVec(yr[k], wc.w, r, c, wc.xc[k])
+			}
+		}
+	})
+	b.Run("MatVec4", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatVec4(yr, wc.w, r, c, wc.xc)
+		}
+	})
+	b.Run("OuterAccum+MatTVec", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := range yc {
+				OuterAccum(g, r, c, 1e-3, wc.xr[k], wc.xc[k])
+				MatTVec(yc[k], wc.w, r, c, wc.xr[k])
+			}
+		}
+	})
+	b.Run("OuterAccumMatTVec4", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			OuterAccumMatTVec4(g, wc.w, r, c, 1e-3, wc.xr, wc.xc, yc)
+		}
+	})
 }
