@@ -57,8 +57,10 @@ func Scale(x []float32, a float32) {
 // AXPY computes dst[i] += a*src[i]. It panics if lengths differ.
 //
 // AXPY and Dot are the inner loops of the 1-wide matrix kernels below.
-// They take four elements per iteration in the same order as one, so
-// results are bit-identical. The wider body keeps their speed from hinging
+// Training's matrix work runs on the 4-wide kernels, which call them only
+// for a matrix's odd last row or a row with a skipped term. They take
+// four elements per iteration in the same order as one, so results are
+// bit-identical. The wider body keeps their speed from hinging
 // on where the linker places the loop: on an x86-64 Xeon the one-element
 // loops ran up to 16% slower when the code before them moved by 32 bytes.
 func AXPY(dst []float32, a float32, src []float32) {

@@ -403,10 +403,9 @@ func BenchmarkMatVec(b *testing.B) {
 // the 4-wide kernels take, filled so that the coefficient vectors hold 0,
 // -0 and values small enough that a*x underflows to 0.
 type wideCase struct {
-	r, c int
-	w    []float32
-	xr   [4][]float32 // length r: MatTVec coefficients
-	xc   [4][]float32 // length c
+	w  []float32
+	xr [4][]float32 // length r: MatTVec coefficients
+	xc [4][]float32 // length c
 }
 
 func newWideCase(r, c int, seed uint32) wideCase {
@@ -414,7 +413,7 @@ func newWideCase(r, c int, seed uint32) wideCase {
 		seed = seed*1664525 + 1013904223
 		return float32(int32(seed>>8)-1<<23) / (1 << 23)
 	}
-	wc := wideCase{r: r, c: c, w: make([]float32, r*c)}
+	wc := wideCase{w: make([]float32, r*c)}
 	for i := range wc.w {
 		wc.w[i] = next()
 	}
