@@ -8,8 +8,6 @@ import (
 	"repro/internal/vecf"
 )
 
-func exp(x float64) float64 { return math.Exp(x) }
-
 // Bilinear is a log-bilinear next-token model: the previous token's
 // embedding is projected through an output matrix to produce logits.
 //

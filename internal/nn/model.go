@@ -14,6 +14,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -45,7 +46,7 @@ func Perplexity(loss float64) float64 {
 		// exp would overflow to +Inf anyway; clamp for readable reports.
 		loss = 60
 	}
-	return exp(loss)
+	return math.Exp(loss)
 }
 
 func checkParams(m Model, params []float32) {

@@ -10,12 +10,8 @@ import (
 	"unsafe"
 )
 
-// Zero sets every element of x to 0.
-func Zero(x []float32) {
-	for i := range x {
-		x[i] = 0
-	}
-}
+// Zero sets every element of x to +0.
+func Zero(x []float32) { clear(x) }
 
 // Clone returns a copy of x.
 func Clone(x []float32) []float32 {
@@ -244,9 +240,10 @@ func OuterAccum(w []float32, r, c int, a float32, x, y []float32) {
 // MatVec4 computes y[k] = W x[k] for four vectors at once, where W is an
 // r-by-c row-major matrix. Each y[k] is bit-identical to MatVec(y[k], w,
 // r, c, x[k]): every element is one float64 dot product summed in column
-// order. The four vectors' sums, over two rows at a time, are eight
-// independent add chains, where Dot runs one; a row of W is loaded once
-// for all four. It panics if dimensions do not line up.
+// order, from the same products, and rounded to float32 once. A row of W
+// is loaded once for all four vectors. On a CPU with AVX2 the rows run
+// four at a time in assembly, one float64 lane per vector, and the last
+// r%4 rows on the Go body. It panics if dimensions do not line up.
 func MatVec4(y [4][]float32, w []float32, r, c int, x [4][]float32) {
 	if len(w) != r*c {
 		panic("vecf: MatVec4 dimension mismatch")
@@ -257,6 +254,17 @@ func MatVec4(y [4][]float32, w []float32, r, c int, x [4][]float32) {
 		}
 	}
 	i := 0
+	if useAVX2 {
+		i = r &^ 3
+		matVec4AVX2(&y, w, i, c, &x)
+	}
+	matVec4Go(y, w, i, r, c, x)
+}
+
+// matVec4Go is MatVec4 over rows i..r-1 in Go. The four vectors' sums,
+// over two rows at a time, are eight independent add chains, where Dot
+// runs one.
+func matVec4Go(y [4][]float32, w []float32, i, r, c int, x [4][]float32) {
 	for ; i+2 <= r; i += 2 {
 		wa := w[i*c : (i+1)*c]
 		wb := w[(i+1)*c : (i+2)*c][:len(wa)]
@@ -294,9 +302,11 @@ func MatVec4(y [4][]float32, w []float32, r, c int, x [4][]float32) {
 // those eight calls: an element of g adds its four terms in k order, an
 // element of z[k] adds its terms in row order, and a term is skipped
 // exactly where OuterAccum (a*x[k][i] == 0) or MatTVec (x[k][i] == 0)
-// skips it. A row where no term is skipped updates g and all four z[k] in
-// one loop that loads the rows of g and w once. g must not overlap w or
-// any z[k]. It panics if dimensions do not line up.
+// skips it. A row where no term is skipped is fused: it updates g and all
+// four z[k] in one loop that loads the rows of g and w once (on a CPU
+// with AVX2, in assembly, eight columns per instruction). A row with a
+// skipped term runs on the 1-wide kernels. g must not overlap w or any
+// z[k]. It panics if dimensions do not line up.
 func OuterAccumMatTVec4(g, w []float32, r, c int, a float32, x, y, z [4][]float32) {
 	if len(g) != r*c || len(w) != r*c {
 		panic("vecf: OuterAccumMatTVec4 dimension mismatch")
@@ -305,7 +315,25 @@ func OuterAccumMatTVec4(g, w []float32, r, c int, a float32, x, y, z [4][]float3
 		if len(x[k]) != r || len(y[k]) != c || len(z[k]) != c {
 			panic("vecf: OuterAccumMatTVec4 dimension mismatch")
 		}
-		Zero(z[k])
+	}
+	if !useAVX2 {
+		outerAccumMatTVec4Go(g, w, r, c, a, x, y, z)
+		return
+	}
+	for k := range z {
+		clear(z[k])
+	}
+	for i := 0; i < r; i++ {
+		if i = outerAccumMatTVec4AVX2(g, w, i, r, c, a, &x, &y, &z); i < r {
+			outerAccumRow1(g, w, i, c, a, x, y, z)
+		}
+	}
+}
+
+// outerAccumMatTVec4Go is OuterAccumMatTVec4 in Go.
+func outerAccumMatTVec4Go(g, w []float32, r, c int, a float32, x, y, z [4][]float32) {
+	for k := range z {
+		clear(z[k])
 	}
 	for i := 0; i < r; i++ {
 		gr := g[i*c : (i+1)*c]
@@ -313,14 +341,7 @@ func OuterAccumMatTVec4(g, w []float32, r, c int, a float32, x, y, z [4][]float3
 		c0, c1, c2, c3 := x[0][i], x[1][i], x[2][i], x[3][i]
 		a0, a1, a2, a3 := a*c0, a*c1, a*c2, a*c3
 		if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 || c0 == 0 || c1 == 0 || c2 == 0 || c3 == 0 {
-			for k := range x {
-				if ak := a * x[k][i]; ak != 0 {
-					AXPY(gr, ak, y[k])
-				}
-				if ck := x[k][i]; ck != 0 {
-					AXPY(z[k], ck, wr)
-				}
-			}
+			outerAccumRow1(g, w, i, c, a, x, y, z)
 			continue
 		}
 		y0, y1, y2, y3 := y[0][:len(gr)], y[1][:len(gr)], y[2][:len(gr)], y[3][:len(gr)]
@@ -336,6 +357,20 @@ func OuterAccumMatTVec4(g, w []float32, r, c int, a float32, x, y, z [4][]float3
 			z1[j] += c1 * u
 			z2[j] += c2 * u
 			z3[j] += c3 * u
+		}
+	}
+}
+
+// outerAccumRow1 runs row i of OuterAccumMatTVec4 on the 1-wide kernels,
+// skipping each term OuterAccum or MatTVec would skip.
+func outerAccumRow1(g, w []float32, i, c int, a float32, x, y, z [4][]float32) {
+	gr, wr := g[i*c:(i+1)*c], w[i*c:(i+1)*c]
+	for k := range x {
+		if ak := a * x[k][i]; ak != 0 {
+			AXPY(gr, ak, y[k])
+		}
+		if ck := x[k][i]; ck != 0 {
+			AXPY(z[k], ck, wr)
 		}
 	}
 }

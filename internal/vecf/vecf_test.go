@@ -400,8 +400,9 @@ func BenchmarkMatVec(b *testing.B) {
 }
 
 // wideCase is a row-major r-by-c matrix and four vectors of each length
-// the 4-wide kernels take, filled so that the coefficient vectors hold 0,
-// -0 and values small enough that a*x underflows to 0.
+// the 4-wide kernels take. The coefficient vectors mix runs of rows with
+// no skipped term, which OuterAccumMatTVec4 fuses, with rows that hold 0,
+// -0, a NaN, or values small enough that a*x underflows to 0.
 type wideCase struct {
 	w  []float32
 	xr [4][]float32 // length r: MatTVec coefficients
@@ -423,10 +424,11 @@ func newWideCase(r, c int, seed uint32) wideCase {
 		wc.xc[k] = make([]float32, c)
 		for i := range wc.xr[k] {
 			wc.xr[k][i] = next()
-			// A different pattern per vector, so rows mix skipped and
-			// unskipped terms.
-			if (i+k)%3 == 0 {
-				wc.xr[k][i] = specials[(i+k)%len(specials)]
+			// Every fourth row has one special coefficient, in a
+			// different vector each time, so rows with skipped terms
+			// sit between runs of fused rows.
+			if i%4 == 1 && k == (i/4)%4 {
+				wc.xr[k][i] = specials[(i/4+k)%len(specials)]
 			}
 		}
 		for j := range wc.xc[k] {
@@ -441,6 +443,10 @@ func newWideCase(r, c int, seed uint32) wideCase {
 			wc.xr[k][r-2] = specials[2+k%2]
 		}
 	}
+	// A NaN is not 0, so its row takes the fused path.
+	if r > 3 {
+		wc.xr[2][r-3] = float32(math.NaN())
+	}
 	return wc
 }
 
@@ -454,21 +460,32 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 	}
 }
 
-// Each 4-wide kernel is four calls of its 1-wide kernel, bit for bit, at
-// row counts odd and even and at column counts below, at and past the
-// 1-wide kernels' four-element unroll.
+// Each 4-wide kernel, dispatched (on an AVX2 host, the assembly) and as
+// its Go body, is four calls of its 1-wide kernel, bit for bit. r = 1..9
+// covers MatVec4's 4-row blocks and each row tail, and runs of fused rows
+// of each length; c covers whole 8-column strips, strip tails, MatVec4's
+// 4-column blocks and column tails, and the 1-wide kernels' four-element
+// unroll.
 func TestWideKernelsMatchOneWide(t *testing.T) {
-	for _, c := range []int{1, 5, 8, 32} {
-		for _, r := range []int{1, 6, 7} {
+	t.Logf("AVX2 kernels: %v", useAVX2)
+	four := func(n int) (v [4][]float32) {
+		for k := range v {
+			v[k] = make([]float32, n)
+		}
+		return v
+	}
+	for _, c := range []int{1, 5, 8, 12, 16, 32, 40, 72} {
+		for r := 1; r <= 9; r++ {
 			wc := newWideCase(r, c, uint32(31*r+c))
-			var got, want [4][]float32
-			for k := range got {
-				got[k], want[k] = make([]float32, r), make([]float32, r)
+			want, got, gotGo := four(r), four(r), four(r)
+			for k := range want {
 				MatVec(want[k], wc.w, r, c, wc.xc[k])
 			}
 			MatVec4(got, wc.w, r, c, wc.xc)
-			for k := range got {
+			matVec4Go(gotGo, wc.w, 0, r, c, wc.xc)
+			for k := range want {
 				sameBits(t, fmt.Sprintf("%dx%d MatVec4 y[%d]", r, c, k), got[k], want[k])
+				sameBits(t, fmt.Sprintf("%dx%d matVec4Go y[%d]", r, c, k), gotGo[k], want[k])
 			}
 
 			// A skipped term shows only where nothing else moves the
@@ -478,24 +495,28 @@ func TestWideKernelsMatchOneWide(t *testing.T) {
 			w := Clone(wc.w)
 			w[(r-1)*c] = float32(math.Inf(1))
 			for _, a := range []float32{0.75, 1.0 / 3} {
-				g, gWant := make([]float32, r*c), make([]float32, r*c)
-				for i := range g {
-					g[i] = float32(i%5) - 2
+				gWant := make([]float32, r*c)
+				for i := range gWant {
+					gWant[i] = float32(i%5) - 2
 					if i >= (r-2)*c {
-						g[i] = float32(math.Copysign(0, -1))
+						gWant[i] = float32(math.Copysign(0, -1))
 					}
 				}
-				copy(gWant, g)
-				for k := range got {
-					got[k], want[k] = make([]float32, c), make([]float32, c)
-					Fill(got[k], 9) // the kernel zeroes z first, as MatTVec does
+				g, gGo := Clone(gWant), Clone(gWant)
+				want, got, gotGo := four(c), four(c), four(c)
+				for k := range want {
+					Fill(got[k], 9) // the kernels zero z first, as MatTVec does
+					Fill(gotGo[k], 9)
 					OuterAccum(gWant, r, c, a, wc.xr[k], wc.xc[k])
 					MatTVec(want[k], w, r, c, wc.xr[k])
 				}
 				OuterAccumMatTVec4(g, w, r, c, a, wc.xr, wc.xc, got)
+				outerAccumMatTVec4Go(gGo, w, r, c, a, wc.xr, wc.xc, gotGo)
 				sameBits(t, fmt.Sprintf("%dx%d a=%v g", r, c, a), g, gWant)
-				for k := range got {
+				sameBits(t, fmt.Sprintf("%dx%d a=%v Go g", r, c, a), gGo, gWant)
+				for k := range want {
 					sameBits(t, fmt.Sprintf("%dx%d a=%v z[%d]", r, c, a, k), got[k], want[k])
+					sameBits(t, fmt.Sprintf("%dx%d a=%v Go z[%d]", r, c, a, k), gotGo[k], want[k])
 				}
 			}
 		}
@@ -525,7 +546,8 @@ func TestWideKernelDimPanics(t *testing.T) {
 	}
 }
 
-// BenchmarkWideKernels times each 4-wide kernel against four calls of its
+// BenchmarkWideKernels times each 4-wide kernel, dispatched (on an AVX2
+// host, the assembly) and as its Go body, against four calls of its
 // 1-wide kernel at a 256x32 model's shape, with no zero coefficients.
 func BenchmarkWideKernels(b *testing.B) {
 	const r, c = 256, 32
@@ -547,7 +569,12 @@ func BenchmarkWideKernels(b *testing.B) {
 			}
 		}
 	})
-	b.Run("MatVec4", func(b *testing.B) {
+	b.Run("MatVec4/go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			matVec4Go(yr, wc.w, 0, r, c, wc.xc)
+		}
+	})
+	b.Run("MatVec4/dispatched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			MatVec4(yr, wc.w, r, c, wc.xc)
 		}
@@ -560,7 +587,12 @@ func BenchmarkWideKernels(b *testing.B) {
 			}
 		}
 	})
-	b.Run("OuterAccumMatTVec4", func(b *testing.B) {
+	b.Run("OuterAccumMatTVec4/go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			outerAccumMatTVec4Go(g, wc.w, r, c, 1e-3, wc.xr, wc.xc, yc)
+		}
+	})
+	b.Run("OuterAccumMatTVec4/dispatched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			OuterAccumMatTVec4(g, wc.w, r, c, 1e-3, wc.xr, wc.xc, yc)
 		}
